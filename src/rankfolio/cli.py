@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .data import PriceMatrix, load_csv, summary_stats
 from .engine import (FEE_GRID, ML_NAMES, BacktestConfig, BacktestResult,
-                     config_as_dict, known_strategy, parse_strategy, reprice,
-                     resolve_window, run_backtest)
+                     check_fee_rate, config_as_dict, known_strategy,
+                     parse_strategy, reprice, resolve_window, run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
 from .strategies import CLASSIC_NAMES
 
@@ -373,9 +373,11 @@ def _parse_fees(text: str | None) -> list[float]:
         token = token.strip()
         if not token:
             continue
-        fee = float(token)
-        if fee < 0:
-            raise UsageError(f"negative fee {token}")
+        try:
+            fee = float(token)
+            check_fee_rate(fee)
+        except ValueError as exc:
+            raise UsageError(f"bad fee {token}: {exc}")
         fees.append(fee)
     if not fees:
         raise UsageError("no fees given")

@@ -30,6 +30,17 @@ ML_NAMES = ("mlp", "knn")
 # Default proportional fee grid for sensitivity sweeps.
 FEE_GRID = (0.0, 0.00025, 0.0005, 0.00075, 0.001, 0.00125, 0.0015)
 
+# Daily turnover |new - held|_1 is at most 2, so a fee rate below 1/2 keeps
+# each day's cost under 100% of wealth.
+MAX_FEE_RATE = 0.5
+
+
+def check_fee_rate(fee_rate: float) -> None:
+    """Reject a fee rate outside [0, MAX_FEE_RATE), including NaN."""
+    if not 0.0 <= fee_rate < MAX_FEE_RATE:
+        raise ValueError(
+            f"fee rate must be in [0, {MAX_FEE_RATE}), got {fee_rate!r}")
+
 
 @dataclass
 class BacktestConfig:
@@ -81,8 +92,7 @@ class BacktestConfig:
             raise ValueError("decay_alpha must be in [0, 1)")
         if self.decay_len < 0:
             raise ValueError("decay_len must be >= 0")
-        if self.fee_rate < 0.0:
-            raise ValueError("fee rate must be non-negative")
+        check_fee_rate(self.fee_rate)
         if self.feature_window < 2:
             raise ValueError("feature_window must be >= 2")
         if self.days_per_year < 1:
@@ -322,8 +332,7 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
     and only costs, net returns, and wealth are recomputed; the output is
     bit-identical to a full rerun at that fee.
     """
-    if fee_rate < 0:
-        raise ValueError("fee rate must be non-negative")
+    check_fee_rate(fee_rate)
     prices = matrix.prices
     cost = np.empty(result.num_days)
     held = np.zeros(len(result.assets))

@@ -10,12 +10,9 @@ window. Targets are the next day's cross-sectional return ranks (ascending,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import PriceMatrix
 
 FEATURES_PER_ASSET = 4
 
@@ -26,33 +23,29 @@ EPS = 1e-12
 RankPower = int | str
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _trend_correlations(basis: np.ndarray) -> np.ndarray:
+    """Spearman correlation of each column of ``basis`` against the time
+    index; 0 for a flat column or a single row.
 
-
-def _spearman_vs_time(series: np.ndarray) -> float:
-    """Spearman correlation of a series against its own time index; 0 if flat."""
-    if series.size < 2:
-        return 0.0
-    ranks = _average_ranks(series)
-    idx = np.arange(1.0, series.size + 1.0)
-    rc = ranks - ranks.mean()
+    Average ranks come from one (m, m, n) comparison over the window:
+    #less + (#equal + 1) / 2 = (#less + #less-or-equal + 1) / 2. They are
+    half-integers, so every sum and dot product below is exact and the
+    result does not depend on summation order.
+    """
+    m, n = basis.shape
+    if m < 2:
+        return np.zeros(n)
+    # below[i, k, j]: column j is lower on day k than on day i
+    below = basis[None, :, :] < basis[:, None, :]
+    at_or_below = basis[None, :, :] <= basis[:, None, :]
+    ranks = 0.5 * (below.sum(axis=1) + at_or_below.sum(axis=1) + 1)
+    rc = ranks - ranks.mean(axis=0)
+    idx = np.arange(1.0, m + 1.0)
     ic = idx - idx.mean()
-    denom = math.sqrt(float(rc @ rc) * float(ic @ ic))
-    if denom == 0.0:
-        return 0.0
-    return float(rc @ ic) / denom
+    denom = np.sqrt((rc * rc).sum(axis=0) * float(ic @ ic))
+    corr = np.zeros(n)
+    np.divide(ic @ rc, denom, out=corr, where=denom != 0.0)
+    return corr
 
 
 def features_from_window(window: np.ndarray, trend: str = "price") -> np.ndarray:
@@ -78,21 +71,8 @@ def features_from_window(window: np.ndarray, trend: str = "price") -> np.ndarray
     sharpe = np.zeros(n)
     np.divide(mean, vol, out=sharpe, where=vol > 0)
 
-    basis = window if trend == "price" else rets
-    trend_corr = np.array([_spearman_vs_time(basis[:, j]) for j in range(n)])
+    trend_corr = _trend_correlations(window if trend == "price" else rets)
     return np.concatenate([last, vol, sharpe, trend_corr])
-
-
-def compute_features(matrix: PriceMatrix, t: int, window: int,
-                     trend: str = "price") -> np.ndarray:
-    """Feature vector for (1-based) day t from the window ending at day t."""
-    if window < 2:
-        raise ValueError("feature window must be >= 2")
-    if not window <= t <= matrix.num_days:
-        raise ValueError(
-            f"day {t} needs a full {window}-day window inside 1..{matrix.num_days}"
-        )
-    return features_from_window(matrix.prices[t - window: t], trend)
 
 
 def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
@@ -115,6 +95,18 @@ def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
     return ranks ** power
 
 
+def check_history(t: int, lookback: int, feature_window: int) -> None:
+    """Raise unless a t-day history prefix holds a ``lookback``-row
+    training set over ``feature_window``-day feature windows."""
+    if lookback < 1:
+        raise ValueError("lookback must be >= 1")
+    needed = lookback + feature_window + 1
+    if t < needed:
+        raise ValueError(
+            f"insufficient history: day {t} < lookback + feature_window + 1 = {needed}"
+        )
+
+
 def training_set(prices: np.ndarray, lookback: int, power: RankPower,
                  feature_window: int, trend: str = "price"):
     """Feature matrix and targets from the trailing ``lookback`` days.
@@ -126,13 +118,7 @@ def training_set(prices: np.ndarray, lookback: int, power: RankPower,
     """
     prices = np.asarray(prices, dtype=np.float64)
     t, n = prices.shape
-    if lookback < 1:
-        raise ValueError("lookback must be >= 1")
-    needed = lookback + feature_window + 1
-    if t < needed:
-        raise ValueError(
-            f"insufficient history: day {t} < lookback + feature_window + 1 = {needed}"
-        )
+    check_history(t, lookback, feature_window)
     feats = np.empty((lookback, FEATURES_PER_ASSET * n))
     targets = np.empty((lookback, n))
     for i, s in enumerate(range(t - lookback, t)):
@@ -140,15 +126,6 @@ def training_set(prices: np.ndarray, lookback: int, power: RankPower,
         next_ret = prices[s] / prices[s - 1] - 1.0
         targets[i] = rank_transform(next_ret, power)
     return feats, targets
-
-
-def build_training_set(matrix: PriceMatrix, t: int, lookback: int,
-                       power: RankPower, feature_window: int,
-                       trend: str = "price"):
-    """training_set() on the history prefix ending at (1-based) day t."""
-    if not 1 <= t <= matrix.num_days:
-        raise ValueError(f"day {t} out of range 1..{matrix.num_days}")
-    return training_set(matrix.prices[:t], lookback, power, feature_window, trend)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ minimal so other regressors (forests, boosted trees) can slot in later.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from .features import (Normalizer, RankPower, features_from_window,
-                       scores_to_weights, training_set)
+from .features import (Normalizer, RankPower, check_history,
+                       features_from_window, rank_transform, scores_to_weights)
 from .knn import knn_predict
 from .mlp import MlpModel, mlp_predict, mlp_train
 from .strategies import Strategy
@@ -84,12 +86,20 @@ class RankForecastStrategy(Strategy):
     Refits every ``refit_interval`` trading days (counted from the first step
     call) on the trailing ``lookback`` days, then turns predicted scores into
     long-only weights by clipping and normalizing.
+
+    Each day is featurized once per run. After a step on a t-day history the
+    caches hold, in ``training_set``'s numbering, the feature rows of days
+    t - lookback .. t and the targets of days t - lookback .. t - 1. A row
+    depends only on the price prefix, so the refit block equals
+    ``training_set(history, ...)`` and outputs stay a pure function of it.
     """
 
     def __init__(self, learner: Learner, lookback: int = 80,
                  refit_interval: int = 10, rank_power: RankPower = 2,
                  feature_window: int = 20, trend: str = "price"):
         super().__init__()
+        if lookback < 1:
+            raise ValueError("lookback must be >= 1")
         if refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
         self.learner = learner
@@ -99,16 +109,24 @@ class RankForecastStrategy(Strategy):
         self.feature_window = feature_window
         self.trend = trend
         self._steps = 0
+        self._seen = 0  # history length at the previous step
+        self._feats: deque[np.ndarray] = deque(maxlen=lookback + 1)
+        self._targets: deque[np.ndarray] = deque(maxlen=lookback)
 
     def step(self, history: np.ndarray) -> np.ndarray:
         history = self._check_growth(history)
+        t = history.shape[0]
+        fw = self.feature_window
+        if self._seen == 0:
+            check_history(t, self.lookback, fw)
+        first = t - self.lookback  # older days fall out of the caches
+        for s in range(max(self._seen + 1, first), t + 1):
+            self._feats.append(features_from_window(history[s - fw: s], self.trend))
+        for s in range(max(self._seen, first), t):
+            self._targets.append(rank_transform(
+                history[s] / history[s - 1] - 1.0, self.rank_power))
+        self._seen = t
         if self._steps % self.refit_interval == 0:
-            feats, targets = training_set(
-                history, self.lookback, self.rank_power,
-                self.feature_window, self.trend,
-            )
-            self.learner.fit(feats, targets)
-        current = features_from_window(
-            history[-self.feature_window:], self.trend)
+            self.learner.fit(np.array(self._feats)[:-1], np.array(self._targets))
         self._steps += 1
-        return scores_to_weights(self.learner.predict(current))
+        return scores_to_weights(self.learner.predict(self._feats[-1].copy()))

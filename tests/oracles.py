@@ -252,3 +252,52 @@ def knn_oracle(train_x, train_y, query, k):
     for i in order:
         out += train_y[i]
     return out / k
+
+
+def average_ranks_loop(values):
+    """Ranks 1..n with ties sharing their average rank, by a sorted scan."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman_vs_time_loop(series):
+    """Spearman correlation of one series against its time index; 0 if flat."""
+    if series.size < 2:
+        return 0.0
+    ranks = average_ranks_loop(series)
+    idx = np.arange(1.0, series.size + 1.0)
+    rc = ranks - ranks.mean()
+    ic = idx - idx.mean()
+    denom = math.sqrt(float(rc @ rc) * float(ic @ ic))
+    if denom == 0.0:
+        return 0.0
+    return float(rc @ ic) / denom
+
+
+def features_loop(window, trend="price"):
+    """The per-asset loop formulation of ``features_from_window``: the same
+    last/vol/sharpe reductions, then one scalar Spearman pass per asset.
+    Byte-for-byte reference for the vectorized trend block."""
+    window = np.asarray(window, dtype=np.float64)
+    rets = window[1:] / window[:-1] - 1.0
+    n = window.shape[1]
+    last = rets[-1]
+    mean = rets.mean(axis=0)
+    if rets.shape[0] >= 2:
+        vol = np.sqrt(((rets - mean) ** 2).sum(axis=0) / (rets.shape[0] - 1))
+    else:
+        vol = np.zeros(n)
+    sharpe = np.zeros(n)
+    np.divide(mean, vol, out=sharpe, where=vol > 0)
+    basis = window if trend == "price" else rets
+    trend_corr = np.array([spearman_vs_time_loop(basis[:, j]) for j in range(n)])
+    return np.concatenate([last, vol, sharpe, trend_corr])

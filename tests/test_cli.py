@@ -301,6 +301,21 @@ def test_sweep_bad_fees(data_csv, tmp_path):
                    "--fees", ",", "--out", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("fee", ["nan", "0.5", "2"])
+def test_fee_bound_exits_2(data_csv, tmp_path, capsys, fee):
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "ucrp",
+                   "--fee", fee, "--out", tmp_path / "b") == 2
+    assert "fee rate must be in [0, 0.5)" in capsys.readouterr().err
+    conf = tmp_path / "fee.cfg"
+    conf.write_text(f"fee_rate = {fee}\n")
+    assert run_cli("compare", "--data", data_csv, "--strategies", "ucrp",
+                   "--config", conf, "--out", tmp_path / "c") == 2
+    assert run_cli("sweep-fees", "--data", data_csv, "--strategy", "ucrp",
+                   "--fees", f"0,{fee}", "--out", tmp_path / "s") == 2
+    assert "fee rate must be in [0, 0.5)" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
 # --- plotdata ----------------------------------------------------------------------------
 
 def test_plotdata_series(data_csv, tmp_path):

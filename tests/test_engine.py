@@ -83,6 +83,21 @@ def test_config_validation():
             BacktestConfig(**kwargs)
 
 
+@pytest.mark.parametrize("fee", [float("nan"), 0.5, 2.0, float("inf")])
+def test_fee_rate_that_can_exhaust_wealth_rejected(fee):
+    # turnover reaches 2, so a fee of 1/2 can cost a whole day's wealth
+    with pytest.raises(ValueError, match="fee rate"):
+        BacktestConfig(fee_rate=fee)
+    pm = make_prices(40, 2, seed=3)
+    base = run_backtest(pm, "ucrp")
+    with pytest.raises(ValueError, match="fee rate"):
+        reprice(pm, base, fee)
+
+
+def test_fee_rate_just_below_bound_accepted():
+    assert BacktestConfig(fee_rate=0.4999).fee_rate == 0.4999
+
+
 def test_parse_strategy():
     assert parse_strategy("olmar") == ("olmar", None)
     assert parse_strategy("mlp") == ("mlp", None)

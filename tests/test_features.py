@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rankfolio.features import (EPS, FEATURES_PER_ASSET, Normalizer,
-                                build_training_set, compute_features,
                                 features_from_window, rank_transform,
                                 scores_to_weights, training_set)
 
 from conftest import make_prices
+from oracles import features_loop
 
 
 def test_features_hand_computed():
@@ -87,16 +89,55 @@ def test_features_validation():
         features_from_window(np.ones((5, 2)), trend="bogus")
 
 
-def test_compute_features_bounds_and_equivalence():
+def test_features_from_window_is_training_set_row_and_bounds():
+    # the feature vector of day 20 over a 10-day window is the row that
+    # training_set pairs with day 20
     pm = make_prices(30, 3, seed=2)
-    got = compute_features(pm, 20, 10)
-    np.testing.assert_array_equal(got, features_from_window(pm.prices[10:20]))
+    feats, _ = training_set(pm.prices[:21], 1, 2, 10)
+    np.testing.assert_array_equal(feats[0], features_from_window(pm.prices[10:20]))
+    with pytest.raises(ValueError, match="insufficient history"):
+        training_set(pm.prices[:5], 1, 2, 10)       # day 5 < a 10-day window
     with pytest.raises(ValueError):
-        compute_features(pm, 5, 10)
+        features_from_window(pm.prices[30:40])      # past the last day
     with pytest.raises(ValueError):
-        compute_features(pm, 31, 10)
+        features_from_window(pm.prices[19:20])      # one-day window
     with pytest.raises(ValueError):
-        compute_features(pm, 20, 1)
+        training_set(pm.prices[:20], 5, 2, 1)       # feature window of 1
+
+
+def test_features_match_loop_reference_on_random_walks():
+    prices = make_prices(300, 10, seed=112).prices
+    for trend in ("price", "return"):
+        for t in range(20, prices.shape[0] + 1):
+            window = prices[t - 20: t]
+            assert (features_from_window(window, trend).tobytes()
+                    == features_loop(window, trend).tobytes())
+
+
+@st.composite
+def tie_heavy_windows(draw):
+    """Prices on a 0.01 grid with few levels, some flat columns and some
+    repeated rows."""
+    days = draw(st.integers(2, 30))
+    assets = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 2000))
+    cents = draw(st.lists(st.integers(1, levels), min_size=days * assets,
+                          max_size=days * assets))
+    window = np.array(cents, dtype=np.float64).reshape(days, assets) / 100.0
+    for j in draw(st.sets(st.integers(0, assets - 1))):
+        window[:, j] = window[0, j]
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, days - 1),
+                                            st.integers(0, days - 1)),
+                                  max_size=days)):
+        window[dst] = window[src]
+    return window
+
+
+@given(tie_heavy_windows(), st.sampled_from(["price", "return"]))
+@settings(max_examples=300, deadline=None)
+def test_property_features_bit_exact_vs_loop_reference(window, trend):
+    assert (features_from_window(window, trend).tobytes()
+            == features_loop(window, trend).tobytes())
 
 
 def test_rank_transform_ascending_with_powers():
@@ -167,14 +208,16 @@ def test_training_set_insufficient_history_message():
         training_set(prices, lookback=20, power=2, feature_window=10)
 
 
-def test_build_training_set_prefix_equivalence():
+def test_training_set_prefix_equivalence():
+    # a row depends only on its day: the rows of days 31..50 are the same
+    # whether taken at day 50 with a 20-day lookback or at day 60 with 30
     pm = make_prices(80, 3, seed=8)
-    a_f, a_t = build_training_set(pm, 50, 20, 2, 10)
-    b_f, b_t = training_set(pm.prices[:50], 20, 2, 10)
-    np.testing.assert_array_equal(a_f, b_f)
-    np.testing.assert_array_equal(a_t, b_t)
-    with pytest.raises(ValueError):
-        build_training_set(pm, 81, 20, 2, 10)
+    a_f, a_t = training_set(pm.prices[:50], 20, 2, 10)
+    b_f, b_t = training_set(pm.prices[:60], 30, 2, 10)
+    np.testing.assert_array_equal(a_f, b_f[:20])
+    np.testing.assert_array_equal(a_t, b_t[:20])
+    with pytest.raises(ValueError, match="insufficient history"):
+        training_set(pm.prices[:30], 20, 2, 10)
 
 
 def test_normalizer_zscores_columns():

@@ -151,3 +151,61 @@ def test_rank_forecast_prediction_uses_current_window():
 def test_rank_forecast_validates_interval():
     with pytest.raises(ValueError):
         RankForecastStrategy(CountingLearner(2), refit_interval=0)
+
+
+class RecordingLearner(CountingLearner):
+    """Keeps the bytes of every fit and predict input, keyed by history day."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.day = None
+        self.fit_inputs = {}
+        self.predict_inputs = {}
+
+    def fit(self, features, targets):
+        super().fit(features, targets)
+        self.fit_inputs[self.day] = (features.tobytes(), targets.tobytes())
+
+    def predict(self, feature_vec):
+        self.predict_inputs[self.day] = feature_vec.tobytes()
+        return super().predict(feature_vec)
+
+
+def run_recorded(prices, days, **kwargs):
+    learner = RecordingLearner(prices.shape[1])
+    strat = RankForecastStrategy(learner, **kwargs)
+    for t in days:
+        learner.day = t
+        strat.step(prices[:t])
+    return learner
+
+
+JUMPS = [37, 38, 41, 42, 49, 50, 51, 60, 63, 64, 80, 81, 85, 99, 100]
+
+
+@pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
+def test_rank_forecast_cache_jumps_match_daily_stepping(trend, power):
+    prices = make_prices(100, 4, seed=20).prices
+    kwargs = dict(lookback=20, refit_interval=1, feature_window=12,
+                  trend=trend, rank_power=power)
+    daily = run_recorded(prices, range(37, 101), **kwargs)
+    jumpy = run_recorded(prices, JUMPS, **kwargs)
+    assert sorted(jumpy.fit_inputs) == JUMPS
+    for t in JUMPS:
+        assert jumpy.fit_inputs[t] == daily.fit_inputs[t]
+        assert jumpy.predict_inputs[t] == daily.predict_inputs[t]
+
+
+@pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
+def test_rank_forecast_cache_matches_stateless_functions(trend, power):
+    prices = make_prices(100, 4, seed=21).prices
+    learner = run_recorded(prices, JUMPS, lookback=20, refit_interval=3,
+                           feature_window=12, trend=trend, rank_power=power)
+    assert sorted(learner.fit_inputs) == JUMPS[::3]
+    for t, (feats, targets) in learner.fit_inputs.items():
+        want_f, want_t = training_set(prices[:t], 20, power, 12, trend)
+        assert feats == want_f.tobytes()
+        assert targets == want_t.tobytes()
+    for t in JUMPS:
+        want = features_from_window(prices[t - 12: t], trend)
+        assert learner.predict_inputs[t] == want.tobytes()
