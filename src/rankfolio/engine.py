@@ -105,6 +105,16 @@ class BacktestConfig:
             raise ValueError("rank_power must be an integer >= 1 or 'return'")
         if not isinstance(self.rank_power, str) and self.rank_power < 1:
             raise ValueError("rank_power must be an integer >= 1 or 'return'")
+        if self.mlp_epochs < 1:
+            raise ValueError("mlp_epochs must be >= 1")
+        if any(units < 1 for units in self.mlp_hidden):
+            raise ValueError("mlp_hidden layer sizes must be >= 1")
+        if self.mlp_batch_size < 0:
+            raise ValueError("mlp_batch_size must be >= 0 (0 = full batch)")
+        if not 0.0 < self.mlp_learning_rate < np.inf:
+            raise ValueError("mlp_learning_rate must be finite and > 0")
+        if not 1 <= self.knn_k <= self.lookback:
+            raise ValueError(f"knn_k must be in 1..lookback ({self.lookback})")
 
 
 def apply_decay(previous: list[np.ndarray], predicted: np.ndarray,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .features import Normalizer
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-SNAPSHOT_FORMAT = 1
 
 
 @dataclass
@@ -64,12 +61,24 @@ def _activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
+def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
+    """Weight and bias views into ``flat``, in ``initialize``'s draw order."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 def loss_and_gradients(model: MlpModel, features: np.ndarray,
-                       targets: np.ndarray):
+                       targets: np.ndarray, out=None):
     """MSE over all output elements and its gradients w.r.t. every parameter.
 
     Returns (loss, weight_grads, bias_grads) with grads ordered like the
-    model's parameter lists.
+    model's parameter lists. They are fresh arrays unless ``out`` gives a
+    (weight_grads, bias_grads) pair of parameter-shaped arrays to fill.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -77,12 +86,11 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray,
     resid = acts[-1] - y
     loss = float((resid * resid).mean())
     delta = (2.0 / resid.size) * resid
-    n_layers = len(model.weights)
-    w_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    b_grads: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    for i in reversed(range(n_layers)):
-        w_grads[i] = acts[i].T @ delta
-        b_grads[i] = delta.sum(axis=0)
+    w_grads, b_grads = out or ([np.empty_like(w) for w in model.weights],
+                               [np.empty_like(b) for b in model.biases])
+    for i in reversed(range(len(model.weights))):
+        np.matmul(acts[i].T, delta, out=w_grads[i])
+        delta.sum(axis=0, out=b_grads[i])
         if i > 0:
             delta = (delta @ model.weights[i].T) * (acts[i] > 0)
     return loss, w_grads, b_grads
@@ -96,7 +104,8 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
 
     ``batch_size = 0`` means full batch. The per-epoch training loss (before
     that epoch's update) is recorded on ``model.loss_curve``; a non-finite
-    loss aborts with the epoch in the message.
+    loss aborts with the epoch in the message. The parameters live in one flat
+    vector that ``model.weights`` and ``model.biases`` are views into.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -106,11 +115,15 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
         raise ValueError("features and targets need matching row counts >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if (batch_size or 0) < 0:
+        raise ValueError("batch_size must be >= 0 (0 = full batch)")
 
     model = MlpModel.initialize((x.shape[1], *hidden, y.shape[1]), seed)
-    params = model.weights + model.biases
-    first_moment = [np.zeros_like(p) for p in params]
-    second_moment = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([np.append(w, b) for w, b in zip(model.weights, model.biases)])
+    model.weights, model.biases = _layer_views(model.layer_sizes, theta)
+    grad, step, scale = np.empty((3, theta.size))
+    grad_views = _layer_views(model.layer_sizes, grad)
+    m, v = np.zeros((2, theta.size))  # Adam moments
     rng = np.random.default_rng(seed)
     steps = 0
 
@@ -125,22 +138,25 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
                        for i in range(0, rows, size)]
         epoch_losses = []
         for bx, by in batches:
-            loss, w_grads, b_grads = loss_and_gradients(model, bx, by)
+            loss = loss_and_gradients(model, bx, by, grad_views)[0]
             epoch_losses.append(loss)
             if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch}: loss={loss}"
-                )
+                raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
             steps += 1
-            grads = w_grads + b_grads
             bias1 = 1.0 - ADAM_BETA1 ** steps
             bias2 = 1.0 - ADAM_BETA2 ** steps
-            for p, g, m, v in zip(params, grads, first_moment, second_moment):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            # Adam on the whole vector, with a per-tensor update's order of
+            # operations so the result matches one bit for bit
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grad, out=step),
+                             grad, out=step)
+            # theta -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.multiply(learning_rate, np.divide(m, bias1, out=step), out=step)
+            np.sqrt(np.divide(v, bias2, out=scale), out=scale)
+            scale += ADAM_EPS
+            theta -= np.divide(step, scale, out=step)
         model.loss_curve.append(float(np.mean(epoch_losses)))
     return model
 
@@ -149,29 +165,3 @@ def mlp_predict(model: MlpModel, feature_vec: np.ndarray,
                 normalizer: Normalizer) -> np.ndarray:
     """Score vector for one raw feature vector (standardized internally)."""
     return model.forward(normalizer.transform(feature_vec))
-
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    """Snapshot layer sizes, seed, and parameters; round-trips bit-exact."""
-    arrays = {
-        "format_version": np.int64(SNAPSHOT_FORMAT),
-        "layer_sizes": np.asarray(model.layer_sizes, dtype=np.int64),
-        "seed": np.int64(model.seed),
-    }
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"weight_{i}"] = w
-        arrays[f"bias_{i}"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str | Path) -> MlpModel:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != SNAPSHOT_FORMAT:
-            raise ValueError(f"unsupported model snapshot version {version}")
-        sizes = tuple(int(s) for s in data["layer_sizes"])
-        weights = [data[f"weight_{i}"].copy() for i in range(len(sizes) - 1)]
-        biases = [data[f"bias_{i}"].copy() for i in range(len(sizes) - 1)]
-        return MlpModel(layer_sizes=sizes, weights=weights, biases=biases,
-                        seed=int(data["seed"]))

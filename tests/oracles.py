@@ -301,3 +301,46 @@ def features_loop(window, trend="price"):
     basis = window if trend == "price" else rets
     trend_corr = np.array([spearman_vs_time_loop(basis[:, j]) for j in range(n)])
     return np.concatenate([last, vol, sharpe, trend_corr])
+
+
+def mlp_train_loop(features, targets, hidden=(20, 20), epochs=200,
+                   learning_rate=1e-3, batch_size=0, seed=10):
+    """The per-tensor formulation of ``mlp_train``: the same init, batches and
+    gradients, then Adam as a loop over every weight and bias array with
+    fresh temporaries. Byte-for-byte reference for the flat-vector update."""
+    from rankfolio.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpModel,
+                               loss_and_gradients)
+
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    model = MlpModel.initialize((x.shape[1], *hidden, y.shape[1]), seed)
+    params = model.weights + model.biases
+    first_moment = [np.zeros_like(p) for p in params]
+    second_moment = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(seed)
+    steps = 0
+    rows = x.shape[0]
+    size = rows if batch_size == 0 else min(batch_size, rows)
+    for _ in range(epochs):
+        if size == rows:
+            batches = [(x, y)]
+        else:
+            perm = rng.permutation(rows)
+            batches = [(x[perm[i: i + size]], y[perm[i: i + size]])
+                       for i in range(0, rows, size)]
+        epoch_losses = []
+        for bx, by in batches:
+            loss, w_grads, b_grads = loss_and_gradients(model, bx, by)
+            epoch_losses.append(loss)
+            steps += 1
+            bias1 = 1.0 - ADAM_BETA1 ** steps
+            bias2 = 1.0 - ADAM_BETA2 ** steps
+            for p, g, m, v in zip(params, w_grads + b_grads, first_moment,
+                                  second_moment):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        model.loss_curve.append(float(np.mean(epoch_losses)))
+    return model

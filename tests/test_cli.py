@@ -316,6 +316,25 @@ def test_fee_bound_exits_2(data_csv, tmp_path, capsys, fee):
     assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("mlp_batch_size = -1", "mlp_batch_size must be >= 0"),
+    ("mlp_epochs = 0", "mlp_epochs must be >= 1"),
+    ("mlp_hidden = 0", "mlp_hidden layer sizes must be >= 1"),
+    ("mlp_learning_rate = nan", "mlp_learning_rate must be finite and > 0"),
+    ("mlp_learning_rate = -1", "mlp_learning_rate must be finite and > 0"),
+    ("knn_k = 0", "knn_k must be in 1..lookback (80)"),
+    ("knn_k = 500", "knn_k must be in 1..lookback (80)"),
+])
+def test_bad_learner_setting_exits_2(data_csv, tmp_path, capsys, line, message):
+    conf = tmp_path / "learner.cfg"
+    conf.write_text(line + "\n")
+    for strategy in ("mlp", "knn"):
+        assert run_cli("backtest", "--data", data_csv, "--strategy", strategy,
+                       "--config", conf, "--out", tmp_path / "b") == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 # --- plotdata ----------------------------------------------------------------------------
 
 def test_plotdata_series(data_csv, tmp_path):

@@ -98,6 +98,38 @@ def test_fee_rate_just_below_bound_accepted():
     assert BacktestConfig(fee_rate=0.4999).fee_rate == 0.4999
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(mlp_epochs=0), "mlp_epochs"),
+    (dict(mlp_hidden=(0,)), "mlp_hidden"),
+    (dict(mlp_hidden=(20, -1)), "mlp_hidden"),
+    (dict(mlp_batch_size=-1), "mlp_batch_size"),
+    (dict(mlp_learning_rate=float("nan")), "mlp_learning_rate"),
+    (dict(mlp_learning_rate=float("inf")), "mlp_learning_rate"),
+    (dict(mlp_learning_rate=0.0), "mlp_learning_rate"),
+    (dict(mlp_learning_rate=-1.0), "mlp_learning_rate"),
+    (dict(knn_k=0), "knn_k"),
+    (dict(knn_k=81), "knn_k"),
+    (dict(knn_k=500), "knn_k"),
+    (dict(lookback=10), "knn_k"),  # the default knn_k of 15 needs 15 rows
+])
+def test_bad_learner_settings_rejected_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BacktestConfig(**kwargs)
+
+
+def test_learner_settings_at_their_bounds_run(prices_small):
+    BacktestConfig(mlp_hidden=(1,), mlp_learning_rate=1e-300, lookback=1,
+                   knn_k=1)
+    # k equal to lookback uses every training row; a linear net (no hidden
+    # layer) with one epoch and minibatches of one row still trains
+    cfg = BacktestConfig(**{**FAST_ML, "knn_k": FAST_ML["lookback"],
+                            "mlp_hidden": (), "mlp_epochs": 1,
+                            "mlp_batch_size": 1})
+    for strategy in ("knn", "mlp"):
+        result = run_backtest(prices_small, strategy, cfg)
+        assert np.isfinite(result.wealth).all()
+
+
 def test_parse_strategy():
     assert parse_strategy("olmar") == ("olmar", None)
     assert parse_strategy("mlp") == ("mlp", None)

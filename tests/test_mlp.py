@@ -1,4 +1,4 @@
-"""Network forward pass, analytic gradients, Adam mechanics, snapshots."""
+"""Network forward pass, analytic gradients, Adam mechanics."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 
 from rankfolio.features import Normalizer
 from rankfolio.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpModel,
-                           load_model, loss_and_gradients, mlp_predict,
-                           mlp_train, save_model)
+                           loss_and_gradients, mlp_predict, mlp_train)
+
+from oracles import mlp_train_loop
 
 
 def numeric_gradients(model, x, y, h=1e-5):
@@ -136,6 +137,59 @@ def test_full_batch_training_matches_reference_adam():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("hidden", [(), (4,), (20, 20), (5, 3, 2)])
+@pytest.mark.parametrize("batch_size", [0, 10, 16, 37, 64])
+def test_training_byte_equal_to_per_tensor_adam(hidden, batch_size):
+    # 37 rows: batches of 10 and 16 leave a ragged last batch (7 and 5
+    # rows); 37 and 64 rows per batch fall back to the full batch
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(37, 6))
+    y = rng.normal(size=(37, 3))
+    kwargs = dict(hidden=hidden, epochs=12, learning_rate=3e-3,
+                  batch_size=batch_size, seed=5)
+    trained = mlp_train(x, y, **kwargs)
+    ref = mlp_train_loop(x, y, **kwargs)
+    assert trained.layer_sizes == ref.layer_sizes == (6, *hidden, 3)
+    for a, b in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert (np.array(trained.loss_curve).tobytes()
+            == np.array(ref.loss_curve).tobytes())
+    probe = rng.normal(size=(4, 6))
+    assert trained.forward(probe).tobytes() == ref.forward(probe).tobytes()
+
+
+def test_gradients_into_destination_equal_fresh_ones():
+    rng = np.random.default_rng(41)
+    model = MlpModel.initialize((5, 4, 3, 2), seed=2)
+    x = rng.normal(size=(9, 5))
+    y = rng.normal(size=(9, 2))
+    loss, w_grads, b_grads = loss_and_gradients(model, x, y)
+    # a second call without a destination leaves the first call's arrays as
+    # they were, whatever its inputs
+    kept = [g.copy() for g in w_grads + b_grads]
+    loss_and_gradients(model, rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
+    for g, k in zip(w_grads + b_grads, kept):
+        assert g.tobytes() == k.tobytes()
+    dest = ([np.full_like(w, np.nan) for w in model.weights],
+            [np.full_like(b, np.nan) for b in model.biases])
+    loss_out, w_out, b_out = loss_and_gradients(model, x, y, dest)
+    assert loss_out == loss
+    assert all(a is b for a, b in zip(w_out + b_out, dest[0] + dest[1]))
+    for a, b in zip(w_out + b_out, w_grads + b_grads):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_trained_parameters_share_one_vector():
+    x = np.random.default_rng(42).normal(size=(8, 3))
+    model = mlp_train(x, x[:, :2], hidden=(4,), epochs=2, seed=1)
+    params = model.weights + model.biases
+    base = params[0].base
+    assert base is not None and base.ndim == 1
+    assert all(p.base is base for p in params)
+    assert base.size == sum(p.size for p in params)
+
+
 def test_training_reduces_loss_on_learnable_data():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(64, 6))
@@ -190,6 +244,14 @@ def test_training_validation():
         mlp_train(np.zeros(4), np.zeros((4, 1)), epochs=1)
 
 
+def test_negative_batch_size_rejected():
+    # range(0, rows, -1) is empty: without the check no step is ever taken
+    # and the network comes back untrained with a NaN loss curve
+    x = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="batch_size"):
+        mlp_train(x, np.zeros((4, 1)), epochs=1, batch_size=-1)
+
+
 def test_predict_standardizes_input():
     rng = np.random.default_rng(30)
     feats = rng.normal(5.0, 2.0, size=(50, 3))
@@ -198,29 +260,3 @@ def test_predict_standardizes_input():
     vec = feats[7]
     np.testing.assert_array_equal(mlp_predict(model, vec, norm),
                                   model.forward(norm.transform(vec)))
-
-
-def test_snapshot_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(10, 3))
-    y = rng.normal(size=(10, 2))
-    model = mlp_train(x, y, hidden=(4,), epochs=3, seed=8)
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.layer_sizes == model.layer_sizes
-    assert loaded.seed == model.seed
-    for a, b in zip(model.weights + model.biases,
-                    loaded.weights + loaded.biases):
-        np.testing.assert_array_equal(a, b)
-    probe = rng.normal(size=3)
-    np.testing.assert_array_equal(model.forward(probe), loaded.forward(probe))
-
-
-def test_snapshot_version_check(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, format_version=np.int64(99),
-             layer_sizes=np.array([2, 1]), seed=np.int64(0),
-             weight_0=np.zeros((2, 1)), bias_0=np.zeros(1))
-    with pytest.raises(ValueError, match="version"):
-        load_model(path)
