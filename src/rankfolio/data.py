@@ -71,13 +71,6 @@ class PriceMatrix:
     def num_assets(self) -> int:
         return self.prices.shape[1]
 
-    def day_of(self, d: date) -> int:
-        """1-based day index of calendar date ``d`` (exact match required)."""
-        try:
-            return self.dates.index(d) + 1
-        except ValueError:
-            raise ValueError(f"date {d.isoformat()} not in price matrix") from None
-
 
 def load_csv(path: str | Path) -> PriceMatrix:
     """Read a price matrix from ``path``.

@@ -20,7 +20,7 @@ from .data import PriceMatrix
 from .features import RankPower
 from .learners import KnnLearner, MlpLearner, RankForecastStrategy
 from .metrics import MetricsReport, compute_report
-from .strategies import (Anticor, Bnn, BuyAndHold, Corn, Cwmr,
+from .strategies import (CLASSIC_NAMES, Anticor, Bnn, BuyAndHold, Corn, Cwmr,
                          ExponentiatedGradient, FixedWeights, Olmar, Pamr,
                          Rmr, Strategy, UniformCRP, UniversalSampler,
                          bcrp_hindsight)
@@ -115,6 +115,13 @@ class BacktestConfig:
             raise ValueError("mlp_learning_rate must be finite and > 0")
         if not 1 <= self.knn_k <= self.lookback:
             raise ValueError(f"knn_k must be in 1..lookback ({self.lookback})")
+        # constructor messages start with the parameter: prefixing names the key
+        for name in CLASSIC_NAMES:
+            try:
+                if name != "bcrp":
+                    build_strategy(name, self)
+            except ValueError as exc:
+                raise ValueError(f"{name}_{exc}") from None
 
 
 def apply_decay(previous: list[np.ndarray], predicted: np.ndarray,
@@ -203,7 +210,6 @@ def known_strategy(strategy_id: str) -> bool:
         name, _ = parse_strategy(strategy_id)
     except ValueError:
         return False
-    from .strategies import CLASSIC_NAMES
     return name in CLASSIC_NAMES or name in ML_NAMES
 
 

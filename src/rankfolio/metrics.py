@@ -109,13 +109,14 @@ def max_drawdown(values) -> float:
 class MetricsReport:
     """One row of performance numbers for a return series.
 
-    ``information_ratio`` is None when no benchmark applies or the excess
-    series is degenerate. ``profit_factor`` may be +inf (no losing day).
+    ``information_ratio`` is None without a benchmark or for a degenerate
+    excess series, ``sharpe`` is None at zero volatility, and
+    ``profit_factor`` may be +inf (no losing day).
     """
 
     annualized_return: float
     annualized_volatility: float
-    sharpe: float
+    sharpe: float | None
     winning_pct: float
     profit_factor: float
     max_drawdown: float
@@ -136,7 +137,7 @@ class MetricsReport:
 
 def compute_report(values, benchmark=None, days_per_year: int = DAYS_PER_YEAR,
                    mode: str = "mean") -> MetricsReport:
-    """Assemble a MetricsReport; IR is None without a benchmark or when degenerate."""
+    """Assemble a MetricsReport; IR and Sharpe are None where undefined."""
     ir: float | None = None
     if benchmark is not None:
         try:
@@ -144,11 +145,11 @@ def compute_report(values, benchmark=None, days_per_year: int = DAYS_PER_YEAR,
         except ValueError as exc:
             if "degenerate" not in str(exc):
                 raise
-            ir = None
+    vol = annualized_volatility(values, days_per_year)
     return MetricsReport(
         annualized_return=annualized_return(values, days_per_year, mode),
-        annualized_volatility=annualized_volatility(values, days_per_year),
-        sharpe=sharpe_ratio(values, days_per_year, mode),
+        annualized_volatility=vol,
+        sharpe=sharpe_ratio(values, days_per_year, mode) if vol > 0 else None,
         winning_pct=winning_pct(values),
         profit_factor=profit_factor(values),
         max_drawdown=max_drawdown(values),

@@ -27,32 +27,29 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _log_wealth(relatives: np.ndarray, w: np.ndarray) -> float:
-    port = relatives @ w
-    return float(np.log(np.maximum(port, RELATIVE_FLOOR)).sum())
-
-
 def _ascend(relatives: np.ndarray, w: np.ndarray, tol: float,
             max_iter: int) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent with backtracking from start point ``w``."""
-    fw = _log_wealth(relatives, w)
+    """Projected gradient ascent with backtracking from start point ``w``;
+    any step moving ``w`` less than ``tol``, even a rejected one, ends it."""
+    port = np.maximum(relatives @ w, RELATIVE_FLOOR)
+    fw = float(np.log(port).sum())
     step = 1.0
     for _ in range(max_iter):
-        port = np.maximum(relatives @ w, RELATIVE_FLOOR)
         grad = (relatives / port[:, None]).sum(axis=0)
-        # backtrack until the projected step improves the objective
-        improved = False
+        # halve the step until it improves the objective or moves w < tol
         while step >= 1e-18:
             cand = project_to_simplex(w + step * grad)
-            fc = _log_wealth(relatives, cand)
+            cand_port = np.maximum(relatives @ cand, RELATIVE_FLOOR)
+            fc = float(np.log(cand_port).sum())
+            moved = float(np.linalg.norm(cand - w))
             if fc > fw:
-                improved = True
                 break
+            if moved < tol:
+                return w, fw
             step *= 0.5
-        if not improved:
+        else:
             break
-        moved = float(np.linalg.norm(cand - w))
-        w, fw = cand, fc
+        w, fw, port = cand, fc, cand_port
         step *= 2.0
         if moved < tol:
             break
@@ -65,9 +62,10 @@ def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
 
     ``relatives`` is an m x n matrix of per-day price relatives (gross
     returns, strictly positive under valid data). Deterministic: projected
-    gradient ascent from the uniform start, stopping when the projected step
-    norm falls below ``tol`` or after ``max_iter`` iterations. Single-asset
-    corners are checked explicitly so the result never trails a pure asset.
+    gradient ascent with a halving line search from the uniform start,
+    stopping once a step, accepted or rejected, moves the weights by less
+    than ``tol`` or after ``max_iter`` iterations. Single-asset corners
+    are checked explicitly so the result never trails a pure asset.
     """
     relatives = np.asarray(relatives, dtype=np.float64)
     if relatives.ndim != 2:

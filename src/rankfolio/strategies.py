@@ -123,7 +123,7 @@ class UniversalSampler(ReplayStrategy):
     def __init__(self, samples: int = 10_000, seed: int = 10):
         super().__init__()
         if samples < 1:
-            raise ValueError("need at least one sample portfolio")
+            raise ValueError("samples must be >= 1")
         self.samples = samples
         self.seed = seed
         self._crps: np.ndarray | None = None
@@ -151,8 +151,8 @@ class ExponentiatedGradient(ReplayStrategy):
 
     def __init__(self, eta: float = 0.05):
         super().__init__()
-        if eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not eta >= 0:  # also rejects NaN
+            raise ValueError("eta must be >= 0")
         self.eta = eta
 
     def _advance(self, prefix):
@@ -369,8 +369,10 @@ class Bnn(ReplayStrategy):
 
     def __init__(self, neighbors: int = 10, window: int = 5):
         super().__init__()
-        if neighbors < 1 or window < 1:
-            raise ValueError("neighbors and window must be >= 1")
+        if neighbors < 1:
+            raise ValueError("neighbors must be >= 1")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.neighbors = neighbors
         self.window = window
 

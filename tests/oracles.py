@@ -344,3 +344,54 @@ def mlp_train_loop(features, targets, hidden=(20, 20), epochs=200,
                 p -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         model.loss_curve.append(float(np.mean(epoch_losses)))
     return model
+
+
+def log_optimal_loop(relatives, tol=1e-10, max_iter=10_000):
+    """The full-length line-search formulation of ``log_optimal_portfolio``:
+    the same projected-gradient ascent, uniform start and corner restart, but
+    each line search halves the step down to 1e-18 before the ascent gives
+    up, and the objective is recomputed from the weights at every step.
+    Reference for the solver's early stop on a rejected sub-``tol`` step."""
+    from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
+
+    relatives = np.asarray(relatives, dtype=np.float64)
+    n = relatives.shape[1]
+    if n == 1:
+        return np.ones(1)
+
+    def objective(w):
+        return float(np.log(np.maximum(relatives @ w, RELATIVE_FLOOR)).sum())
+
+    def ascend(w):
+        fw = objective(w)
+        step = 1.0
+        for _ in range(max_iter):
+            port = np.maximum(relatives @ w, RELATIVE_FLOOR)
+            grad = (relatives / port[:, None]).sum(axis=0)
+            improved = False
+            while step >= 1e-18:
+                cand = project_to_simplex(w + step * grad)
+                fc = objective(cand)
+                if fc > fw:
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+            moved = float(np.linalg.norm(cand - w))
+            w, fw = cand, fc
+            step *= 2.0
+            if moved < tol:
+                break
+        return w, fw
+
+    w, fw = ascend(np.full(n, 1.0 / n))
+    corner_f = np.log(np.maximum(relatives, RELATIVE_FLOOR)).sum(axis=0)
+    best = int(np.argmax(corner_f))
+    if corner_f[best] > fw:
+        corner = np.zeros(n)
+        corner[best] = 1.0
+        w2, fw2 = ascend(corner)
+        if fw2 > fw:
+            w = w2
+    return w

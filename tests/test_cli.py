@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import threading
+from dataclasses import replace
 from datetime import date
 from http.server import HTTPServer
 
@@ -15,6 +16,7 @@ from rankfolio.data import load_csv, write_csv
 from rankfolio.engine import BacktestConfig, run_backtest
 from rankfolio.fetch import BASE_URL_ENV
 from rankfolio.metrics import CSV_COLUMNS
+from rankfolio.strategies import CLASSIC_NAMES
 
 from conftest import make_prices
 from test_fetch import ApiHandler, ts_ms
@@ -333,6 +335,47 @@ def test_bad_learner_setting_exits_2(data_csv, tmp_path, capsys, line, message):
                        "--config", conf, "--out", tmp_path / "b") == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("olmar_window = 0", "olmar_window must be >= 1"),
+    ("corn_rho = 2", "corn_rho must be in [-1, 1]"),
+    ("up_samples = 0", "up_samples must be >= 1"),
+    ("eg_eta = nan", "eg_eta must be >= 0"),
+    ("anticor_window = 1", "anticor_window must be >= 2"),
+    ("cwmr_confidence = 0.2", "cwmr_confidence must be in [0.5, 1)"),
+])
+def test_bad_classic_setting_exits_2(data_csv, tmp_path, capsys, line, message):
+    # compare used to warn, skip the row and exit 0
+    conf = tmp_path / "classic.cfg"
+    conf.write_text(line + "\n")
+    assert run_cli("compare", "--data", data_csv, "--strategies", "all",
+                   "--config", conf, "--out", tmp_path / "c") == 2
+    assert message in capsys.readouterr().err
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "ucrp",
+                   "--config", conf, "--out", tmp_path / "b") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+    assert not (tmp_path / "b").exists()
+
+
+def test_flat_prices_report_blank_sharpe(tmp_path):
+    # prices that never move have zero volatility, so Sharpe is undefined
+    flat_csv = tmp_path / "flat.csv"
+    walk = make_prices(40, 3, seed=1)
+    write_csv(replace(walk, prices=np.tile([100.0, 20.0, 3.5], (40, 1))), flat_csv)
+    sharpe = 1 + CSV_COLUMNS.index("sharpe")
+    assert run_cli("backtest", "--data", flat_csv, "--strategy", "ucrp",
+                   "--out", tmp_path / "b") == 0
+    assert run_cli("compare", "--data", flat_csv, "--strategies", "all",
+                   "--out", tmp_path / "c") == 0
+    for table in (tmp_path / "b" / "metrics.csv", tmp_path / "b" / "metrics_raw.csv",
+                  tmp_path / "c" / "compare.csv", tmp_path / "c" / "compare_raw.csv"):
+        rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        assert rows
+        assert all(row[sharpe] == "" for row in rows)
+    compared = (tmp_path / "c" / "compare.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in compared] == sorted(CLASSIC_NAMES)
 
 
 # --- plotdata ----------------------------------------------------------------------------

@@ -136,13 +136,6 @@ def test_summary_stats_against_numpy(prices_small):
         assert s["50%"] == pytest.approx(np.percentile(col, 50))
 
 
-def test_day_of(prices_small):
-    assert prices_small.day_of(prices_small.dates[0]) == 1
-    assert prices_small.day_of(prices_small.dates[-1]) == prices_small.num_days
-    with pytest.raises(ValueError):
-        prices_small.day_of(date(1999, 1, 1))
-
-
 def test_make_prices_deterministic():
     a = make_prices(30, 3, seed=5)
     b = make_prices(30, 3, seed=5)

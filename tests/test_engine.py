@@ -117,6 +117,38 @@ def test_bad_learner_settings_rejected_at_construction(kwargs, message):
         BacktestConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eg_eta=-0.01), "eg_eta must be >= 0"),
+    (dict(eg_eta=float("nan")), "eg_eta must be >= 0"),
+    (dict(anticor_window=1), "anticor_window must be >= 2"),
+    (dict(olmar_window=0), "olmar_window must be >= 1"),
+    (dict(rmr_window=0), "rmr_window must be >= 1"),
+    (dict(bnn_neighbors=0), "bnn_neighbors must be >= 1"),
+    (dict(bnn_window=0), "bnn_window must be >= 1"),
+    (dict(corn_window=0), "corn_window must be >= 1"),
+    (dict(corn_rho=2.0), r"corn_rho must be in \[-1, 1\]"),
+    (dict(corn_rho=-1.5), r"corn_rho must be in \[-1, 1\]"),
+    (dict(corn_rho=float("nan")), r"corn_rho must be in \[-1, 1\]"),
+    (dict(cwmr_confidence=0.2), r"cwmr_confidence must be in \[0.5, 1\)"),
+    (dict(cwmr_confidence=1.0), r"cwmr_confidence must be in \[0.5, 1\)"),
+    (dict(up_samples=0), "up_samples must be >= 1"),
+])
+def test_bad_classic_settings_rejected_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BacktestConfig(**kwargs)
+
+
+def test_classic_settings_at_their_bounds_run(prices_small):
+    cfg = BacktestConfig(eg_eta=0.0, anticor_window=2, olmar_window=1,
+                         rmr_window=1, bnn_neighbors=1, bnn_window=1,
+                         corn_window=1, corn_rho=-1.0, cwmr_confidence=0.5,
+                         up_samples=1)
+    for strategy in ("eg", "anticor", "olmar", "rmr", "bnn", "corn", "cwmr",
+                     "up"):
+        assert np.isfinite(run_backtest(prices_small, strategy, cfg).wealth).all()
+    assert BacktestConfig(corn_rho=1.0).corn_rho == 1.0
+
+
 def test_learner_settings_at_their_bounds_run(prices_small):
     BacktestConfig(mlp_hidden=(1,), mlp_learning_rate=1e-300, lookback=1,
                    knn_k=1)

@@ -154,6 +154,15 @@ def test_compute_report_degenerate_benchmark_gives_none():
     assert compute_report(rets).information_ratio is None
 
 
+def test_compute_report_zero_volatility_gives_none_sharpe():
+    # flat prices: the Sharpe ratio is undefined, the rest of the row is not
+    report = compute_report(np.zeros(5), np.zeros(5))
+    assert report.sharpe is None
+    assert report.information_ratio is None
+    assert report.annualized_volatility == 0.0
+    assert report.csv_values()["sharpe"] is None
+
+
 finite_returns = st.lists(
     st.floats(min_value=-0.5, max_value=0.5, allow_nan=False,
               allow_infinity=False, width=64),

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfolio import optim
 from rankfolio.optim import (RELATIVE_FLOOR, geometric_median,
                              log_optimal_portfolio, project_to_simplex)
+from oracles import log_optimal_loop
 
 
 # --- independent oracles ----------------------------------------------------
@@ -172,6 +174,60 @@ def test_log_optimal_deterministic():
     w1 = log_optimal_portfolio(rel)
     w2 = log_optimal_portfolio(rel.copy())
     np.testing.assert_array_equal(w1, w2)
+
+
+# --- log-optimal early stop against the full line search ---------------------
+
+# Problem shapes the strategies solve: bnn plays the log-optimal mix over 10
+# neighbor successors (fewer rows than assets at 50 assets, so the optimum is
+# not unique), corn over 1 to about 350 matched successors, and bcrp over the
+# whole trading window of a 1309-day matrix.
+SOLVER_SHAPES = {
+    "bnn": [(10, 10)] * 20 + [(10, 50)] * 20,
+    "corn": [(int(m), 10) for m in np.linspace(1, 350, 40)],
+    "bcrp": [(1308, 5)] * 2,
+}
+
+
+def daily_relatives(rng, m, n):
+    """Price relatives of the c12-shaped random walk (drift 5e-4, vol 2%)."""
+    return 1.0 + np.clip(rng.normal(0.0005, 0.02, size=(m, n)), -0.5, 0.5)
+
+
+def solver_problems(kind):
+    rng = np.random.default_rng(2011)
+    return [daily_relatives(rng, m, n) for m, n in SOLVER_SHAPES[kind]]
+
+
+def kkt_gap(relatives, w):
+    """max_j mean(x_j / x.w) - 1: zero at the log-optimal portfolio."""
+    return float((relatives / (relatives @ w)[:, None]).mean(axis=0).max() - 1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_SHAPES))
+def test_log_optimal_matches_full_line_search(kind):
+    for rel in solver_problems(kind):
+        w = log_optimal_portfolio(rel)
+        assert float(np.linalg.norm(w - log_optimal_loop(rel))) < 1e-10
+        assert kkt_gap(rel, w) <= 1e-7
+
+
+@pytest.mark.parametrize("kind", ["bnn", "corn"])
+def test_log_optimal_projections_per_solve(kind, monkeypatch):
+    # the full line search spends about 70 projections per solve, most of
+    # them halving the step of the last, converged iteration
+    problems = solver_problems(kind)
+    calls = []
+    real = optim.project_to_simplex
+
+    def counting(v):
+        calls.append(1)
+        return real(v)
+
+    monkeypatch.setattr(optim, "project_to_simplex", counting)
+    for rel in problems:
+        log_optimal_portfolio(rel)
+    assert len(calls) / len(problems) <= 25
 
 
 # --- geometric median ---------------------------------------------------------

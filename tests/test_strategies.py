@@ -303,7 +303,8 @@ def test_corn_constant_window_correlates_zero():
 def test_parameter_validation():
     for bad in (lambda: Anticor(1), lambda: Olmar(0), lambda: Rmr(0),
                 lambda: Bnn(0, 5), lambda: Bnn(5, 0), lambda: Corn(1.5, 5),
-                lambda: Corn(0.1, 0), lambda: UniversalSampler(0)):
+                lambda: Corn(0.1, 0), lambda: UniversalSampler(0),
+                lambda: ExponentiatedGradient(float("nan"))):
         with pytest.raises(ValueError):
             bad()
 
