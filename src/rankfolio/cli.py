@@ -16,7 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -25,8 +25,9 @@ import numpy as np
 from . import __version__
 from .data import PriceMatrix, load_csv, summary_stats
 from .engine import (FEE_GRID, ML_NAMES, BacktestConfig, BacktestResult,
-                     check_fee_rate, config_as_dict, known_strategy,
-                     parse_strategy, reprice, resolve_window, run_backtest)
+                     build_strategy, check_fee_rate, config_as_dict,
+                     known_strategy, parse_strategy, reprice, resolve_window,
+                     run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
 from .strategies import CLASSIC_NAMES
 
@@ -71,41 +72,16 @@ def _choice(*options: str):
     return parse
 
 
-CONFIG_PARSERS = {
-    "lookback": int,
-    "refit_interval": int,
-    "decay_alpha": float,
-    "decay_len": int,
-    "fee_rate": float,
+# Config keys parse by the type of their default, except these.
+CONFIG_PARSERS = {f.name: type(f.default) for f in fields(BacktestConfig)} | {
     "rank_power": _parse_rank_power,
-    "seed": int,
-    "feature_window": int,
     "start": _parse_date,
     "end": _parse_date,
-    "days_per_year": int,
     "annualization": _choice("mean", "sqrt-sum"),
     "trend_feature": _choice("price", "return"),
     "decay_classic": _parse_bool,
     "benchmark": str.strip,
     "mlp_hidden": _parse_hidden,
-    "mlp_epochs": int,
-    "mlp_learning_rate": float,
-    "mlp_batch_size": int,
-    "knn_k": int,
-    "eg_eta": float,
-    "anticor_window": int,
-    "pamr_eps": float,
-    "cwmr_confidence": float,
-    "cwmr_eps": float,
-    "olmar_window": int,
-    "olmar_eps": float,
-    "rmr_window": int,
-    "rmr_eps": float,
-    "bnn_neighbors": int,
-    "bnn_window": int,
-    "corn_rho": float,
-    "corn_window": int,
-    "up_samples": int,
 }
 
 
@@ -265,13 +241,19 @@ def _file_label(strategy_id: str) -> str:
     return strategy_id.replace(":", "_")
 
 
-def _require_known(strategy_id: str) -> str:
+def _require_known(strategy_id: str, config: BacktestConfig) -> str:
     if not known_strategy(strategy_id):
         raise UsageError(
             f"unknown strategy {strategy_id!r} "
             f"(choose from {', '.join(CLASSIC_NAMES + ML_NAMES)}; "
             f"ml strategies accept a :power suffix)"
         )
+    name, power = parse_strategy(strategy_id)
+    if name in ML_NAMES:  # the config already built every classic strategy
+        try:
+            build_strategy(name, config, power)
+        except ValueError as exc:
+            raise UsageError(str(exc))
     return strategy_id
 
 
@@ -281,7 +263,7 @@ def _aligned_config(config: BacktestConfig, result: BacktestResult) -> BacktestC
 
 def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
                       result: BacktestResult) -> BacktestResult:
-    _require_known(config.benchmark)
+    _require_known(config.benchmark, config)
     return run_backtest(matrix, config.benchmark, _aligned_config(config, result))
 
 
@@ -290,7 +272,7 @@ def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
 
 def cmd_backtest(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy)
+    strategy_id = _require_known(args.strategy, config)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)
@@ -321,7 +303,7 @@ def _expand_strategy_list(spec: str, config: BacktestConfig) -> list[str]:
         if token == "all":
             requested.extend(CLASSIC_NAMES)
         else:
-            requested.append(_require_known(token))
+            requested.append(_require_known(token, config))
     if not requested:
         raise UsageError("no strategies requested")
     return sorted(dict.fromkeys(requested))
@@ -331,7 +313,7 @@ def cmd_compare(args) -> int:
     config = build_config(args)
     matrix = load_csv(args.data)
     strategies = _expand_strategy_list(args.strategies, config)
-    _require_known(config.benchmark)
+    _require_known(config.benchmark, config)
 
     # one shared trading window so every row is comparable; ML feasibility
     # pins the start when any learner-driven row or benchmark is present
@@ -386,7 +368,7 @@ def _parse_fees(text: str | None) -> list[float]:
 
 def cmd_sweep_fees(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy)
+    strategy_id = _require_known(args.strategy, config)
     fees = _parse_fees(args.fees)
     matrix = load_csv(args.data)
 
@@ -409,7 +391,7 @@ def cmd_sweep_fees(args) -> int:
 
 def cmd_plotdata(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy)
+    strategy_id = _require_known(args.strategy, config)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -140,13 +141,20 @@ def load_csv(path: str | Path) -> PriceMatrix:
 
 
 def write_csv(matrix: PriceMatrix, path: str | Path) -> None:
-    """Write ``matrix`` to ``path`` in the load_csv format (12 significant digits)."""
+    """Write ``matrix`` to ``path`` in the load_csv format (12 significant
+    digits) via a temporary file renamed over ``path``: a failed write leaves
+    an earlier file intact."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write("date," + ",".join(matrix.assets) + "\n")
-        for i, d in enumerate(matrix.dates):
-            cells = [PRICE_FORMAT % p for p in matrix.prices[i]]
-            fh.write(d.isoformat() + "," + ",".join(cells) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write("date," + ",".join(matrix.assets) + "\n")
+            for i, d in enumerate(matrix.dates):
+                cells = [PRICE_FORMAT % p for p in matrix.prices[i]]
+                fh.write(d.isoformat() + "," + ",".join(cells) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
 def returns_at(matrix: PriceMatrix, t: int) -> np.ndarray:

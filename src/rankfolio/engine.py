@@ -1,12 +1,12 @@
-"""Backtest engine: strategy dispatch, weight decay, drift, transaction
-costs, and the daily accounting loop.
+"""Backtest engine: strategy dispatch, weight decay, and accounting.
 
 Day indices are 1-based (day t is price row t-1). On each trading day t the
-strategy sees prices for days 1..t, emits weights, optionally smoothed by an
-exponential decay over its own recent outputs, and realizes the return from
-day t to t+1. Costs are proportional to the L1 distance between the new
-weights and the previous day's weights after drifting with the market; the
-first day pays for the full move out of cash.
+strategy sees prices for days 1..t and emits weights, optionally smoothed by
+an exponential decay over its own recent outputs. Once every day's weights
+are known, ``account`` realizes each day's return from day t to t+1 and its
+cost in a few array operations. Costs are proportional to the L1 distance
+between the new weights and the previous day's weights after drifting with
+the market; the first day pays for the full move out of cash.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class BacktestConfig:
             raise ValueError("mlp_batch_size must be >= 0 (0 = full batch)")
         if not 0.0 < self.mlp_learning_rate < np.inf:
             raise ValueError("mlp_learning_rate must be finite and > 0")
-        if not 1 <= self.knn_k <= self.lookback:
+        if self.knn_k < 1:  # knn_k <= lookback is checked where knn is built
             raise ValueError(f"knn_k must be in 1..lookback ({self.lookback})")
         # constructor messages start with the parameter: prefixing names the key
         for name in CLASSIC_NAMES:
@@ -141,20 +141,26 @@ def apply_decay(previous: list[np.ndarray], predicted: np.ndarray,
     return smoothed / denom
 
 
-def drift_weights(weights: np.ndarray, returns: np.ndarray) -> np.ndarray:
-    """Weights after the market moves: w_j (1 + r_j) renormalized."""
-    gross = 1.0 + np.asarray(returns, dtype=np.float64)
-    scaled = np.asarray(weights, dtype=np.float64) * gross
-    total = scaled.sum()
-    if total <= 0:
+def account(weights: np.ndarray, prices: np.ndarray,
+            fee_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Daily gross returns and costs of a run held at ``weights``.
+
+    Row i of ``weights`` is held from price row i to row i + 1, so ``prices``
+    has one row more than ``weights``. Before its trade a day holds the
+    previous day's weights drifted with the market, w (1 + r) renormalized,
+    and the first day holds cash (zeros). Raises ValueError when a day's
+    drifted holdings are worth nothing.
+    """
+    returns = prices[1:] / prices[:-1] - 1.0
+    # one BLAS dot per row, the same bytes as weights[i] @ returns[i]
+    gross = np.matmul(weights[:, None, :], returns[:, :, None])[:, 0, 0]
+    drifted = weights * (1.0 + returns)
+    totals = drifted.sum(axis=1)
+    if (totals <= 0).any():
         raise ValueError("portfolio wiped out, cannot drift weights")
-    return scaled / total
-
-
-def turnover_cost(new_weights: np.ndarray, held_weights: np.ndarray,
-                  fee_rate: float) -> float:
-    """Proportional cost of rebalancing from held to new weights."""
-    return fee_rate * float(np.abs(new_weights - held_weights).sum())
+    held = np.zeros_like(weights)
+    held[1:] = drifted[:-1] / totals[:-1, None]
+    return gross, fee_rate * np.abs(weights - held).sum(axis=1)
 
 
 @dataclass
@@ -225,6 +231,9 @@ def build_strategy(name: str, config: BacktestConfig,
                              batch_size=config.mlp_batch_size,
                              seed=config.seed)
     elif name == "knn":
+        if config.knn_k > config.lookback:
+            raise ValueError(
+                f"knn_k must be in 1..lookback ({config.lookback})")
         learner = KnnLearner(k=config.knn_k)
     else:
         factories = {
@@ -308,10 +317,7 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
     days = t_last - t_first + 1
     raw = np.empty((days, n))
     held_weights = np.empty((days, n))
-    gross = np.empty(days)
-    cost = np.empty(days)
     recent: list[np.ndarray] = []  # most recent smoothed weights first
-    held = np.zeros(n)             # position carried into the day (cash at start)
 
     for i, t in enumerate(range(t_first, t_last + 1)):
         predicted = strategy.step(prices[:t])
@@ -322,13 +328,11 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
             del recent[config.decay_len:]
         else:
             smoothed = predicted
-        day_returns = prices[t] / prices[t - 1] - 1.0
         raw[i] = predicted
         held_weights[i] = smoothed
-        gross[i] = float(smoothed @ day_returns)
-        cost[i] = turnover_cost(smoothed, held, config.fee_rate)
-        held = drift_weights(smoothed, day_returns)
 
+    gross, cost = account(held_weights, prices[t_first - 1: t_last + 1],
+                          config.fee_rate)
     net = gross - cost
     wealth = np.cumprod(1.0 + net)
     return BacktestResult(
@@ -345,17 +349,14 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
     """Re-cost a finished run at a different fee.
 
     Weights never depend on fees in this engine, so the trajectory is reused
-    and only costs, net returns, and wealth are recomputed; the output is
-    bit-identical to a full rerun at that fee.
+    and only costs, net returns, and wealth are recomputed. A rerun costs its
+    weights with the same ``account`` call, so the output is bit-identical to
+    a full rerun at that fee.
     """
     check_fee_rate(fee_rate)
-    prices = matrix.prices
-    cost = np.empty(result.num_days)
-    held = np.zeros(len(result.assets))
-    for i, t in enumerate(range(result.start_day, result.end_day + 1)):
-        weights = result.weights[i]
-        cost[i] = turnover_cost(weights, held, fee_rate)
-        held = drift_weights(weights, prices[t] / prices[t - 1] - 1.0)
+    _, cost = account(result.weights,
+                      matrix.prices[result.start_day - 1: result.end_day + 1],
+                      fee_rate)
     net = result.gross - cost
     return replace(
         result,

@@ -82,9 +82,9 @@ class Fetcher:
         """Download [start, end] daily closes for one asset to a CSV.
 
         The CSV column is named ``symbol`` (default: the asset id). When the
-        payload holds several points for one UTC day the last wins. Writing
-        is atomic enough for reruns: the file is fully rewritten each time,
-        and nothing is written on failure.
+        payload holds several points for one UTC day the last wins. The file
+        is replaced in one rename (``write_csv``), so a failed download or
+        write leaves an earlier file intact.
         """
         if end < start:
             raise ValueError("end date before start date")

@@ -51,6 +51,8 @@ def annualized_return(values, days_per_year: int = DAYS_PER_YEAR,
 def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
     """sqrt(days_per_year) times the population std (divisor T) of the series."""
     v = _as_series(values)
+    if v.max() == v.min():  # constant: exactly 0, not a roundoff std
+        return 0.0
     return math.sqrt(days_per_year) * float(v.std(ddof=0))
 
 

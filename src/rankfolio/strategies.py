@@ -161,7 +161,9 @@ class ExponentiatedGradient(ReplayStrategy):
             return uniform_weights(n)
         x = prefix[-1] / prefix[-2]
         w = self._w
-        w_new = w * np.exp(self.eta * x / float(w @ x))
+        # the update is scale invariant: shift the exponents so exp cannot overflow
+        exponent = self.eta * x / float(w @ x)
+        w_new = w * np.exp(exponent - exponent.max())
         return w_new / w_new.sum()
 
 

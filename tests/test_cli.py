@@ -325,7 +325,6 @@ def test_fee_bound_exits_2(data_csv, tmp_path, capsys, fee):
     ("mlp_learning_rate = nan", "mlp_learning_rate must be finite and > 0"),
     ("mlp_learning_rate = -1", "mlp_learning_rate must be finite and > 0"),
     ("knn_k = 0", "knn_k must be in 1..lookback (80)"),
-    ("knn_k = 500", "knn_k must be in 1..lookback (80)"),
 ])
 def test_bad_learner_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     conf = tmp_path / "learner.cfg"
@@ -335,6 +334,27 @@ def test_bad_learner_setting_exits_2(data_csv, tmp_path, capsys, line, message):
                        "--config", conf, "--out", tmp_path / "b") == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("knn_k = 500", []),
+    ("", ["--lookback", "10"]),  # below the default knn_k of 15
+], ids=["knn_k=500", "lookback=10"])
+def test_knn_k_above_lookback_exits_2_only_for_knn(data_csv, tmp_path, capsys,
+                                                   line, flags):
+    conf = tmp_path / "knn.cfg"
+    conf.write_text(line + "\n")
+    args = ["--data", data_csv, "--config", conf, *flags]
+    assert run_cli("backtest", *args, "--strategy", "knn",
+                   "--out", tmp_path / "k") == 2
+    assert run_cli("compare", *args, "--strategies", "ucrp,knn",
+                   "--out", tmp_path / "k") == 2
+    err = capsys.readouterr().err
+    assert err.count("knn_k must be in 1..lookback") == 2
+    assert not (tmp_path / "k").exists()
+    assert run_cli("backtest", *args, "--strategy", "ucrp",
+                   "--out", tmp_path / "u") == 0
+    assert (tmp_path / "u" / "returns.csv").exists()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -21,6 +21,31 @@ def test_roundtrip(tmp_path, prices_mid):
     np.testing.assert_allclose(loaded.prices, prices_mid.prices, rtol=1e-11)
 
 
+def test_write_failure_leaves_old_file_intact(tmp_path, monkeypatch,
+                                             prices_mid):
+    import rankfolio.data as data
+
+    path = tmp_path / "p.csv"
+    write_csv(make_prices(20, 2, seed=1), path)
+    before = path.read_bytes()
+
+    class FailingFormat:
+        """Formats a few cells, then fails as a full disk would."""
+        calls = 0
+
+        def __mod__(self, value):
+            self.calls += 1
+            if self.calls > 50:
+                raise OSError("no space left on device")
+            return "%.12g" % value
+
+    monkeypatch.setattr(data, "PRICE_FORMAT", FailingFormat())
+    with pytest.raises(OSError, match="no space"):
+        write_csv(prices_mid, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
 def test_load_sorts_rows_by_date(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(

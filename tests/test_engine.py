@@ -5,11 +5,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankfolio.engine import (FEE_GRID, BacktestConfig, apply_decay,
-                              config_as_dict, drift_weights, known_strategy,
+from rankfolio.engine import (FEE_GRID, BacktestConfig, account, apply_decay,
+                              build_strategy, config_as_dict, known_strategy,
                               min_start_day, parse_strategy, reprice,
-                              resolve_window, run_backtest, turnover_cost)
+                              resolve_window, run_backtest)
 from rankfolio.strategies import bcrp_hindsight
 
 from conftest import make_prices
@@ -54,20 +56,29 @@ def test_apply_decay_keeps_simplex():
 
 
 def test_drift_weights_hand_case():
-    w = np.array([0.5, 0.5])
-    r = np.array([0.10, -0.10])
-    np.testing.assert_allclose(drift_weights(w, r), [0.55, 0.45])
-    with pytest.raises(ValueError):
-        drift_weights(w, np.array([-1.0, -1.0]))
+    # day 1 holds [0.5, 0.5] through +10% / -10%, so day 2 starts at
+    # [0.55, 0.45]: keeping those weights trades nothing
+    prices = np.array([[1.0, 1.0], [1.1, 0.9], [1.21, 0.99]])
+    stay = np.array([[0.5, 0.5], [0.55, 0.45]])
+    gross, cost = account(stay, prices, 0.001)
+    np.testing.assert_allclose(gross, [0.0, 0.1], atol=1e-15)
+    assert cost[1] == pytest.approx(0.0, abs=1e-18)
+    _, cost = account(np.array([[0.5, 0.5], [0.6, 0.4]]), prices, 0.001)
+    assert cost[1] == pytest.approx(0.001 * 0.1)
+    # a day whose drifted holdings are worth nothing cannot be carried on
+    with pytest.raises(ValueError, match="wiped out"):
+        account(stay[:1], np.array([[1.0, 1.0], [0.0, 0.0]]), 0.001)
 
 
 def test_turnover_cost_hand_case():
-    new = np.array([0.6, 0.4])
-    held = np.array([0.5, 0.5])
-    assert turnover_cost(new, held, 0.001) == pytest.approx(0.0002)
-    assert turnover_cost(new, held, 0.0) == 0.0
+    # flat prices: day 2 holds day 1's [0.5, 0.5] and moves to [0.6, 0.4]
+    prices = np.ones((3, 2))
+    weights = np.array([[0.5, 0.5], [0.6, 0.4]])
+    _, cost = account(weights, prices, 0.001)
+    assert cost[1] == pytest.approx(0.0002)
+    assert account(weights, prices, 0.0)[1].tolist() == [0.0, 0.0]
     # from all cash, turnover is the full unit
-    assert turnover_cost(new, np.zeros(2), 0.001) == pytest.approx(0.001)
+    assert cost[0] == pytest.approx(0.001)
 
 
 # --- config and window resolution ----------------------------------------------
@@ -108,13 +119,23 @@ def test_fee_rate_just_below_bound_accepted():
     (dict(mlp_learning_rate=0.0), "mlp_learning_rate"),
     (dict(mlp_learning_rate=-1.0), "mlp_learning_rate"),
     (dict(knn_k=0), "knn_k"),
-    (dict(knn_k=81), "knn_k"),
-    (dict(knn_k=500), "knn_k"),
-    (dict(lookback=10), "knn_k"),  # the default knn_k of 15 needs 15 rows
 ])
 def test_bad_learner_settings_rejected_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
         BacktestConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(knn_k=81), dict(knn_k=500),
+    dict(lookback=10),  # the default knn_k of 15 needs 15 rows
+], ids=["knn_k=81", "knn_k=500", "lookback=10"])
+def test_knn_k_above_lookback_rejected_where_knn_is_built(kwargs):
+    cfg = BacktestConfig(**kwargs)  # no other strategy reads knn_k
+    with pytest.raises(ValueError, match=r"knn_k must be in 1\.\.lookback"):
+        build_strategy("knn", cfg)
+    build_strategy("mlp", cfg)
+    result = run_backtest(make_prices(40, 3, seed=3), "ucrp", cfg)
+    assert np.isfinite(result.wealth).all()
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -257,17 +278,50 @@ def accounting_oracle(prices, weights, t_first, fee):
     return gross, cost, net, np.cumprod(1.0 + net)
 
 
-@pytest.mark.parametrize("strategy", ["ucrp", "eg", "olmar", "bah"])
+def assert_oracle_bytes(pm, result, fee):
+    want = accounting_oracle(pm.prices, result.weights, result.start_day, fee)
+    got = (result.gross, result.cost, result.net, result.wealth)
+    for column, g, w in zip(("gross", "cost", "net", "wealth"), got, want):
+        assert g.tobytes() == w.tobytes(), column
+
+
+@pytest.mark.parametrize("strategy", ["ucrp", "eg", "olmar", "bah", "knn"])
 def test_accounting_matches_oracle(strategy):
     pm = make_prices(60, 4, seed=23)
-    cfg = BacktestConfig(fee_rate=0.001)
-    result = run_backtest(pm, strategy, cfg)
-    g, c, n, w = accounting_oracle(pm.prices, result.weights,
-                                   result.start_day, 0.001)
-    np.testing.assert_allclose(result.gross, g, atol=1e-15)
-    np.testing.assert_allclose(result.cost, c, atol=1e-15)
-    np.testing.assert_allclose(result.net, n, atol=1e-15)
-    np.testing.assert_allclose(result.wealth, w, atol=1e-14)
+    cfg = BacktestConfig(fee_rate=0.001, **FAST_ML)  # knn decays by default
+    assert_oracle_bytes(pm, run_backtest(pm, strategy, cfg), 0.001)
+
+
+@pytest.mark.parametrize("strategy", ["olmar", "knn"])
+def test_accounting_matches_oracle_50_assets(strategy):
+    pm = make_prices(90, 50, seed=35)
+    cfg = BacktestConfig(fee_rate=0.0015, decay_classic=True, **FAST_ML)
+    assert_oracle_bytes(pm, run_backtest(pm, strategy, cfg), 0.0015)
+
+
+@st.composite
+def held_runs(draw):
+    """Simplex weight rows (zeros allowed), positive prices and a fee."""
+    days = draw(st.integers(1, 30))
+    assets = draw(st.integers(1, 12))
+    cells = days * assets
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells,
+                                 max_size=cells))).reshape(days, assets)
+    raw[raw.sum(axis=1) == 0.0] = 1.0
+    moves = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=cells,
+                                   max_size=cells))).reshape(days, assets)
+    prices = 100.0 * np.vstack([np.ones(assets), np.cumprod(moves, axis=0)])
+    return raw / raw.sum(axis=1, keepdims=True), prices, draw(st.floats(0.0, 0.49))
+
+
+@given(held_runs())
+@settings(max_examples=200, deadline=None)
+def test_property_account_matches_oracle(run):
+    weights, prices, fee = run
+    gross, cost = account(weights, prices, fee)
+    want_gross, want_cost, _, _ = accounting_oracle(prices, weights, 1, fee)
+    assert gross.tobytes() == want_gross.tobytes()
+    assert cost.tobytes() == want_cost.tobytes()
 
 
 def test_first_day_pays_full_move_from_cash():

@@ -143,6 +143,17 @@ def test_eg_zero_eta_stays_uniform(walk):
     np.testing.assert_allclose(w, uniform_weights(4), atol=1e-15)
 
 
+def test_eg_large_eta_stays_on_simplex():
+    # eta * x / (w @ x) reaches about 1000 here: exp of it alone overflows
+    prices = make_prices(60, 3, seed=7).prices
+    eg = ExponentiatedGradient(1000.0)
+    for t in range(1, prices.shape[0] + 1):
+        w = eg.step(prices[:t])
+        assert np.isfinite(w).all()
+        assert w.min() >= 0.0
+        assert w.sum() == pytest.approx(1.0)
+
+
 def test_eg_rejects_negative_eta():
     with pytest.raises(ValueError):
         ExponentiatedGradient(-0.1)
