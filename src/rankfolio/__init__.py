@@ -8,7 +8,7 @@ cross-sectional ranks into next-day weights.
 
 __version__ = "0.1.0"
 
-from .data import PriceMatrix, all_returns, load_csv, returns_at, write_csv
+from .data import PriceMatrix, all_returns, load_csv, write_csv
 from .engine import (BacktestConfig, BacktestResult, reprice, resolve_window,
                      run_backtest)
 from .metrics import MetricsReport, compute_report
@@ -18,7 +18,6 @@ __all__ = [
     "PriceMatrix",
     "load_csv",
     "write_csv",
-    "returns_at",
     "all_returns",
     "BacktestConfig",
     "BacktestResult",

@@ -263,7 +263,8 @@ def _aligned_config(config: BacktestConfig, result: BacktestResult) -> BacktestC
 
 def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
                       result: BacktestResult) -> BacktestResult:
-    _require_known(config.benchmark, config)
+    """The benchmark run on ``result``'s window; callers check
+    ``config.benchmark`` with ``_require_known`` before the strategy runs."""
     return run_backtest(matrix, config.benchmark, _aligned_config(config, result))
 
 
@@ -273,6 +274,7 @@ def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
 def cmd_backtest(args) -> int:
     config = build_config(args)
     strategy_id = _require_known(args.strategy, config)
+    _require_known(config.benchmark, config)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)
@@ -369,6 +371,7 @@ def _parse_fees(text: str | None) -> list[float]:
 def cmd_sweep_fees(args) -> int:
     config = build_config(args)
     strategy_id = _require_known(args.strategy, config)
+    _require_known(config.benchmark, config)
     fees = _parse_fees(args.fees)
     matrix = load_csv(args.data)
 
@@ -392,6 +395,7 @@ def cmd_sweep_fees(args) -> int:
 def cmd_plotdata(args) -> int:
     config = build_config(args)
     strategy_id = _require_known(args.strategy, config)
+    _require_known(config.benchmark, config)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)

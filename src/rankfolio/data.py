@@ -157,20 +157,9 @@ def write_csv(matrix: PriceMatrix, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
-def returns_at(matrix: PriceMatrix, t: int) -> np.ndarray:
-    """Simple returns of day t, r_t[j] = p[t+1, j] / p[t, j] - 1 (1-based days).
-
-    Valid for 1 <= t <= T-1; the result spans the move from day t to day t+1.
-    """
-    if not 1 <= t <= matrix.num_days - 1:
-        raise ValueError(
-            f"day index {t} out of range 1..{matrix.num_days - 1}"
-        )
-    return matrix.prices[t] / matrix.prices[t - 1] - 1.0
-
-
 def all_returns(matrix: PriceMatrix) -> np.ndarray:
-    """(T-1) x n matrix of daily simple returns; row i is returns_at(matrix, i+1)."""
+    """(T-1) x n matrix of daily simple returns; row t-1 is the move from day
+    t to day t+1 (1-based days), p[t+1, j] / p[t, j] - 1."""
     if matrix.num_days < 2:
         raise ValueError("need at least 2 days of prices")
     return matrix.prices[1:] / matrix.prices[:-1] - 1.0

@@ -1,12 +1,14 @@
 """Backtest engine: strategy dispatch, weight decay, and accounting.
 
-Day indices are 1-based (day t is price row t-1). On each trading day t the
-strategy sees prices for days 1..t and emits weights, optionally smoothed by
-an exponential decay over its own recent outputs. Once every day's weights
-are known, ``account`` realizes each day's return from day t to t+1 and its
-cost in a few array operations. Costs are proportional to the L1 distance
-between the new weights and the previous day's weights after drifting with
-the market; the first day pays for the full move out of cash.
+Day indices are 1-based (day t is price row t-1). One ``Strategy.run`` call
+per backtest gives the weights of every trading day; it sees prices up to the
+last trading day only, and its row for day t depends only on prices for days
+1..t. Each row is then optionally smoothed by an exponential decay over the
+run's own recent outputs. Once every day's weights are known, ``account``
+realizes each day's return from day t to t+1 and its cost in a few array
+operations. Costs are proportional to the L1 distance between the new
+weights and the previous day's weights after drifting with the market; the
+first day pays for the full move out of cash.
 """
 
 from __future__ import annotations
@@ -305,7 +307,6 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
     is_ml = name in ML_NAMES
     t_first, t_last = resolve_window(matrix, config, is_ml)
     prices = matrix.prices
-    n = matrix.num_assets
 
     if name == "bcrp":
         window_relatives = prices[t_first: t_last + 1] / prices[t_first - 1: t_last]
@@ -313,23 +314,16 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
     else:
         strategy = build_strategy(name, config, power)
 
-    decay_on = (is_ml or config.decay_classic) and config.decay_len > 0
-    days = t_last - t_first + 1
-    raw = np.empty((days, n))
-    held_weights = np.empty((days, n))
-    recent: list[np.ndarray] = []  # most recent smoothed weights first
-
-    for i, t in enumerate(range(t_first, t_last + 1)):
-        predicted = strategy.step(prices[:t])
-        if decay_on:
+    raw = strategy.run(prices[:t_last], t_first, t_last)
+    held_weights = raw.copy()
+    if (is_ml or config.decay_classic) and config.decay_len > 0:
+        recent: list[np.ndarray] = []  # most recent smoothed weights first
+        for i, predicted in enumerate(raw):
             smoothed = apply_decay(recent, predicted, config.decay_alpha,
                                    config.decay_len)
             recent.insert(0, smoothed)
             del recent[config.decay_len:]
-        else:
-            smoothed = predicted
-        raw[i] = predicted
-        held_weights[i] = smoothed
+            held_weights[i] = smoothed
 
     gross, cost = account(held_weights, prices[t_first - 1: t_last + 1],
                           config.fee_rate)

@@ -8,13 +8,16 @@ this module or on the network.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from datetime import date, datetime, timezone
 from pathlib import Path
-
-import requests
 
 from .data import PriceMatrix, write_csv
 
@@ -61,20 +64,23 @@ class Fetcher:
                             what, attempt + 1, last_error)
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             self._wait_turn()
+            full_url = f"{url}?{urllib.parse.urlencode(params)}"
             try:
-                response = requests.get(url, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
-                self._last_request = time.monotonic()
+                with urllib.request.urlopen(full_url,
+                                            timeout=self.timeout) as response:
+                    return json.loads(response.read())
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code == 404:
+                    raise ValueError(f"unknown asset: {what}") from None
+                last_error = f"HTTP {exc.code}"
+                if exc.code < 500 and exc.code != 429:
+                    break
+            except (OSError, http.client.HTTPException) as exc:
+                # refused or dropped connections, timeouts, bad responses
                 last_error = str(exc)
-                continue
-            self._last_request = time.monotonic()
-            if response.status_code == 404:
-                raise ValueError(f"unknown asset: {what}")
-            if response.ok:
-                return response.json()
-            last_error = f"HTTP {response.status_code}"
-            if response.status_code < 500 and response.status_code != 429:
-                break
+            finally:
+                self._last_request = time.monotonic()
         raise RuntimeError(f"fetch of {what} failed after retries: {last_error}")
 
     def fetch_history(self, asset_id: str, start: date, end: date,
@@ -116,8 +122,3 @@ class Fetcher:
         log.info("wrote %d days of %s to %s", len(days), asset_id, out_path)
         return out_path
 
-
-def fetch_history(asset_id: str, start: date, end: date,
-                  out_path: str | Path, **fetcher_kwargs) -> Path:
-    """One-shot convenience wrapper around Fetcher.fetch_history."""
-    return Fetcher(**fetcher_kwargs).fetch_history(asset_id, start, end, out_path)

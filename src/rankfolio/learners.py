@@ -1,4 +1,5 @@
-"""Learner wrappers and the rank-forecast trading strategy they drive.
+"""Learners (an MLP and brute-force kNN regression) and the rank-forecast
+trading strategy they drive.
 
 A learner owns its feature standardization: ``fit`` receives raw features and
 targets, ``predict`` one raw feature vector. The interface is deliberately
@@ -13,7 +14,6 @@ import numpy as np
 
 from .features import (Normalizer, RankPower, check_history,
                        features_from_window, rank_transform, scores_to_weights)
-from .knn import knn_predict
 from .mlp import MlpModel, mlp_predict, mlp_train
 from .strategies import Strategy
 
@@ -55,6 +55,29 @@ class MlpLearner(Learner):
         if self.model is None or self.normalizer is None:
             raise ValueError("predict before fit")
         return mlp_predict(self.model, feature_vec, self.normalizer)
+
+
+def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
+                query: np.ndarray, k: int) -> np.ndarray:
+    """Mean target over the k training rows nearest the query (Euclidean).
+
+    Distance ties resolve to the earliest training row. Features are expected
+    to be standardized consistently by the caller.
+    """
+    feats = np.asarray(train_features, dtype=np.float64)
+    targets = np.asarray(train_targets, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ValueError("need a non-empty 2-d training feature matrix")
+    if targets.shape[0] != feats.shape[0]:
+        raise ValueError("feature and target row counts differ")
+    if q.shape != (feats.shape[1],):
+        raise ValueError("query shape does not match training features")
+    if not 1 <= k <= feats.shape[0]:
+        raise ValueError(f"k={k} out of range 1..{feats.shape[0]}")
+    d2 = ((feats - q) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    return targets[order[:k]].mean(axis=0)
 
 
 class KnnLearner(Learner):

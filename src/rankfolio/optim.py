@@ -100,36 +100,59 @@ def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
 
 def geometric_median(points: np.ndarray, tol: float = 1e-9,
                      max_iter: int = 200) -> np.ndarray:
-    """L1-median (spatial median) of the rows of ``points``.
+    """L1-median (spatial median) of the rows of ``points``, or of each window
+    of a stack.
 
-    Modified Weiszfeld iteration started at the centroid, with the standard
-    correction when an iterate coincides with a data point. For two points
-    the centroid start resolves the degenerate segment to its midpoint.
+    ``points`` is one (m, n) window, which gives an (n,) median, or a (B, m, n)
+    stack of windows, which gives (B, n). Modified Weiszfeld iteration started
+    at the centroid, with the standard correction when an iterate coincides
+    with a data point. For two points the centroid start resolves the
+    degenerate segment to its midpoint. Each window stops on its own: once a
+    step moves it less than ``tol`` (it returns that step's iterate), when the
+    correction cannot move it off a data point, or after ``max_iter`` steps
+    (it returns its last iterate). A window's result does not depend on the
+    other windows of the stack.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a non-empty 2-d array")
-    y = pts.mean(axis=0)
+    if pts.ndim == 2:
+        return geometric_median(pts[None], tol, max_iter)[0]
+    if pts.ndim != 3 or pts.shape[1] < 1:
+        raise ValueError("points must be a non-empty 2-d array or a 3-d stack")
+    result = pts.mean(axis=1)
+    live = np.arange(pts.shape[0])  # windows still iterating
+    y = result.copy()
     for _ in range(max_iter):
-        diff = pts - y
-        dist = np.linalg.norm(diff, axis=1)
+        if live.size == 0:
+            break
+        diff = pts - y[:, None, :]
+        dist = np.linalg.norm(diff, axis=2)
         coincident = dist < 1e-12
-        if coincident.any():
-            others = ~coincident
+        stopped = np.zeros(live.size, dtype=bool)
+        # windows with a coincident point are redone one by one below
+        inv = 1.0 / np.maximum(dist, 1e-12)
+        y_next = (pts * inv[:, :, None]).sum(axis=1) / inv.sum(axis=1)[:, None]
+        for i in np.nonzero(coincident.any(axis=1))[0]:
+            others = ~coincident[i]
+            y_next[i] = y[i]
             if not others.any():
-                return y
-            inv = 1.0 / dist[others]
-            t_point = (pts[others] * inv[:, None]).sum(axis=0) / inv.sum()
-            r_vec = (diff[others] * inv[:, None]).sum(axis=0)
+                stopped[i] = True
+                continue
+            inv_i = 1.0 / dist[i, others]
+            t_point = (pts[i, others] * inv_i[:, None]).sum(axis=0) / inv_i.sum()
+            r_vec = (diff[i, others] * inv_i[:, None]).sum(axis=0)
             r = float(np.linalg.norm(r_vec))
-            eta = float(coincident.sum())
+            eta = float(coincident[i].sum())
             if r <= eta:
-                return y
-            y_next = max(0.0, 1.0 - eta / r) * t_point + min(1.0, eta / r) * y
-        else:
-            inv = 1.0 / dist
-            y_next = (pts * inv[:, None]).sum(axis=0) / inv.sum()
-        if float(np.linalg.norm(y_next - y)) < tol:
-            return y_next
-        y = y_next
-    return y
+                stopped[i] = True
+                continue
+            y_next[i] = (max(0.0, 1.0 - eta / r) * t_point
+                         + min(1.0, eta / r) * y[i])
+        # per window sqrt(step @ step), the bytes of np.linalg.norm(step)
+        step = y_next - y
+        moved = np.sqrt(np.matmul(step[:, None, :], step[:, :, None])[:, 0, 0])
+        done = stopped | (moved < tol)
+        result[live[done]] = y_next[done]
+        keep = ~done
+        live, pts, y = live[keep], pts[keep], y_next[keep]
+    result[live] = y
+    return result

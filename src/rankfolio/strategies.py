@@ -2,8 +2,14 @@
 
 Every strategy maps the price history known at the start of day t (rows are
 days, columns assets, most recent row last) to a long-only weight vector on
-the probability simplex. ``step`` must be called with prefixes of strictly
-increasing length; the engine calls it once per consecutive trading day.
+the probability simplex. The engine makes one ``run(prices, t_first,
+t_last)`` call per backtest on a fresh strategy. ``run`` sees
+``prices[:t_last]`` and returns one row per trading day t_first..t_last; the
+row of day t depends only on ``prices[:t]``, and the rows equal, byte for
+byte, those of ``step(prices[:t])`` called once per day t on another fresh
+strategy. ``step`` must be called with prefixes of strictly increasing
+length. The base ``run`` is that step loop; RMR, BNN and CORN override it to
+do their price-only work (L1 medians, relative windows) once per run.
 
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
 replay that recursion from day 1 of the supplied history on their first call,
@@ -30,6 +36,10 @@ CLASSIC_NAMES = (
 # Directions with squared norm below this are treated as null updates.
 _NULL_DIRECTION = 1e-24
 
+# RMR solves its L1 medians in stacks of this many windows, counted from the
+# first window, so memory stays bounded whatever the run length.
+_MEDIAN_BLOCK = 256
+
 
 def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
@@ -44,6 +54,15 @@ class Strategy:
     def step(self, history: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def run(self, prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
+        """Weights of days t_first..t_last (1-based), one row each, from
+        ``prices[:t_last]``; call once, on a fresh strategy."""
+        prices = _run_prices(prices, t_first, t_last)
+        out = np.empty((t_last - t_first + 1, prices.shape[1]))
+        for i, t in enumerate(range(t_first, t_last + 1)):
+            out[i] = self.step(prices[:t])
+        return out
+
     def _check_growth(self, history: np.ndarray) -> np.ndarray:
         history = np.asarray(history, dtype=np.float64)
         if history.ndim != 2 or history.shape[0] < 1:
@@ -52,6 +71,15 @@ class Strategy:
             raise ValueError("history must grow between step calls")
         self._last_len = history.shape[0]
         return history
+
+
+def _run_prices(prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
+    """``prices[:t_last]`` as float64, checked for a valid run window."""
+    prices = np.asarray(prices, dtype=np.float64)
+    if prices.ndim != 2 or not 1 <= t_first <= t_last <= prices.shape[0]:
+        raise ValueError("run needs a 2-d price array and 1 <= t_first "
+                         "<= t_last <= its row count")
+    return prices[:t_last]
 
 
 class ReplayStrategy(Strategy):
@@ -336,6 +364,27 @@ class Rmr(ReplayStrategy):
         self.median_tol = median_tol
         self.median_max_iter = median_max_iter
 
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        m, n = self.window, prices.shape[1]
+        if t_last >= m:
+            # window j holds days j+1..j+m; its median drives day j+m
+            windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
+            medians = np.concatenate([
+                geometric_median(windows[s: s + _MEDIAN_BLOCK],
+                                 tol=self.median_tol,
+                                 max_iter=self.median_max_iter)
+                for s in range(0, len(windows), _MEDIAN_BLOCK)])
+        out = np.empty((t_last - t_first + 1, n))
+        w = uniform_weights(n)
+        for t in range(1, t_last + 1):
+            if t >= m:
+                w = _reversion_update(w, medians[t - m] / prices[t - 1],
+                                      self.eps)
+            if t >= t_first:
+                out[t - t_first] = w
+        return out
+
     def _advance(self, prefix):
         t = prefix.shape[0]
         if t < self.window:
@@ -347,20 +396,65 @@ class Rmr(ReplayStrategy):
         return _reversion_update(self._w, x_hat, self.eps)
 
 
-def _relative_windows(prefix: np.ndarray, length: int):
+def _relative_windows(prices: np.ndarray, length: int):
     """All length-``length`` windows of daily relatives, flattened row-wise.
 
     Returns (windows, relatives). windows[i] flattens relatives rows
     i..i+length-1; the successor relative of window i is relatives[i+length].
     The final window has no successor (it is the current pattern).
     """
-    rels = prefix[1:] / prefix[:-1]
+    rels = prices[1:] / prices[:-1]
     view = np.lib.stride_tricks.sliding_window_view(rels, (length, rels.shape[1]))
     windows = view.reshape(view.shape[0], length * rels.shape[1])
     return windows, rels
 
 
-class Bnn(ReplayStrategy):
+class PatternMatcher(Strategy):
+    """Base of BNN and CORN: log-optimal over the successors of the
+    historical windows that match the current one.
+
+    On day t the current pattern is window t - 1 - ``window`` of the
+    prefix's relative windows and every earlier window is a candidate.
+    Weights are uniform until ``min_candidates`` candidates exist, or when
+    no window matches. A day's weights depend on the price prefix alone, so
+    ``run`` builds the windows of the whole run once and slices them per
+    day, and ``step`` is a one-day ``run``.
+    """
+
+    def __init__(self, window: int, min_candidates: int):
+        super().__init__()
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.window = window
+        self.min_candidates = min_candidates
+
+    def step(self, history):
+        history = self._check_growth(history)
+        t = history.shape[0]
+        return self.run(history, t, t)[0]
+
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        out = np.tile(uniform_weights(prices.shape[1]), (t_last - t_first + 1, 1))
+        first = max(t_first, self.window + 1 + self.min_candidates)
+        if first > t_last:
+            return out
+        windows, rels = _relative_windows(prices, self.window)
+        matches = self._matcher(windows)
+        for t in range(first, t_last + 1):
+            matched = matches(t - 1 - self.window)
+            if matched.size:
+                out[t - t_first] = log_optimal_portfolio(
+                    rels[matched + self.window])
+        return out
+
+    def _matcher(self, windows: np.ndarray):
+        """A function from the index c of the current window to the indices
+        of the windows among windows[:c] that match it."""
+        raise NotImplementedError
+
+
+class Bnn(PatternMatcher):
     """Nearest-neighbor pattern matching with a log-optimal mix.
 
     Finds the ``neighbors`` historical windows closest (Euclidean, on
@@ -370,29 +464,20 @@ class Bnn(ReplayStrategy):
     """
 
     def __init__(self, neighbors: int = 10, window: int = 5):
-        super().__init__()
         if neighbors < 1:
             raise ValueError("neighbors must be >= 1")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        super().__init__(window, min_candidates=neighbors)
         self.neighbors = neighbors
-        self.window = window
 
-    def _advance(self, prefix):
-        t, n = prefix.shape
-        candidates = t - 1 - self.window
-        if candidates < self.neighbors:
-            return uniform_weights(n)
-        windows, rels = _relative_windows(prefix, self.window)
-        current = windows[-1]
-        d2 = ((windows[:candidates] - current) ** 2).sum(axis=1)
-        # stable sort keeps the earliest window first among exact ties
-        order = np.argsort(d2, kind="stable")[: self.neighbors]
-        successors = rels[order + self.window]
-        return log_optimal_portfolio(successors)
+    def _matcher(self, windows):
+        def nearest(c):
+            d2 = ((windows[:c] - windows[c]) ** 2).sum(axis=1)
+            # stable sort keeps the earliest window first among exact ties
+            return np.argsort(d2, kind="stable")[: self.neighbors]
+        return nearest
 
 
-class Corn(ReplayStrategy):
+class Corn(PatternMatcher):
     """Correlation-driven pattern matching with a log-optimal mix.
 
     Plays the log-optimal portfolio over the successors of every historical
@@ -402,33 +487,23 @@ class Corn(ReplayStrategy):
     """
 
     def __init__(self, rho: float = 0.1, window: int = 5):
-        super().__init__()
         if not -1.0 <= rho <= 1.0:
             raise ValueError("rho must be in [-1, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        super().__init__(window, min_candidates=1)
         self.rho = rho
-        self.window = window
 
-    def _advance(self, prefix):
-        t, n = prefix.shape
-        candidates = t - 1 - self.window
-        if candidates < 1:
-            return uniform_weights(n)
-        windows, rels = _relative_windows(prefix, self.window)
-        current = windows[-1]
-        cur_c = current - current.mean()
-        cur_norm = float(np.linalg.norm(cur_c))
-        cand = windows[:candidates]
-        cand_c = cand - cand.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(cand_c, axis=1) * cur_norm
-        corr = np.zeros(candidates)
-        np.divide(cand_c @ cur_c, denom, out=corr, where=denom > 0)
-        matched = np.nonzero(corr >= self.rho)[0]
-        if matched.size == 0:
-            return uniform_weights(n)
-        successors = rels[matched + self.window]
-        return log_optimal_portfolio(successors)
+    def _matcher(self, windows):
+        centered = windows - windows.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(centered, axis=1)
+
+        def correlated(c):
+            current = windows[c]
+            cur_c = current - current.mean()
+            denom = norms[:c] * float(np.linalg.norm(cur_c))
+            corr = np.zeros(c)
+            np.divide(centered[:c] @ cur_c, denom, out=corr, where=denom > 0)
+            return np.nonzero(corr >= self.rho)[0]
+        return correlated
 
 
 def bcrp_hindsight(relatives: np.ndarray) -> np.ndarray:

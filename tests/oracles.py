@@ -3,13 +3,18 @@
 Everything here is written in deliberately plain, scalar-loop style with a
 different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
-bug in the production code is unlikely to be mirrored by the oracle.
+bug in the production code is unlikely to be mirrored by the oracle. The
+rest are the program's former loop formulations (features, MLP training,
+log-optimal ascent, L1 median, the per-day BNN and CORN steps), kept as
+byte-for-byte references for the code that replaced them.
 """
 
 import math
 from statistics import NormalDist
 
 import numpy as np
+
+from rankfolio.optim import log_optimal_portfolio
 
 
 def project_simplex_bisect(v):
@@ -395,3 +400,76 @@ def log_optimal_loop(relatives, tol=1e-10, max_iter=10_000):
         if fw2 > fw:
             w = w2
     return w
+
+
+def geometric_median_loop(points, tol=1e-9, max_iter=200):
+    """The single-window modified Weiszfeld loop that ``geometric_median``
+    runs for each window of a stack; its results must match byte for byte."""
+    pts = np.asarray(points, dtype=np.float64)
+    y = pts.mean(axis=0)
+    for _ in range(max_iter):
+        diff = pts - y
+        dist = np.linalg.norm(diff, axis=1)
+        coincident = dist < 1e-12
+        if coincident.any():
+            others = ~coincident
+            if not others.any():
+                return y
+            inv = 1.0 / dist[others]
+            t_point = (pts[others] * inv[:, None]).sum(axis=0) / inv.sum()
+            r_vec = (diff[others] * inv[:, None]).sum(axis=0)
+            r = float(np.linalg.norm(r_vec))
+            eta = float(coincident.sum())
+            if r <= eta:
+                return y
+            y_next = max(0.0, 1.0 - eta / r) * t_point + min(1.0, eta / r) * y
+        else:
+            inv = 1.0 / dist
+            y_next = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        if float(np.linalg.norm(y_next - y)) < tol:
+            return y_next
+        y = y_next
+    return y
+
+
+def pattern_windows(prefix, window):
+    """Flattened relative windows of a prefix and its relatives, built
+    afresh for one day as the per-day BNN and CORN steps did."""
+    rels = prefix[1:] / prefix[:-1]
+    view = np.lib.stride_tricks.sliding_window_view(rels, (window, rels.shape[1]))
+    return view.reshape(view.shape[0], window * rels.shape[1]), rels
+
+
+def bnn_day(prefix, neighbors, window):
+    """One day of BNN computed from the prefix alone, as the per-day step
+    did before windows were built once per run."""
+    t, n = prefix.shape
+    candidates = t - 1 - window
+    if candidates < neighbors:
+        return np.full(n, 1.0 / n)
+    windows, rels = pattern_windows(prefix, window)
+    d2 = ((windows[:candidates] - windows[-1]) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")[:neighbors]
+    return log_optimal_portfolio(rels[order + window])
+
+
+def corn_day(prefix, rho, window):
+    """One day of CORN computed from the prefix alone, as the per-day step
+    did before windows were built once per run."""
+    t, n = prefix.shape
+    candidates = t - 1 - window
+    if candidates < 1:
+        return np.full(n, 1.0 / n)
+    windows, rels = pattern_windows(prefix, window)
+    current = windows[-1]
+    cur_c = current - current.mean()
+    cur_norm = float(np.linalg.norm(cur_c))
+    cand = windows[:candidates]
+    cand_c = cand - cand.mean(axis=1, keepdims=True)
+    denom = np.linalg.norm(cand_c, axis=1) * cur_norm
+    corr = np.zeros(candidates)
+    np.divide(cand_c @ cur_c, denom, out=corr, where=denom > 0)
+    matched = np.nonzero(corr >= rho)[0]
+    if matched.size == 0:
+        return np.full(n, 1.0 / n)
+    return log_optimal_portfolio(rels[matched + window])

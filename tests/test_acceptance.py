@@ -16,7 +16,7 @@ from rankfolio.data import load_csv, write_csv
 from rankfolio.engine import (FEE_GRID, BacktestConfig, apply_decay, reprice,
                               run_backtest)
 from rankfolio.features import rank_transform
-from rankfolio.knn import knn_predict
+from rankfolio.learners import knn_predict
 from rankfolio.metrics import CSV_COLUMNS
 from rankfolio.mlp import MlpModel, loss_and_gradients
 from rankfolio.optim import log_optimal_portfolio

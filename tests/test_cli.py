@@ -379,6 +379,24 @@ def test_bad_classic_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("command", ["backtest", "plotdata", "sweep-fees"])
+@pytest.mark.parametrize("bench_id", ["nope", "knn"])
+def test_bad_benchmark_exits_2_before_the_run(data_csv, tmp_path, capsys,
+                                               monkeypatch, command, bench_id):
+    # knn cannot be built with the default knn_k of 15 above lookback 10
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_backtest called before the benchmark check")
+
+    monkeypatch.setattr("rankfolio.cli.run_backtest", no_run)
+    assert run_cli(command, "--data", data_csv, "--strategy", "rmr",
+                   "--lookback", "10", "--benchmark", bench_id,
+                   "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert ("unknown strategy 'nope'" in err if bench_id == "nope"
+            else "knn_k must be in 1..lookback" in err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_flat_prices_report_blank_sharpe(tmp_path):
     # prices that never move have zero volatility, so Sharpe is undefined
     flat_csv = tmp_path / "flat.csv"

@@ -5,7 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from rankfolio.data import (PriceMatrix, all_returns, load_csv, returns_at,
+from rankfolio.data import (PriceMatrix, all_returns, load_csv,
                             summary_stats, write_csv)
 
 from conftest import make_prices
@@ -125,26 +125,23 @@ def test_prices_are_read_only(prices_small):
         prices_small.prices[0, 0] = 5.0
 
 
-def test_returns_at_contract():
+def test_all_returns_contract(prices_small):
     prices = np.array([[100.0, 50.0], [110.0, 45.0], [99.0, 54.0]])
     pm = PriceMatrix(
         dates=(date(2024, 1, 1), date(2024, 1, 2), date(2024, 1, 3)),
         assets=("X", "Y"),
         prices=prices,
     )
-    # day t return compares price rows t and t-1 (1-based day indexing)
-    np.testing.assert_allclose(returns_at(pm, 1), [0.10, -0.10])
-    np.testing.assert_allclose(returns_at(pm, 2), [-0.10, 0.20])
-    for bad in (0, 3, -1):
-        with pytest.raises(ValueError):
-            returns_at(pm, bad)
-
-
-def test_all_returns_matches_returns_at(prices_small):
+    # row t-1 is the move from day t to day t+1 (1-based day indexing)
+    np.testing.assert_allclose(all_returns(pm), [[0.10, -0.10], [-0.10, 0.20]])
     rets = all_returns(prices_small)
+    p = prices_small.prices
     assert rets.shape == (prices_small.num_days - 1, prices_small.num_assets)
     for t in range(1, prices_small.num_days):
-        np.testing.assert_array_equal(rets[t - 1], returns_at(prices_small, t))
+        np.testing.assert_array_equal(rets[t - 1], p[t] / p[t - 1] - 1.0)
+    with pytest.raises(ValueError):
+        all_returns(PriceMatrix(dates=(date(2024, 1, 1),), assets=("X",),
+                                prices=[[1.0]]))
 
 
 def test_summary_stats_against_numpy(prices_small):

@@ -12,7 +12,7 @@ from rankfolio.engine import (FEE_GRID, BacktestConfig, account, apply_decay,
                               build_strategy, config_as_dict, known_strategy,
                               min_start_day, parse_strategy, reprice,
                               resolve_window, run_backtest)
-from rankfolio.strategies import bcrp_hindsight
+from rankfolio.strategies import CLASSIC_NAMES, bcrp_hindsight
 
 from conftest import make_prices
 
@@ -453,6 +453,29 @@ def test_no_lookahead_truncation(strategy):
         k = short.num_days
         assert short.weights.tobytes() == full.weights[:k].tobytes()
         assert short.net.tobytes() == full.net[:k].tobytes()
+
+
+@pytest.mark.parametrize("assets", [10, 50])
+@pytest.mark.parametrize("strategy", [s for s in CLASSIC_NAMES if s != "bcrp"]
+                         + ["mlp", "knn"])
+def test_later_prices_never_move_earlier_rows(strategy, assets):
+    # bcrp is left out: it is solved in hindsight over the whole window
+    pm = make_prices(90, assets, seed=assets)
+    cfg = BacktestConfig(**FAST_ML)
+    base = run_backtest(pm, strategy, cfg)
+    rng = np.random.default_rng(assets)
+    for t in (base.start_day + 2, 55, base.end_day - 3):
+        # scale every price after day t (row t - 1) by its own random factor
+        prices = pm.prices.copy()
+        prices[t:] *= rng.uniform(0.5, 2.0, size=prices[t:].shape)
+        moved = run_backtest(replace(pm, prices=prices), strategy, cfg)
+        k = t - base.start_day + 1  # rows of days start_day..t
+        for field in ("raw_weights", "weights"):
+            assert (getattr(moved, field)[:k].tobytes()
+                    == getattr(base, field)[:k].tobytes()), (field, t)
+        # the net return of day t is realized at day t + 1's price
+        assert moved.net[:k - 1].tobytes() == base.net[:k - 1].tobytes(), t
+        assert moved.net[k - 1:].tobytes() != base.net[k - 1:].tobytes()
 
 
 def test_two_runs_identical(prices_mid):

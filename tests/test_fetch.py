@@ -11,7 +11,6 @@ import pytest
 
 from rankfolio.data import load_csv
 from rankfolio.fetch import BASE_URL_ENV, DEFAULT_BASE_URL, Fetcher
-from rankfolio.fetch import fetch_history as fetch_once
 
 
 def ts_ms(year, month, day, hour=0):
@@ -201,10 +200,10 @@ def test_default_base_url_without_environment(monkeypatch):
     assert Fetcher().base_url == DEFAULT_BASE_URL
 
 
-def test_one_shot_wrapper(api, tmp_path):
+def test_one_shot_fetcher(api, tmp_path):
     ApiHandler.routes[PATH] = [(200, {"prices": [[ts_ms(2024, 1, 1), 7.0]]})]
-    path = fetch_once("testcoin", date(2024, 1, 1), date(2024, 1, 1),
-                      tmp_path / "x.csv", base_url=api, delay=0.0)
+    path = Fetcher(base_url=api, delay=0.0).fetch_history(
+        "testcoin", date(2024, 1, 1), date(2024, 1, 1), tmp_path / "x.csv")
     assert load_csv(path).prices[0, 0] == 7.0
 
 

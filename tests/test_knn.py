@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankfolio.knn import knn_predict
+from rankfolio.learners import knn_predict
 
 import oracles
 

@@ -5,9 +5,8 @@ import pytest
 
 from rankfolio.features import (Normalizer, features_from_window,
                                 scores_to_weights, training_set)
-from rankfolio.knn import knn_predict
 from rankfolio.learners import (KnnLearner, Learner, MlpLearner,
-                                RankForecastStrategy)
+                                RankForecastStrategy, knn_predict)
 
 from conftest import make_prices
 

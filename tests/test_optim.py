@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rankfolio import optim
 from rankfolio.optim import (RELATIVE_FLOOR, geometric_median,
                              log_optimal_portfolio, project_to_simplex)
-from oracles import log_optimal_loop
+from oracles import geometric_median_loop, log_optimal_loop
 
 
 # --- independent oracles ----------------------------------------------------
@@ -287,3 +287,78 @@ def test_median_validation():
         geometric_median(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         geometric_median(np.empty((0, 2)))
+    with pytest.raises(ValueError):
+        geometric_median(np.empty((3, 0, 2)))
+    with pytest.raises(ValueError):
+        geometric_median(np.ones((1, 2, 2, 2)))
+    assert geometric_median(np.empty((0, 4, 2))).shape == (0, 2)
+
+
+def assert_stack_matches_loop(stack, **kwargs):
+    got = geometric_median(stack, **kwargs)
+    assert got.shape == (stack.shape[0], stack.shape[2])
+    for window, median in zip(stack, got):
+        want = geometric_median_loop(window, **kwargs)
+        assert median.tobytes() == want.tobytes()
+        assert geometric_median(window, **kwargs).tobytes() == want.tobytes()
+
+
+def walk_windows(days, assets, length, seed):
+    rng = np.random.default_rng(seed)
+    prices = 100.0 * np.cumprod(1.0 + rng.normal(0, 0.02, (days, assets)), axis=0)
+    return np.lib.stride_tricks.sliding_window_view(prices, (length, assets))[:, 0]
+
+
+# Windows whose centroid start sits on a data point, so the coincident-point
+# branch runs: all rows equal (no other point), a median on that point (the
+# correction cannot move it), and a point that is not the median (the
+# correction moves it off).
+COINCIDENT = np.array([
+    [[2.0, 3.0], [2.0, 3.0], [2.0, 3.0], [2.0, 3.0], [2.0, 3.0]],
+    [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0], [1.0, 1.0]],
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [1.0, -0.01], [-3.0, 0.0]],
+])
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 30])
+@pytest.mark.parametrize("assets", [1, 3, 10, 50])
+def test_median_stack_matches_single_window_loop(length, assets):
+    assert_stack_matches_loop(walk_windows(80, assets, length, seed=assets))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_iter": 3}, {"max_iter": 0},
+                                    {"tol": 1e-3}, {"tol": 0.0, "max_iter": 50}])
+def test_median_stack_matches_loop_in_every_branch(kwargs):
+    rng = np.random.default_rng(43)
+    walk = walk_windows(30, 2, 5, seed=5)
+    flat = walk.copy()
+    flat[:, :, 1] = 7.5  # a flat column
+    mixed = np.concatenate([walk[:8], COINCIDENT, flat[:5], COINCIDENT[::-1],
+                            rng.normal(size=(6, 5, 2))])
+    assert_stack_matches_loop(mixed, **kwargs)
+    two_rows = mixed[:, [0, 3]]
+    assert_stack_matches_loop(two_rows, **kwargs)
+    assert_stack_matches_loop(mixed[:, :1], **kwargs)
+
+
+def test_median_coincident_cases_hit_their_branches():
+    medians = geometric_median(COINCIDENT)
+    np.testing.assert_array_equal(medians[0], [2.0, 3.0])
+    np.testing.assert_array_equal(medians[1], [1.0, 1.0])
+    # the third window starts on its first row and must be moved off it
+    assert not np.array_equal(medians[2], COINCIDENT[2].mean(axis=0))
+    pts = COINCIDENT[2]
+    assert l1_objective(pts, medians[2]) < l1_objective(pts, pts[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_median_stack_matches_loop(data):
+    # few price levels make exact coincidences common
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)),
+             data.draw(st.integers(1, 4)))
+    levels = st.sampled_from([1.0, 1.5, 2.0, 3.25])
+    values = data.draw(st.lists(levels, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))
+    max_iter = data.draw(st.sampled_from([3, 200]))
+    assert_stack_matches_loop(np.array(values).reshape(shape), max_iter=max_iter)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankfolio.engine import BacktestConfig, build_strategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import (CLASSIC_NAMES, Anticor, Bnn, BuyAndHold,
                                   Corn, Cwmr, ExponentiatedGradient,
@@ -328,3 +329,92 @@ def test_bcrp_hindsight_beats_every_asset(walk):
         corner = np.zeros(rels.shape[1])
         corner[j] = 1.0
         assert best >= oracles.log_wealth(rels, corner) - 1e-9
+
+
+# --- whole-run interface --------------------------------------------------------
+
+RUN_ML = dict(lookback=20, feature_window=10, mlp_epochs=5, mlp_hidden=(6,),
+              knn_k=5)
+# (t_first, t_last): from day 1 (learners need 31 days of history), and a
+# mid-run start
+CLASSIC_SPANS = ((1, 299), (150, 270))
+LEARNER_SPANS = ((31, 299), (150, 270))
+
+
+@pytest.fixture(scope="module", params=[10, 50], ids=["10_assets", "50_assets"])
+def long_walk(request):
+    return make_prices(300, request.param, seed=request.param).prices
+
+
+def fresh(name, config, prices, t_first, t_last):
+    if name == "bcrp":  # solved on the trading window, as run_backtest does
+        rels = prices[t_first: t_last + 1] / prices[t_first - 1: t_last]
+        return FixedWeights(bcrp_hindsight(rels))
+    return build_strategy(name, config)
+
+
+def step_rows(name, config, prices, t_first, t_last):
+    strategy = fresh(name, config, prices, t_first, t_last)
+    return np.array([strategy.step(prices[:t])
+                     for t in range(t_first, t_last + 1)])
+
+
+def day_rows(name, config, prices, t_first, t_last):
+    """BNN and CORN rows from the former per-day code in the oracles."""
+    if name == "bnn":
+        return np.array([oracles.bnn_day(prices[:t], config.bnn_neighbors,
+                                         config.bnn_window)
+                         for t in range(t_first, t_last + 1)])
+    return np.array([oracles.corn_day(prices[:t], config.corn_rho,
+                                      config.corn_window)
+                     for t in range(t_first, t_last + 1)])
+
+
+def assert_run_equals_step_loop(name, config, prices, spans):
+    for t_first, t_last in spans:
+        got = fresh(name, config, prices, t_first, t_last).run(
+            prices[:t_last], t_first, t_last)
+        assert got.shape == (t_last - t_first + 1, prices.shape[1])
+        want = step_rows(name, config, prices, t_first, t_last)
+        assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
+        if name in ("bnn", "corn"):
+            want = day_rows(name, config, prices, t_first, t_last)
+            assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
+
+
+@pytest.mark.parametrize("name", [s for s in CLASSIC_NAMES + ("mlp", "knn")
+                                  if s not in ("rmr", "corn", "bnn")])
+def test_run_equals_step_loop(long_walk, name):
+    # rmr, corn and bnn run in the window test below, default window included
+    learner = name in ("mlp", "knn")
+    assert_run_equals_step_loop(
+        name, BacktestConfig(**RUN_ML), long_walk,
+        LEARNER_SPANS if learner else CLASSIC_SPANS)
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 30])
+@pytest.mark.parametrize("name", ["rmr", "corn", "bnn"])
+def test_run_equals_step_loop_windows(long_walk, name, window):
+    config = BacktestConfig(**{f"{name}_window": window})
+    # RMR's median blocks hold 256 windows: its last block ends mid-block at
+    # t_last = 299 for every window and at 259 for windows <= 3; the other
+    # spans end inside the first block, at 259 or after a single window
+    assert_run_equals_step_loop(name, config, long_walk,
+                                ((1, 299), (100, 259), (1, window)))
+
+
+def test_run_only_sees_prices_up_to_t_last(walk):
+    # the rows of a run do not depend on prices past t_last
+    for name in CLASSIC_NAMES:
+        if name == "bcrp":
+            continue
+        cut = build_strategy(name, BacktestConfig()).run(walk[:50], 10, 50)
+        full = build_strategy(name, BacktestConfig()).run(walk, 10, 50)
+        assert cut.tobytes() == full.tobytes(), name
+
+
+def test_run_rejects_bad_window(walk):
+    for t_first, t_last in ((0, 5), (6, 5), (1, walk.shape[0] + 1)):
+        for strategy in (UniformCRP(), Rmr(), Bnn(), Corn()):
+            with pytest.raises(ValueError):
+                strategy.run(walk, t_first, t_last)
