@@ -4,9 +4,10 @@ Everything here is written in deliberately plain, scalar-loop style with a
 different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
-rest are the program's former loop formulations (features, MLP training,
-log-optimal ascent, L1 median, the per-day BNN and CORN steps), kept as
-byte-for-byte references for the code that replaced them.
+rest are the program's former loop formulations (one day's returns,
+features, MLP training, log-optimal ascent, L1 median, the per-day BNN and
+CORN steps), kept as byte-for-byte references for the code that replaced
+them.
 """
 
 import math
@@ -400,6 +401,16 @@ def log_optimal_loop(relatives, tol=1e-10, max_iter=10_000):
         if fw2 > fw:
             w = w2
     return w
+
+
+def returns_at(prices, t):
+    """Simple returns of day t, p[t, j] / p[t-1, j] - 1 (1-based days), for
+    1 <= t <= T-1; the former per-day accessor that ``all_returns`` rows
+    must match byte for byte."""
+    p = np.asarray(prices, dtype=np.float64)
+    if not 1 <= t <= p.shape[0] - 1:
+        raise ValueError(f"day index {t} out of range 1..{p.shape[0] - 1}")
+    return p[t] / p[t - 1] - 1.0
 
 
 def geometric_median_loop(points, tol=1e-9, max_iter=200):

@@ -9,6 +9,7 @@ from rankfolio.data import (PriceMatrix, all_returns, load_csv,
                             summary_stats, write_csv)
 
 from conftest import make_prices
+from oracles import returns_at
 
 
 def test_roundtrip(tmp_path, prices_mid):
@@ -125,23 +126,27 @@ def test_prices_are_read_only(prices_small):
         prices_small.prices[0, 0] = 5.0
 
 
-def test_all_returns_contract(prices_small):
+def test_returns_at_contract():
     prices = np.array([[100.0, 50.0], [110.0, 45.0], [99.0, 54.0]])
     pm = PriceMatrix(
         dates=(date(2024, 1, 1), date(2024, 1, 2), date(2024, 1, 3)),
         assets=("X", "Y"),
         prices=prices,
     )
-    # row t-1 is the move from day t to day t+1 (1-based day indexing)
+    # row t-1 is the day-t return, the move from day t to day t+1
+    # (1-based day indexing)
     np.testing.assert_allclose(all_returns(pm), [[0.10, -0.10], [-0.10, 0.20]])
-    rets = all_returns(prices_small)
-    p = prices_small.prices
-    assert rets.shape == (prices_small.num_days - 1, prices_small.num_assets)
-    for t in range(1, prices_small.num_days):
-        np.testing.assert_array_equal(rets[t - 1], p[t] / p[t - 1] - 1.0)
     with pytest.raises(ValueError):
         all_returns(PriceMatrix(dates=(date(2024, 1, 1),), assets=("X",),
                                 prices=[[1.0]]))
+
+
+def test_all_returns_matches_returns_at(prices_small):
+    rets = all_returns(prices_small)
+    assert rets.shape == (prices_small.num_days - 1, prices_small.num_assets)
+    for t in range(1, prices_small.num_days):
+        np.testing.assert_array_equal(rets[t - 1],
+                                      returns_at(prices_small.prices, t))
 
 
 def test_summary_stats_against_numpy(prices_small):
