@@ -77,7 +77,6 @@ CONFIG_PARSERS = {f.name: type(f.default) for f in fields(BacktestConfig)} | {
     "rank_power": _parse_rank_power,
     "start": _parse_date,
     "end": _parse_date,
-    "annualization": _choice("mean", "sqrt-sum"),
     "trend_feature": _choice("price", "return"),
     "decay_classic": _parse_bool,
     "benchmark": str.strip,

@@ -1,9 +1,11 @@
 """Backtest engine: strategy dispatch, weight decay, and accounting.
 
 Day indices are 1-based (day t is price row t-1). One ``Strategy.run`` call
-per backtest gives the weights of every trading day; it sees prices up to the
-last trading day only, and its row for day t depends only on prices for days
-1..t. Each row is then optionally smoothed by an exponential decay over the
+per backtest, on a fresh strategy, gives the weights of every trading day. It
+sees prices up to the last trading day only, and its row for day t depends
+only on prices for days 1..t: recursions replay from day 1, while
+buy-and-hold and the learners' refit schedule anchor at the first trading
+day. Each row is then optionally smoothed by an exponential decay over the
 run's own recent outputs. Once every day's weights are known, ``account``
 realizes each day's return from day t to t+1 and its cost in a few array
 operations. Costs are proportional to the L1 distance between the new
@@ -59,7 +61,6 @@ class BacktestConfig:
     start: date | None = None     # first trading date (default: earliest feasible)
     end: date | None = None       # last trading date (default: last usable day)
     days_per_year: int = 250
-    annualization: str = "mean"   # "mean" or the legacy "sqrt-sum"
     trend_feature: str = "price"  # basis of the trend feature
     decay_classic: bool = False   # smooth classic strategies too
     benchmark: str = "ucrp"       # information-ratio benchmark strategy
@@ -99,8 +100,6 @@ class BacktestConfig:
             raise ValueError("feature_window must be >= 2")
         if self.days_per_year < 1:
             raise ValueError("days_per_year must be >= 1")
-        if self.annualization not in ("mean", "sqrt-sum"):
-            raise ValueError("annualization must be 'mean' or 'sqrt-sum'")
         if self.trend_feature not in ("price", "return"):
             raise ValueError("trend_feature must be 'price' or 'return'")
         if isinstance(self.rank_power, str) and self.rank_power != "return":
@@ -192,8 +191,7 @@ class BacktestResult:
             raise ValueError("basis must be 'net' or 'gross'")
         series = self.net if basis == "net" else self.gross
         return compute_report(series, benchmark,
-                              days_per_year=self.config.days_per_year,
-                              mode=self.config.annualization)
+                              days_per_year=self.config.days_per_year)
 
 
 def parse_strategy(strategy_id: str) -> tuple[str, RankPower | None]:

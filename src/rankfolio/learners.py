@@ -8,14 +8,12 @@ minimal so other regressors (forests, boosted trees) can slot in later.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .features import (Normalizer, RankPower, check_history,
-                       features_from_window, rank_transform, scores_to_weights)
+                       features_from_window, scores_to_weights, training_set)
 from .mlp import MlpModel, mlp_predict, mlp_train
-from .strategies import Strategy
+from .strategies import Strategy, _run_prices
 
 
 class Learner:
@@ -106,21 +104,19 @@ class KnnLearner(Learner):
 class RankForecastStrategy(Strategy):
     """Daily weights from a learner trained on trailing rank targets.
 
-    Refits every ``refit_interval`` trading days (counted from the first step
-    call) on the trailing ``lookback`` days, then turns predicted scores into
-    long-only weights by clipping and normalizing.
+    Refits on trading days t_first, t_first + ``refit_interval``, ... on the
+    trailing ``lookback`` days, then turns predicted scores into long-only
+    weights by clipping and normalizing.
 
-    Each day is featurized once per run. After a step on a t-day history the
-    caches hold, in ``training_set``'s numbering, the feature rows of days
-    t - lookback .. t and the targets of days t - lookback .. t - 1. A row
-    depends only on the price prefix, so the refit block equals
-    ``training_set(history, ...)`` and outputs stay a pure function of it.
+    ``run`` featurizes each day once: one ``training_set`` call covers the
+    feature rows and targets of every day the run trains on. The block a
+    refit on day t sees equals ``training_set(prices[:t], lookback, ...)``,
+    so a row depends only on the price prefix and the refit schedule.
     """
 
     def __init__(self, learner: Learner, lookback: int = 80,
                  refit_interval: int = 10, rank_power: RankPower = 2,
                  feature_window: int = 20, trend: str = "price"):
-        super().__init__()
         if lookback < 1:
             raise ValueError("lookback must be >= 1")
         if refit_interval < 1:
@@ -131,25 +127,21 @@ class RankForecastStrategy(Strategy):
         self.rank_power = rank_power
         self.feature_window = feature_window
         self.trend = trend
-        self._steps = 0
-        self._seen = 0  # history length at the previous step
-        self._feats: deque[np.ndarray] = deque(maxlen=lookback + 1)
-        self._targets: deque[np.ndarray] = deque(maxlen=lookback)
 
-    def step(self, history: np.ndarray) -> np.ndarray:
-        history = self._check_growth(history)
-        t = history.shape[0]
-        fw = self.feature_window
-        if self._seen == 0:
-            check_history(t, self.lookback, fw)
-        first = t - self.lookback  # older days fall out of the caches
-        for s in range(max(self._seen + 1, first), t + 1):
-            self._feats.append(features_from_window(history[s - fw: s], self.trend))
-        for s in range(max(self._seen, first), t):
-            self._targets.append(rank_transform(
-                history[s] / history[s - 1] - 1.0, self.rank_power))
-        self._seen = t
-        if self._steps % self.refit_interval == 0:
-            self.learner.fit(np.array(self._feats)[:-1], np.array(self._targets))
-        self._steps += 1
-        return scores_to_weights(self.learner.predict(self._feats[-1].copy()))
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        lookback, fw = self.lookback, self.feature_window
+        check_history(t_first, lookback, fw)
+        days = t_last - t_first + 1
+        # row j holds day t_first - lookback + j; day t_last's features
+        # have no target yet, so they are appended on their own
+        feats, targets = training_set(prices, lookback + days - 1,
+                                      self.rank_power, fw, self.trend)
+        feats = np.vstack([feats, features_from_window(prices[-fw:], self.trend)])
+        out = np.empty((days, prices.shape[1]))
+        for i in range(days):
+            if i % self.refit_interval == 0:
+                self.learner.fit(feats[i: i + lookback],
+                                 targets[i: i + lookback])
+            out[i] = scores_to_weights(self.learner.predict(feats[i + lookback]))
+        return out

@@ -1,9 +1,8 @@
 """Performance metrics over daily return series.
 
 All functions take a 1-d series of daily simple returns. Annualization uses a
-configurable trading-day count (default 250). Annualized return defaults to
-``days_per_year * mean(returns)``; the alternative ``sqrt-sum`` scaling
-(sqrt(days_per_year) * sum(returns)) is kept only for auditing legacy reports.
+configurable trading-day count (default 250). Annualized return is
+``days_per_year * mean(returns)``.
 """
 
 from __future__ import annotations
@@ -38,14 +37,8 @@ def _as_series(values) -> np.ndarray:
     return v
 
 
-def annualized_return(values, days_per_year: int = DAYS_PER_YEAR,
-                      mode: str = "mean") -> float:
-    v = _as_series(values)
-    if mode == "mean":
-        return days_per_year * float(v.mean())
-    if mode == "sqrt-sum":
-        return math.sqrt(days_per_year) * float(v.sum())
-    raise ValueError(f"unknown annualization mode {mode!r}")
+def annualized_return(values, days_per_year: int = DAYS_PER_YEAR) -> float:
+    return days_per_year * float(_as_series(values).mean())
 
 
 def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
@@ -56,12 +49,11 @@ def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
     return math.sqrt(days_per_year) * float(v.std(ddof=0))
 
 
-def sharpe_ratio(values, days_per_year: int = DAYS_PER_YEAR,
-                 mode: str = "mean") -> float:
+def sharpe_ratio(values, days_per_year: int = DAYS_PER_YEAR) -> float:
     vol = annualized_volatility(values, days_per_year)
     if vol == 0.0:
         raise ValueError("zero volatility, Sharpe undefined")
-    return annualized_return(values, days_per_year, mode) / vol
+    return annualized_return(values, days_per_year) / vol
 
 
 def winning_pct(values) -> float:
@@ -137,8 +129,8 @@ class MetricsReport:
         }
 
 
-def compute_report(values, benchmark=None, days_per_year: int = DAYS_PER_YEAR,
-                   mode: str = "mean") -> MetricsReport:
+def compute_report(values, benchmark=None,
+                   days_per_year: int = DAYS_PER_YEAR) -> MetricsReport:
     """Assemble a MetricsReport; IR and Sharpe are None where undefined."""
     ir: float | None = None
     if benchmark is not None:
@@ -149,9 +141,9 @@ def compute_report(values, benchmark=None, days_per_year: int = DAYS_PER_YEAR,
                 raise
     vol = annualized_volatility(values, days_per_year)
     return MetricsReport(
-        annualized_return=annualized_return(values, days_per_year, mode),
+        annualized_return=annualized_return(values, days_per_year),
         annualized_volatility=vol,
-        sharpe=sharpe_ratio(values, days_per_year, mode) if vol > 0 else None,
+        sharpe=sharpe_ratio(values, days_per_year) if vol > 0 else None,
         winning_pct=winning_pct(values),
         profit_factor=profit_factor(values),
         max_drawdown=max_drawdown(values),

@@ -2,20 +2,16 @@
 
 Every strategy maps the price history known at the start of day t (rows are
 days, columns assets, most recent row last) to a long-only weight vector on
-the probability simplex. The engine makes one ``run(prices, t_first,
-t_last)`` call per backtest on a fresh strategy. ``run`` sees
-``prices[:t_last]`` and returns one row per trading day t_first..t_last; the
-row of day t depends only on ``prices[:t]``, and the rows equal, byte for
-byte, those of ``step(prices[:t])`` called once per day t on another fresh
-strategy. ``step`` must be called with prefixes of strictly increasing
-length. The base ``run`` is that step loop; RMR, BNN and CORN override it to
-do their price-only work (L1 medians, relative windows) once per run.
+the probability simplex. ``run(prices, t_first, t_last)`` is the one
+interface: the engine calls it once per backtest on a fresh strategy. It sees
+``prices[:t_last]`` and returns one row per trading day t_first..t_last, and
+the row of day t depends only on ``prices[:t]``.
 
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
-replay that recursion from day 1 of the supplied history on their first call,
-so their output depends only on the history prefix, not on where the trading
-window begins. Buy-and-hold is the one exception: it anchors at the first
-step call, which is the start of the trading period.
+replay it from day 1 of the supplied prices, so a row does not depend on
+where the trading window begins. Buy-and-hold is the one exception: it buys
+at day t_first, the start of the trading period. RMR, BNN and CORN do their
+price-only work (L1 medians, relative windows) once per run.
 """
 
 from __future__ import annotations
@@ -46,31 +42,12 @@ def uniform_weights(n: int) -> np.ndarray:
 
 
 class Strategy:
-    """Base interface: daily weight vectors from a growing price history."""
-
-    def __init__(self):
-        self._last_len = 0
-
-    def step(self, history: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    """Base interface: the weights of a run of trading days."""
 
     def run(self, prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
         """Weights of days t_first..t_last (1-based), one row each, from
-        ``prices[:t_last]``; call once, on a fresh strategy."""
-        prices = _run_prices(prices, t_first, t_last)
-        out = np.empty((t_last - t_first + 1, prices.shape[1]))
-        for i, t in enumerate(range(t_first, t_last + 1)):
-            out[i] = self.step(prices[:t])
-        return out
-
-    def _check_growth(self, history: np.ndarray) -> np.ndarray:
-        history = np.asarray(history, dtype=np.float64)
-        if history.ndim != 2 or history.shape[0] < 1:
-            raise ValueError("history must be a non-empty 2-d price array")
-        if history.shape[0] <= self._last_len:
-            raise ValueError("history must grow between step calls")
-        self._last_len = history.shape[0]
-        return history
+        ``prices[:t_last]``; each call starts afresh."""
+        raise NotImplementedError
 
 
 def _run_prices(prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
@@ -83,21 +60,19 @@ def _run_prices(prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
 
 
 class ReplayStrategy(Strategy):
-    """Advances an internal daily recursion up to the end of the history."""
+    """Replays a daily recursion from day 1, keeping the rows from t_first."""
 
-    def __init__(self):
-        super().__init__()
-        self._seen = 0
-        self._w: np.ndarray | None = None
+    _w: np.ndarray  # the previous day's weights while ``_advance`` runs
 
-    def step(self, history: np.ndarray) -> np.ndarray:
-        history = self._check_growth(history)
-        if self._w is None:
-            self._w = uniform_weights(history.shape[1])
-        while self._seen < history.shape[0]:
-            self._seen += 1
-            self._w = self._advance(history[: self._seen])
-        return self._w.copy()
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        out = np.empty((t_last - t_first + 1, prices.shape[1]))
+        self._w = uniform_weights(prices.shape[1])
+        for t in range(1, t_last + 1):
+            self._w = self._advance(prices[:t])
+            if t >= t_first:
+                out[t - t_first] = self._w
+        return out
 
     def _advance(self, prefix: np.ndarray) -> np.ndarray:
         """Weights for day len(prefix), given prices for days 1..len(prefix)."""
@@ -107,17 +82,10 @@ class ReplayStrategy(Strategy):
 class BuyAndHold(Strategy):
     """Uniform buy at the first trading day, then drift with prices."""
 
-    def __init__(self):
-        super().__init__()
-        self._base: np.ndarray | None = None
-
-    def step(self, history: np.ndarray) -> np.ndarray:
-        history = self._check_growth(history)
-        if self._base is None:
-            self._base = history[-1].copy()
-            return uniform_weights(history.shape[1])
-        growth = history[-1] / self._base
-        return growth / growth.sum()
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        growth = prices[t_first - 1:] / prices[t_first - 1]
+        return growth / growth.sum(axis=1, keepdims=True)
 
 
 class UniformCRP(ReplayStrategy):
@@ -131,7 +99,6 @@ class FixedWeights(ReplayStrategy):
     """Rebalance to a fixed target every day (used for hindsight CRP runs)."""
 
     def __init__(self, weights: np.ndarray):
-        super().__init__()
         self._target = np.asarray(weights, dtype=np.float64).copy()
 
     def _advance(self, prefix):
@@ -149,21 +116,18 @@ class UniversalSampler(ReplayStrategy):
     """
 
     def __init__(self, samples: int = 10_000, seed: int = 10):
-        super().__init__()
         if samples < 1:
             raise ValueError("samples must be >= 1")
         self.samples = samples
         self.seed = seed
-        self._crps: np.ndarray | None = None
-        self._wealth: np.ndarray | None = None
 
     def _advance(self, prefix):
-        n = prefix.shape[1]
-        if self._crps is None:
+        if prefix.shape[0] == 1:  # a run starts here, so state resets
             rng = np.random.default_rng(self.seed)
-            self._crps = rng.dirichlet(np.ones(n), size=self.samples)
+            self._crps = rng.dirichlet(np.ones(prefix.shape[1]),
+                                       size=self.samples)
             self._wealth = np.ones(self.samples)
-        if prefix.shape[0] >= 2:
+        else:
             x = prefix[-1] / prefix[-2]
             self._wealth *= self._crps @ x
             peak = float(self._wealth.max())
@@ -178,7 +142,6 @@ class ExponentiatedGradient(ReplayStrategy):
     """Multiplicative update toward yesterday's winners."""
 
     def __init__(self, eta: float = 0.05):
-        super().__init__()
         if not eta >= 0:  # also rejects NaN
             raise ValueError("eta must be >= 0")
         self.eta = eta
@@ -206,7 +169,6 @@ class Anticor(ReplayStrategy):
     """
 
     def __init__(self, window: int = 5):
-        super().__init__()
         if window < 2:
             raise ValueError("window must be >= 2")
         self.window = window
@@ -245,7 +207,6 @@ class Pamr(ReplayStrategy):
     """Passive-aggressive mean reversion: bet against yesterday's move."""
 
     def __init__(self, eps: float = 0.5):
-        super().__init__()
         self.eps = eps
 
     def _advance(self, prefix):
@@ -276,20 +237,16 @@ class Cwmr(ReplayStrategy):
     """
 
     def __init__(self, confidence: float = 0.95, eps: float = 0.5):
-        super().__init__()
         if not 0.5 <= confidence < 1.0:
             raise ValueError("confidence must be in [0.5, 1)")
         self.phi = NormalDist().inv_cdf(confidence)
         self.eps = eps
-        self._mu: np.ndarray | None = None
-        self._s2: np.ndarray | None = None
 
     def _advance(self, prefix):
         t, n = prefix.shape
-        if self._mu is None:
+        if t == 1:  # a run starts here, so state resets
             self._mu = uniform_weights(n)
             self._s2 = np.full(n, 1.0 / (n * n))
-        if t == 1:
             return self._mu.copy()
         x = prefix[-1] / prefix[-2]
         mu, s2, phi = self._mu, self._s2, self.phi
@@ -337,7 +294,6 @@ class Olmar(ReplayStrategy):
     """Moving-average reversion: chase the MA(window)-to-price ratio."""
 
     def __init__(self, window: int = 5, eps: float = 10.0):
-        super().__init__()
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
@@ -351,12 +307,11 @@ class Olmar(ReplayStrategy):
         return _reversion_update(self._w, x_hat, self.eps)
 
 
-class Rmr(ReplayStrategy):
+class Rmr(Strategy):
     """Robust median reversion: like OLMAR with an L1-median price target."""
 
     def __init__(self, window: int = 5, eps: float = 5.0,
                  median_tol: float = 1e-9, median_max_iter: int = 200):
-        super().__init__()
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
@@ -385,16 +340,6 @@ class Rmr(ReplayStrategy):
                 out[t - t_first] = w
         return out
 
-    def _advance(self, prefix):
-        t = prefix.shape[0]
-        if t < self.window:
-            return self._w
-        median = geometric_median(prefix[t - self.window: t],
-                                  tol=self.median_tol,
-                                  max_iter=self.median_max_iter)
-        x_hat = median / prefix[-1]
-        return _reversion_update(self._w, x_hat, self.eps)
-
 
 def _relative_windows(prices: np.ndarray, length: int):
     """All length-``length`` windows of daily relatives, flattened row-wise.
@@ -418,20 +363,14 @@ class PatternMatcher(Strategy):
     Weights are uniform until ``min_candidates`` candidates exist, or when
     no window matches. A day's weights depend on the price prefix alone, so
     ``run`` builds the windows of the whole run once and slices them per
-    day, and ``step`` is a one-day ``run``.
+    day.
     """
 
     def __init__(self, window: int, min_candidates: int):
-        super().__init__()
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.min_candidates = min_candidates
-
-    def step(self, history):
-        history = self._check_growth(history)
-        t = history.shape[0]
-        return self.run(history, t, t)[0]
 
     def run(self, prices, t_first, t_last):
         prices = _run_prices(prices, t_first, t_last)

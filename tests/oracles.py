@@ -5,9 +5,9 @@ different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
 rest are the program's former loop formulations (one day's returns,
-features, MLP training, log-optimal ascent, L1 median, the per-day BNN and
-CORN steps), kept as byte-for-byte references for the code that replaced
-them.
+features, MLP training, log-optimal ascent, L1 median, the per-day BNN, CORN
+and RMR updates), kept as byte-for-byte references for the code that
+replaced them.
 """
 
 import math
@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from rankfolio.optim import log_optimal_portfolio
+from rankfolio.optim import log_optimal_portfolio, project_to_simplex
 
 
 def project_simplex_bisect(v):
@@ -443,16 +443,35 @@ def geometric_median_loop(points, tol=1e-9, max_iter=200):
     return y
 
 
+def rmr_day(prefix, w_prev, window, eps, tol=1e-9, max_iter=200):
+    """One day of RMR from the previous day's weights, with the day's L1
+    median solved on its own window, as RMR's per-day update did before its
+    medians were solved in stacks."""
+    t = prefix.shape[0]
+    if t < window:
+        return w_prev
+    median = geometric_median_loop(prefix[t - window: t], tol, max_iter)
+    x_hat = median / prefix[-1]
+    gap = eps - float(w_prev @ x_hat)
+    if gap <= 0:
+        return w_prev
+    dev = x_hat - x_hat.mean()
+    sq = float(dev @ dev)
+    if sq < 1e-24:
+        return w_prev
+    return project_to_simplex(w_prev + (gap / sq) * dev)
+
+
 def pattern_windows(prefix, window):
     """Flattened relative windows of a prefix and its relatives, built
-    afresh for one day as the per-day BNN and CORN steps did."""
+    afresh for one day as the per-day BNN and CORN updates did."""
     rels = prefix[1:] / prefix[:-1]
     view = np.lib.stride_tricks.sliding_window_view(rels, (window, rels.shape[1]))
     return view.reshape(view.shape[0], window * rels.shape[1]), rels
 
 
 def bnn_day(prefix, neighbors, window):
-    """One day of BNN computed from the prefix alone, as the per-day step
+    """One day of BNN computed from the prefix alone, as the per-day update
     did before windows were built once per run."""
     t, n = prefix.shape
     candidates = t - 1 - window
@@ -465,7 +484,7 @@ def bnn_day(prefix, neighbors, window):
 
 
 def corn_day(prefix, rho, window):
-    """One day of CORN computed from the prefix alone, as the per-day step
+    """One day of CORN computed from the prefix alone, as the per-day update
     did before windows were built once per run."""
     t, n = prefix.shape
     candidates = t - 1 - window

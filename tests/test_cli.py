@@ -205,6 +205,17 @@ def test_exit_codes(data_csv, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_removed_annualization_key_exits_2(data_csv, tmp_path, capsys):
+    # annualized return is always days_per_year * mean; the key is gone
+    conf = tmp_path / "c.conf"
+    conf.write_text("annualization = mean\n")
+    out = tmp_path / "x"
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "eg",
+                   "--config", conf, "--out", out) == 2
+    assert "unknown config key 'annualization'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_start_end_flags(data_csv, tmp_path):
     pm = load_csv(data_csv)
     out = tmp_path / "out"
@@ -480,6 +491,7 @@ def test_fetch_command(tmp_path, monkeypatch):
         assert load_csv(out / "other.csv").assets == ("other",)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_fetch_bad_date(tmp_path):

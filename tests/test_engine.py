@@ -87,9 +87,9 @@ def test_config_validation():
     for kwargs in (dict(lookback=0), dict(refit_interval=0),
                    dict(decay_alpha=1.0), dict(decay_alpha=-0.1),
                    dict(decay_len=-1), dict(fee_rate=-0.001),
-                   dict(feature_window=1), dict(annualization="x"),
-                   dict(trend_feature="x"), dict(rank_power=0),
-                   dict(rank_power="x"), dict(days_per_year=0)):
+                   dict(feature_window=1), dict(trend_feature="x"),
+                   dict(rank_power=0), dict(rank_power="x"),
+                   dict(days_per_year=0)):
         with pytest.raises(ValueError):
             BacktestConfig(**kwargs)
 

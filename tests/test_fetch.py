@@ -54,6 +54,7 @@ def api():
     ApiHandler.calls = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def quick_fetcher(base_url, **kwargs):

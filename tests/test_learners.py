@@ -89,9 +89,8 @@ def test_rank_forecast_refit_cadence():
     learner = CountingLearner(3)
     strat = RankForecastStrategy(learner, lookback=30, refit_interval=4,
                                  feature_window=10)
-    for t in range(41, 61):
-        strat.step(pm.prices[:t])
-    # 20 steps, refit on steps 0, 4, 8, 12, 16
+    strat.run(pm.prices[:60], 41, 60)
+    # 20 days, refit on days 41, 45, 49, 53, 57
     assert learner.fits == 5
     assert learner.fit_rows == [30] * 5
 
@@ -101,7 +100,7 @@ def test_rank_forecast_weights_from_scores():
     learner = CountingLearner(3)
     strat = RankForecastStrategy(learner, lookback=20, refit_interval=10,
                                  feature_window=10)
-    w = strat.step(pm.prices[:31])
+    w = strat.run(pm.prices[:31], 31, 31)[0]
     np.testing.assert_allclose(w, scores_to_weights(np.array([1.0, 2.0, 3.0])))
 
 
@@ -109,8 +108,11 @@ def test_rank_forecast_insufficient_history_surfaces():
     pm = make_prices(30, 3, seed=17)
     strat = RankForecastStrategy(CountingLearner(3), lookback=20,
                                  refit_interval=5, feature_window=10)
-    with pytest.raises(ValueError, match="insufficient history"):
-        strat.step(pm.prices[:25])
+    with pytest.raises(ValueError, match="insufficient history: day 25 "):
+        strat.run(pm.prices[:25], 25, 25)
+    # the error names the trading start day, not the run's last day
+    with pytest.raises(ValueError, match="insufficient history: day 25 "):
+        strat.run(pm.prices, 25, 30)
 
 
 def test_rank_forecast_trains_on_trailing_window():
@@ -125,7 +127,7 @@ def test_rank_forecast_trains_on_trailing_window():
     learner = Capture(3)
     strat = RankForecastStrategy(learner, lookback=25, refit_interval=10,
                                  feature_window=12, rank_power=3)
-    strat.step(pm.prices[:50])
+    strat.run(pm.prices[:50], 50, 50)
     want_f, want_t = training_set(pm.prices[:50], 25, 3, 12)
     np.testing.assert_array_equal(learner.last[0], want_f)
     np.testing.assert_array_equal(learner.last[1], want_t)
@@ -142,7 +144,7 @@ def test_rank_forecast_prediction_uses_current_window():
     learner = Echo(3)
     strat = RankForecastStrategy(learner, lookback=25, refit_interval=10,
                                  feature_window=12)
-    strat.step(pm.prices[:50])
+    strat.run(pm.prices[:50], 50, 50)
     np.testing.assert_array_equal(
         learner.seen, features_from_window(pm.prices[38:50]))
 
@@ -153,58 +155,37 @@ def test_rank_forecast_validates_interval():
 
 
 class RecordingLearner(CountingLearner):
-    """Keeps the bytes of every fit and predict input, keyed by history day."""
+    """Keeps the bytes of every fit and predict input, in call order."""
 
     def __init__(self, n):
         super().__init__(n)
-        self.day = None
-        self.fit_inputs = {}
-        self.predict_inputs = {}
+        self.fit_inputs = []
+        self.predict_inputs = []
 
     def fit(self, features, targets):
         super().fit(features, targets)
-        self.fit_inputs[self.day] = (features.tobytes(), targets.tobytes())
+        self.fit_inputs.append((features.tobytes(), targets.tobytes()))
 
     def predict(self, feature_vec):
-        self.predict_inputs[self.day] = feature_vec.tobytes()
+        self.predict_inputs.append(feature_vec.tobytes())
         return super().predict(feature_vec)
-
-
-def run_recorded(prices, days, **kwargs):
-    learner = RecordingLearner(prices.shape[1])
-    strat = RankForecastStrategy(learner, **kwargs)
-    for t in days:
-        learner.day = t
-        strat.step(prices[:t])
-    return learner
-
-
-JUMPS = [37, 38, 41, 42, 49, 50, 51, 60, 63, 64, 80, 81, 85, 99, 100]
-
-
-@pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
-def test_rank_forecast_cache_jumps_match_daily_stepping(trend, power):
-    prices = make_prices(100, 4, seed=20).prices
-    kwargs = dict(lookback=20, refit_interval=1, feature_window=12,
-                  trend=trend, rank_power=power)
-    daily = run_recorded(prices, range(37, 101), **kwargs)
-    jumpy = run_recorded(prices, JUMPS, **kwargs)
-    assert sorted(jumpy.fit_inputs) == JUMPS
-    for t in JUMPS:
-        assert jumpy.fit_inputs[t] == daily.fit_inputs[t]
-        assert jumpy.predict_inputs[t] == daily.predict_inputs[t]
 
 
 @pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
 def test_rank_forecast_cache_matches_stateless_functions(trend, power):
     prices = make_prices(100, 4, seed=21).prices
-    learner = run_recorded(prices, JUMPS, lookback=20, refit_interval=3,
-                           feature_window=12, trend=trend, rank_power=power)
-    assert sorted(learner.fit_inputs) == JUMPS[::3]
-    for t, (feats, targets) in learner.fit_inputs.items():
+    learner = RecordingLearner(prices.shape[1])
+    RankForecastStrategy(learner, lookback=20, refit_interval=3,
+                         feature_window=12, trend=trend,
+                         rank_power=power).run(prices, 37, 100)
+    # refits on days 37, 40, ..., 100; one prediction per day
+    fit_days = range(37, 101, 3)
+    assert len(learner.fit_inputs) == len(fit_days)
+    for t, (feats, targets) in zip(fit_days, learner.fit_inputs):
         want_f, want_t = training_set(prices[:t], 20, power, 12, trend)
         assert feats == want_f.tobytes()
         assert targets == want_t.tobytes()
-    for t in JUMPS:
+    assert len(learner.predict_inputs) == 64
+    for t, seen in zip(range(37, 101), learner.predict_inputs):
         want = features_from_window(prices[t - 12: t], trend)
-        assert learner.predict_inputs[t] == want.tobytes()
+        assert seen == want.tobytes()

@@ -20,14 +20,6 @@ def test_annualized_return_mean_mode():
     assert annualized_return(SERIES) == pytest.approx(0.5)
 
 
-def test_annualized_return_sqrt_sum_mode():
-    # sqrt(250) * 0.01
-    assert annualized_return(SERIES, mode="sqrt-sum") == pytest.approx(
-        math.sqrt(250) * 0.01)
-    with pytest.raises(ValueError):
-        annualized_return(SERIES, mode="bogus")
-
-
 def test_annualized_volatility_population_std():
     v = np.asarray(SERIES)
     assert annualized_volatility(SERIES) == pytest.approx(

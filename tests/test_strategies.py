@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 
 from rankfolio.engine import BacktestConfig, build_strategy
+from rankfolio.features import (features_from_window, scores_to_weights,
+                                training_set)
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import (CLASSIC_NAMES, Anticor, Bnn, BuyAndHold,
                                   Corn, Cwmr, ExponentiatedGradient,
                                   FixedWeights, Olmar, Pamr, Rmr, UniformCRP,
-                                  UniversalSampler, bcrp_hindsight,
-                                  uniform_weights)
+                                  UniversalSampler, _relative_windows,
+                                  bcrp_hindsight, uniform_weights)
 
 import oracles
 from conftest import make_prices
 
 
-def step_through(strategy, prices, start=1):
-    """Feed growing prefixes like the engine does; return the last weights."""
-    out = None
-    for t in range(start, prices.shape[0] + 1):
-        out = strategy.step(prices[:t])
-    return out
+def last_day(strategy, prices):
+    """Weights of the last day of ``prices``, from a one-day run."""
+    t = prices.shape[0]
+    return strategy.run(prices, t, t)[0]
+
+
+def all_days(strategy, prices):
+    """Weights of every day of ``prices``, from one run."""
+    return strategy.run(prices, 1, prices.shape[0])
 
 
 @pytest.fixture
@@ -35,26 +40,18 @@ def test_registry_names():
                              "pamr", "cwmr", "olmar", "rmr", "bnn", "corn")
 
 
-def test_step_requires_growing_history(walk):
-    s = UniformCRP()
-    s.step(walk[:5])
-    with pytest.raises(ValueError, match="grow"):
-        s.step(walk[:5])
-    with pytest.raises(ValueError, match="grow"):
-        s.step(walk[:3])
-
-
 def test_step_rejects_bad_history():
-    s = UniformCRP()
-    with pytest.raises(ValueError):
-        s.step(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        s.step(np.empty((0, 2)))
+    # a one-day run on a 1-d or an empty price array
+    for make in (UniformCRP, BuyAndHold, Rmr, Bnn, Corn):
+        with pytest.raises(ValueError):
+            make().run(np.array([1.0, 2.0]), 1, 1)
+        with pytest.raises(ValueError):
+            make().run(np.empty((0, 2)), 1, 1)
 
 
 def test_replay_single_call_equals_daily_stepping(walk):
-    # recursion replays from day 1, so one call on the full history must
-    # match feeding prefixes one day at a time
+    # recursion replays from day 1, so a one-day run on the full history
+    # must match the last row of a run over every day
     makers = [
         lambda: ExponentiatedGradient(0.05),
         lambda: Pamr(0.5),
@@ -67,20 +64,18 @@ def test_replay_single_call_equals_daily_stepping(walk):
         lambda: Corn(0.1, 3),
     ]
     for make in makers:
-        stepped = step_through(make(), walk)
-        oneshot = make().step(walk)
-        np.testing.assert_array_equal(stepped, oneshot)
+        daily = all_days(make(), walk)[-1]
+        oneshot = last_day(make(), walk)
+        np.testing.assert_array_equal(daily, oneshot)
 
 
 def test_replay_is_window_start_independent(walk):
-    # first call at day 30 must equal the day-30 output of an instance
-    # stepped from day 10 (output depends only on the history prefix)
+    # a run starting at day 30 must equal the day-30 row of a run starting
+    # at day 10 (output depends only on the history prefix)
     for make in (lambda: Pamr(0.5), lambda: Olmar(5, 10.0),
                  lambda: Anticor(5), lambda: ExponentiatedGradient(0.05)):
-        early = make()
-        for t in range(10, 31):
-            at_30 = early.step(walk[:t])
-        late = make().step(walk[:30])
+        at_30 = make().run(walk[:30], 10, 30)[-1]
+        late = last_day(make(), walk[:30])
         np.testing.assert_array_equal(at_30, late)
 
 
@@ -92,9 +87,7 @@ def test_all_outputs_on_simplex(walk):
         "cwmr": Cwmr, "olmar": Olmar, "rmr": Rmr, "bnn": Bnn, "corn": Corn,
     }
     for name, make in makers.items():
-        s = make()
-        for t in range(1, walk.shape[0] + 1):
-            w = s.step(walk[:t])
+        for w in all_days(make(), walk):
             assert w.min() >= -1e-12, name
             assert abs(w.sum() - 1.0) <= 1e-9, name
 
@@ -102,54 +95,48 @@ def test_all_outputs_on_simplex(walk):
 # --- individual strategies ------------------------------------------------------
 
 def test_bah_drifts_from_uniform(walk):
-    s = BuyAndHold()
-    w1 = s.step(walk[:1])
-    np.testing.assert_array_equal(w1, uniform_weights(4))
-    w_last = step_through(s, walk, start=2)
+    rows = all_days(BuyAndHold(), walk)
+    np.testing.assert_array_equal(rows[0], uniform_weights(4))
     growth = walk[-1] / walk[0]
-    np.testing.assert_allclose(w_last, growth / growth.sum(), rtol=1e-12)
+    np.testing.assert_allclose(rows[-1], growth / growth.sum(), rtol=1e-12)
 
 
 def test_bah_anchors_at_first_call(walk):
     # starting later re-anchors the basket: that day becomes the buy day
-    s = BuyAndHold()
-    w = s.step(walk[:20])
+    w, w2 = BuyAndHold().run(walk[:21], 20, 21)
     np.testing.assert_array_equal(w, uniform_weights(4))
-    w2 = s.step(walk[:21])
     growth = walk[20] / walk[19]
     np.testing.assert_allclose(w2, growth / growth.sum(), rtol=1e-12)
 
 
 def test_ucrp_always_uniform(walk):
-    s = UniformCRP()
+    rows = all_days(UniformCRP(), walk[:30])
     for t in (1, 2, 30):
-        np.testing.assert_array_equal(s.step(walk[:t]), uniform_weights(4))
+        np.testing.assert_array_equal(rows[t - 1], uniform_weights(4))
 
 
 def test_fixed_weights_repeats_target(walk):
     target = np.array([0.7, 0.1, 0.1, 0.1])
-    s = FixedWeights(target)
-    np.testing.assert_array_equal(s.step(walk[:3]), target)
+    np.testing.assert_array_equal(last_day(FixedWeights(target), walk[:3]),
+                                  target)
     with pytest.raises(ValueError, match="match"):
-        FixedWeights(np.array([0.5, 0.5])).step(walk[:2])
+        last_day(FixedWeights(np.array([0.5, 0.5])), walk[:2])
 
 
 def test_eg_matches_oracle(walk):
-    w = ExponentiatedGradient(0.05).step(walk)
+    w = last_day(ExponentiatedGradient(0.05), walk)
     np.testing.assert_allclose(w, oracles.eg_oracle(walk, 0.05), atol=1e-12)
 
 
 def test_eg_zero_eta_stays_uniform(walk):
-    w = ExponentiatedGradient(0.0).step(walk)
+    w = last_day(ExponentiatedGradient(0.0), walk)
     np.testing.assert_allclose(w, uniform_weights(4), atol=1e-15)
 
 
 def test_eg_large_eta_stays_on_simplex():
     # eta * x / (w @ x) reaches about 1000 here: exp of it alone overflows
     prices = make_prices(60, 3, seed=7).prices
-    eg = ExponentiatedGradient(1000.0)
-    for t in range(1, prices.shape[0] + 1):
-        w = eg.step(prices[:t])
+    for w in all_days(ExponentiatedGradient(1000.0), prices):
         assert np.isfinite(w).all()
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0)
@@ -161,30 +148,30 @@ def test_eg_rejects_negative_eta():
 
 
 def test_pamr_matches_oracle(walk):
-    w = Pamr(0.5).step(walk)
+    w = last_day(Pamr(0.5), walk)
     np.testing.assert_allclose(w, oracles.pamr_oracle(walk, 0.5), atol=1e-9)
 
 
 def test_pamr_passive_when_return_below_eps(walk):
     # with a huge eps the update never fires
-    w = Pamr(100.0).step(walk)
+    w = last_day(Pamr(100.0), walk)
     np.testing.assert_array_equal(w, uniform_weights(4))
 
 
 def test_olmar_matches_oracle(walk):
-    w = Olmar(5, 10.0).step(walk)
+    w = last_day(Olmar(5, 10.0), walk)
     np.testing.assert_allclose(w, oracles.olmar_oracle(walk, 5, 10.0),
                                atol=1e-9)
 
 
 def test_rmr_matches_oracle(walk):
     strat = Rmr(5, 5.0, median_tol=1e-12, median_max_iter=2000)
-    w = strat.step(walk)
+    w = last_day(strat, walk)
     np.testing.assert_allclose(w, oracles.rmr_oracle(walk, 5, 5.0), atol=1e-7)
 
 
 def test_cwmr_matches_oracle(walk):
-    w = Cwmr(0.95, 0.5).step(walk)
+    w = last_day(Cwmr(0.95, 0.5), walk)
     np.testing.assert_allclose(w, oracles.cwmr_oracle(walk, 0.95, 0.5),
                                atol=1e-9)
 
@@ -197,28 +184,25 @@ def test_cwmr_confidence_bounds():
 
 
 def test_anticor_matches_oracle(walk):
-    w = Anticor(5).step(walk)
+    w = last_day(Anticor(5), walk)
     np.testing.assert_allclose(w, oracles.anticor_oracle(walk, 5), atol=1e-10)
 
 
 def test_anticor_uniform_until_two_windows(walk):
-    s = Anticor(5)
-    for t in range(1, 12):
-        w = s.step(walk[:t])
-        if t - 1 < 10:
-            np.testing.assert_array_equal(w, uniform_weights(4))
-    assert not np.array_equal(w, uniform_weights(4))
+    rows = all_days(Anticor(5), walk[:11])
+    for w in rows[:10]:
+        np.testing.assert_array_equal(w, uniform_weights(4))
+    assert not np.array_equal(rows[10], uniform_weights(4))
 
 
 def test_up_matches_oracle(walk):
-    w = UniversalSampler(200, seed=10).step(walk)
+    w = last_day(UniversalSampler(200, seed=10), walk)
     np.testing.assert_allclose(w, oracles.up_oracle(walk, 200, 10),
                                atol=1e-12)
 
 
 def test_up_first_day_is_sample_mean(walk):
-    s = UniversalSampler(500, seed=10)
-    w = s.step(walk[:1])
+    w = last_day(UniversalSampler(500, seed=10), walk[:1])
     rng = np.random.default_rng(10)
     crps = rng.dirichlet(np.ones(4), size=500)
     np.testing.assert_allclose(w, crps.mean(axis=0), atol=1e-12)
@@ -230,7 +214,7 @@ def test_up_rescale_keeps_weights_invariant():
     prices = np.ones((8, 3))
     for t in range(1, 8):
         prices[t] = prices[t - 1] * np.array([1e40, 1e39, 1e41])
-    w = UniversalSampler(50, seed=4).step(prices)
+    w = last_day(UniversalSampler(50, seed=4), prices)
     rng = np.random.default_rng(4)
     crps = rng.dirichlet(np.ones(3), size=50)
     log_w = np.zeros(50)
@@ -243,8 +227,8 @@ def test_up_rescale_keeps_weights_invariant():
 
 
 def test_up_seed_changes_output(walk):
-    w_a = UniversalSampler(100, seed=1).step(walk)
-    w_b = UniversalSampler(100, seed=2).step(walk)
+    w_a = last_day(UniversalSampler(100, seed=1), walk)
+    w_b = last_day(UniversalSampler(100, seed=2), walk)
     assert not np.array_equal(w_a, w_b)
 
 
@@ -252,43 +236,43 @@ def test_bnn_neighbor_selection_matches_oracle(walk):
     picked = oracles.bnn_neighbor_indices(walk, neighbors=4, window=3)
     rels = walk[1:] / walk[:-1]
     expected = log_optimal_portfolio(rels[picked])
-    got = Bnn(4, 3).step(walk)
+    got = last_day(Bnn(4, 3), walk)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_bnn_uniform_until_enough_history(walk):
-    s = Bnn(10, 5)
+    rows = all_days(Bnn(10, 5), walk[:16])
     # needs neighbors + window + 1 = 16 days before the first real output
-    for t in range(1, 16):
-        np.testing.assert_array_equal(s.step(walk[:t]), uniform_weights(4))
-    assert not np.array_equal(s.step(walk[:16]), uniform_weights(4))
+    for w in rows[:15]:
+        np.testing.assert_array_equal(w, uniform_weights(4))
+    assert not np.array_equal(rows[15], uniform_weights(4))
 
 
 def test_bnn_tie_break_prefers_earliest_window():
-    # periodic prices make every same-phase window identical; the stable
-    # order must pick the earliest ones
-    base = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]])
-    prices = np.vstack([base[np.arange(18) % 2], [[1.0, 1.0]]])
-    prices = np.cumsum(np.zeros_like(prices), axis=0) + prices
-    picked = oracles.bnn_neighbor_indices(prices, neighbors=3, window=2)
-    d2 = None
-    got = Bnn(3, 2).step(prices)
-    rels = prices[1:] / prices[:-1]
-    np.testing.assert_array_equal(got, log_optimal_portfolio(rels[picked]))
-    assert picked == sorted(picked)
+    # period-2 prices make every same-phase window identical: 19 of the 38
+    # candidates tie at distance 0. From 17 entries up numpy's default sort
+    # reorders ties (to [0 2 6 4 12] here), so only a stable sort picks the
+    # earliest windows in order. Tied windows have identical successors, so
+    # the chosen indices are checked, not the weights.
+    prices = np.array([[1.0, 1.0], [2.0, 1.0]])[np.arange(41) % 2]
+    windows, _ = _relative_windows(prices, 2)
+    picked = Bnn(5, 2)._matcher(windows)(len(windows) - 1)
+    assert picked.tolist() == [0, 2, 4, 6, 8]
+    assert (picked + 2).tolist() == oracles.bnn_neighbor_indices(
+        prices, neighbors=5, window=2)
 
 
 def test_corn_match_set_matches_oracle(walk):
     matched = oracles.corn_matched_indices(walk, rho=0.1, window=3)
     rels = walk[1:] / walk[:-1]
     expected = log_optimal_portfolio(rels[matched])
-    got = Corn(0.1, 3).step(walk)
+    got = last_day(Corn(0.1, 3), walk)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_corn_no_match_gives_uniform(walk):
     # rho = 1 + epsilon is impossible to clear except by exact correlation 1
-    w = Corn(1.0, 3).step(walk[:20])
+    w = last_day(Corn(1.0, 3), walk[:20])
     matched = oracles.corn_matched_indices(walk[:20], rho=1.0, window=3)
     if not matched:
         np.testing.assert_array_equal(w, uniform_weights(4))
@@ -309,7 +293,7 @@ def test_corn_constant_window_correlates_zero():
     for rho, matched in ((0.0, m_zero), (0.1, m_small)):
         expected = (log_optimal_portfolio(rels[matched]) if matched
                     else uniform_weights(2))
-        np.testing.assert_array_equal(Corn(rho, 2).step(prices), expected)
+        np.testing.assert_array_equal(last_day(Corn(rho, 2), prices), expected)
 
 
 def test_parameter_validation():
@@ -353,33 +337,70 @@ def fresh(name, config, prices, t_first, t_last):
     return build_strategy(name, config)
 
 
-def step_rows(name, config, prices, t_first, t_last):
+def step_days(t_first, t_last, extra=()):
+    """The days checked against one-day runs: both ends of the span, the
+    days next to them, its middle, and ``extra``."""
+    days = {t_first, t_first + 1, (t_first + t_last) // 2, t_last - 1, t_last,
+            *extra}
+    return sorted(t for t in days if t_first <= t <= t_last)
+
+
+def step_row(name, config, prices, t, t_first, t_last):
+    """Day t from a fresh one-day run on ``prices[:t]``; bah buys at
+    t_first, so its run is cut at day t instead."""
     strategy = fresh(name, config, prices, t_first, t_last)
-    return np.array([strategy.step(prices[:t])
-                     for t in range(t_first, t_last + 1)])
+    if name == "bah":
+        return strategy.run(prices[:t], t_first, t)[-1]
+    return strategy.run(prices[:t], t, t)[0]
 
 
 def day_rows(name, config, prices, t_first, t_last):
-    """BNN and CORN rows from the former per-day code in the oracles."""
+    """RMR, BNN and CORN rows from the former per-day code in the oracles;
+    learner rows from a per-day loop over ``training_set`` and a learner
+    refitted afresh on the run's refit days."""
+    days = range(t_first, t_last + 1)
     if name == "bnn":
         return np.array([oracles.bnn_day(prices[:t], config.bnn_neighbors,
-                                         config.bnn_window)
-                         for t in range(t_first, t_last + 1)])
-    return np.array([oracles.corn_day(prices[:t], config.corn_rho,
-                                      config.corn_window)
-                     for t in range(t_first, t_last + 1)])
+                                         config.bnn_window) for t in days])
+    if name == "corn":
+        return np.array([oracles.corn_day(prices[:t], config.corn_rho,
+                                          config.corn_window) for t in days])
+    rows = []
+    if name == "rmr":
+        w = uniform_weights(prices.shape[1])
+        for t in range(1, t_last + 1):
+            w = oracles.rmr_day(prices[:t], w, config.rmr_window,
+                                config.rmr_eps)
+            rows.append(w)
+        return np.array(rows[t_first - 1:])
+    fw, trend = config.feature_window, config.trend_feature
+    for i, t in enumerate(days):
+        if i % config.refit_interval == 0:
+            learner = build_strategy(name, config).learner
+            learner.fit(*training_set(prices[:t], config.lookback,
+                                      config.rank_power, fw, trend))
+        scores = learner.predict(features_from_window(prices[t - fw: t], trend))
+        rows.append(scores_to_weights(scores))
+    return np.array(rows)
 
 
-def assert_run_equals_step_loop(name, config, prices, spans):
+def assert_run_equals_step_loop(name, config, prices, spans, extra_days=()):
+    """Each row of a run equals, byte for byte, its day computed on its own:
+    a one-day run for the classics, the per-day references for rmr, bnn,
+    corn and the learners."""
     for t_first, t_last in spans:
         got = fresh(name, config, prices, t_first, t_last).run(
             prices[:t_last], t_first, t_last)
         assert got.shape == (t_last - t_first + 1, prices.shape[1])
-        want = step_rows(name, config, prices, t_first, t_last)
-        assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
-        if name in ("bnn", "corn"):
+        if name in ("rmr", "bnn", "corn", "mlp", "knn"):
             want = day_rows(name, config, prices, t_first, t_last)
             assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
+        if name in ("mlp", "knn"):  # their refit days anchor at t_first
+            continue
+        for t in step_days(t_first, t_last, extra_days):
+            want = step_row(name, config, prices, t, t_first, t_last)
+            assert got[t - t_first].tobytes() == want.tobytes(), (
+                name, t_first, t_last, t)
 
 
 @pytest.mark.parametrize("name", [s for s in CLASSIC_NAMES + ("mlp", "knn")
@@ -398,9 +419,12 @@ def test_run_equals_step_loop_windows(long_walk, name, window):
     config = BacktestConfig(**{f"{name}_window": window})
     # RMR's median blocks hold 256 windows: its last block ends mid-block at
     # t_last = 299 for every window and at 259 for windows <= 3; the other
-    # spans end inside the first block, at 259 or after a single window
+    # spans end inside the first block, at 259 or after a single window.
+    # Days window + 255 and window + 256 sit on either side of RMR's first
+    # block edge, and their one-day runs end a block there.
     assert_run_equals_step_loop(name, config, long_walk,
-                                ((1, 299), (100, 259), (1, window)))
+                                ((1, 299), (100, 259), (1, window)),
+                                extra_days=(window + 255, window + 256))
 
 
 def test_run_only_sees_prices_up_to_t_last(walk):
@@ -411,6 +435,17 @@ def test_run_only_sees_prices_up_to_t_last(walk):
         cut = build_strategy(name, BacktestConfig()).run(walk[:50], 10, 50)
         full = build_strategy(name, BacktestConfig()).run(walk, 10, 50)
         assert cut.tobytes() == full.tobytes(), name
+
+
+def test_run_twice_gives_the_same_rows(walk):
+    # state a run builds (UP's samples, CWMR's belief, a learner's fit) must
+    # not leak into the next run on the same strategy
+    config = BacktestConfig(**RUN_ML)
+    for name in CLASSIC_NAMES + ("mlp", "knn"):
+        t_first = 31 if name in ("mlp", "knn") else 1
+        strategy = fresh(name, config, walk, t_first, 60)
+        first = strategy.run(walk, t_first, 60)
+        assert strategy.run(walk, t_first, 60).tobytes() == first.tobytes(), name
 
 
 def test_run_rejects_bad_window(walk):
