@@ -327,17 +327,11 @@ def cmd_compare(args) -> int:
     bench = run_backtest(matrix, config.benchmark, aligned)
     out = _out_dir(args)
     rows = []
+    # a failing strategy fails the whole command: no partial table
     for strategy_id in strategies:
-        try:
-            result = run_backtest(matrix, strategy_id, aligned)
-            report = result.report("net", bench.net)
-        except (ValueError, RuntimeError) as exc:
-            print(f"warning: skipping {strategy_id}: {exc}", file=sys.stderr)
-            continue
-        rows.append((strategy_id, report))
+        result = run_backtest(matrix, strategy_id, aligned)
+        rows.append((strategy_id, result.report("net", bench.net)))
         write_returns_csv(out / f"returns_{_file_label(strategy_id)}.csv", result)
-    if not rows:
-        raise RuntimeError("every requested strategy failed")
 
     table = write_metrics_outputs(out, "compare", "strategy", rows)
     write_manifest(out, "compare", args.data, config,

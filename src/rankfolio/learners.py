@@ -1,9 +1,11 @@
 """Learners (an MLP and brute-force kNN regression) and the rank-forecast
 trading strategy they drive.
 
-A learner owns its feature standardization: ``fit`` receives raw features and
-targets, ``predict`` one raw feature vector. The interface is deliberately
-minimal so other regressors (forests, boosted trees) can slot in later.
+A learner owns its feature standardization: ``fit`` receives a stack of raw
+training blocks (features and targets), ``predict`` the index of a block and
+one raw feature vector, which it scores with that block's model. The
+interface is deliberately minimal so other regressors (forests, boosted
+trees) can slot in later.
 """
 
 from __future__ import annotations
@@ -15,19 +17,27 @@ from .features import (Normalizer, RankPower, check_history,
 from .mlp import MlpModel, mlp_predict, mlp_train
 from .strategies import Strategy, _run_prices
 
+# The learners fit their refits in stacks of up to this many consecutive
+# refits, counted from the run's first refit: the MLP trains each stack in
+# lockstep, and its scratch memory stays bounded whatever the run length.
+_REFIT_BLOCK = 8
+
 
 class Learner:
-    """fit(features, targets) then predict(feature_vec) -> score vector."""
+    """fit(features, targets) on a (B, rows, d) / (B, rows, k) stack of
+    training blocks, then predict(block, feature_vec) -> the score vector of
+    the model fitted on that block."""
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> None:
         raise NotImplementedError
 
-    def predict(self, feature_vec: np.ndarray) -> np.ndarray:
+    def predict(self, block: int, feature_vec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class MlpLearner(Learner):
-    """Fresh fully connected network per fit, seeded for reproducibility."""
+    """Fresh fully connected network per block, seeded for reproducibility;
+    the blocks of one fit train in lockstep as one stack."""
 
     def __init__(self, hidden: tuple[int, ...] = (20, 20), epochs: int = 200,
                  learning_rate: float = 1e-3, batch_size: int = 0,
@@ -37,22 +47,23 @@ class MlpLearner(Learner):
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.seed = seed
-        self.normalizer: Normalizer | None = None
-        self.model: MlpModel | None = None
+        self.normalizers: list[Normalizer] = []
+        self.models: list[MlpModel] = []
 
     def fit(self, features, targets):
-        self.normalizer = Normalizer.fit(features)
-        self.model = mlp_train(
-            self.normalizer.transform(features), targets,
-            hidden=self.hidden, epochs=self.epochs,
+        self.normalizers = [Normalizer.fit(f) for f in features]
+        self.models = mlp_train(
+            np.stack([n.transform(f) for n, f in zip(self.normalizers, features)]),
+            targets, hidden=self.hidden, epochs=self.epochs,
             learning_rate=self.learning_rate, batch_size=self.batch_size,
             seed=self.seed,
-        )
+        ).unstack()
 
-    def predict(self, feature_vec):
-        if self.model is None or self.normalizer is None:
+    def predict(self, block, feature_vec):
+        if not self.models:
             raise ValueError("predict before fit")
-        return mlp_predict(self.model, feature_vec, self.normalizer)
+        return mlp_predict(self.models[block], feature_vec,
+                           self.normalizers[block])
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
@@ -79,26 +90,26 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
 
 
 class KnnLearner(Learner):
-    """Stores the standardized training block; predicts by neighbor average."""
+    """Stores each standardized training block; predicts by neighbor average."""
 
     def __init__(self, k: int = 15):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.normalizer: Normalizer | None = None
-        self._features: np.ndarray | None = None
+        self.normalizers: list[Normalizer] = []
+        self._features: list[np.ndarray] = []
         self._targets: np.ndarray | None = None
 
     def fit(self, features, targets):
-        self.normalizer = Normalizer.fit(features)
-        self._features = self.normalizer.transform(features)
-        self._targets = np.asarray(targets, dtype=np.float64).copy()
+        self.normalizers = [Normalizer.fit(f) for f in features]
+        self._features = [n.transform(f) for n, f in zip(self.normalizers, features)]
+        self._targets = np.array(targets, dtype=np.float64)
 
-    def predict(self, feature_vec):
-        if self._features is None:
+    def predict(self, block, feature_vec):
+        if not self._features:
             raise ValueError("predict before fit")
-        return knn_predict(self._features, self._targets,
-                           self.normalizer.transform(feature_vec), self.k)
+        return knn_predict(self._features[block], self._targets[block],
+                           self.normalizers[block].transform(feature_vec), self.k)
 
 
 class RankForecastStrategy(Strategy):
@@ -106,7 +117,9 @@ class RankForecastStrategy(Strategy):
 
     Refits on trading days t_first, t_first + ``refit_interval``, ... on the
     trailing ``lookback`` days, then turns predicted scores into long-only
-    weights by clipping and normalizing.
+    weights by clipping and normalizing. The refits of a run are fitted in
+    blocks of up to ``_REFIT_BLOCK`` (8) consecutive refits, one ``fit`` call
+    per block, so the MLP trains each block's networks in lockstep.
 
     ``run`` featurizes each day once: one ``training_set`` call covers the
     feature rows and targets of every day the run trains on. The block a
@@ -139,9 +152,13 @@ class RankForecastStrategy(Strategy):
                                       self.rank_power, fw, self.trend)
         feats = np.vstack([feats, features_from_window(prices[-fw:], self.trend)])
         out = np.empty((days, prices.shape[1]))
-        for i in range(days):
-            if i % self.refit_interval == 0:
-                self.learner.fit(feats[i: i + lookback],
-                                 targets[i: i + lookback])
-            out[i] = scores_to_weights(self.learner.predict(feats[i + lookback]))
+        refits = range(0, days, self.refit_interval)
+        for s in range(0, len(refits), _REFIT_BLOCK):
+            block = refits[s: s + _REFIT_BLOCK]
+            self.learner.fit(np.stack([feats[i: i + lookback] for i in block]),
+                             np.stack([targets[i: i + lookback] for i in block]))
+            for b, i in enumerate(block):
+                for t in range(i, min(i + self.refit_interval, days)):
+                    out[t] = scores_to_weights(
+                        self.learner.predict(b, feats[t + lookback]))
         return out

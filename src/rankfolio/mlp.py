@@ -1,6 +1,10 @@
 """A small fully connected regressor: ReLU hidden layers, identity output,
 trained with Adam on mean squared error. Written against plain numpy so the
 gradients can be verified against finite differences.
+
+``mlp_train`` trains a stack of networks in lockstep, one per training block;
+the rank-forecast strategy trains its refits in blocks of 8 consecutive
+refits this way. ``loss_and_gradients`` serves one network and a stack alike.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class MlpModel:
-    """Parameters of the network; ``layer_sizes`` includes input and output."""
+    """Parameters of the network, or of a stack of networks (a leading stack
+    axis on every weight and bias, one loss curve per network);
+    ``layer_sizes`` includes input and output."""
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
@@ -51,23 +57,32 @@ class MlpModel:
         out = _activations(self, x)[-1]
         return out[0] if single else out
 
+    def unstack(self) -> list["MlpModel"]:
+        """The networks of a stacked model (weights (B, fan_in, fan_out)),
+        each with views into this model's parameters and its own loss curve."""
+        return [MlpModel(self.layer_sizes, [w[b] for w in self.weights],
+                         [c[b] for c in self.biases], self.seed, curve)
+                for b, curve in enumerate(self.loss_curve)]
+
 
 def _activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         acts.append(z if i == last else np.maximum(z, 0.0))
     return acts
 
 
 def _layer_views(sizes: tuple[int, ...], flat: np.ndarray):
-    """Weight and bias views into ``flat``, in ``initialize``'s draw order."""
+    """Weight and bias views into the last axis of ``flat``, in
+    ``initialize``'s draw order; a (B, P) ``flat`` gives stacked views."""
+    lead = flat.shape[:-1]
     weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         stop = start + fan_in * fan_out
-        weights.append(flat[start:stop].reshape(fan_in, fan_out))
-        biases.append(flat[stop:stop + fan_out])
+        weights.append(flat[..., start:stop].reshape(*lead, fan_in, fan_out))
+        biases.append(flat[..., stop:stop + fan_out])
         start = stop + fan_out
     return weights, biases
 
@@ -76,23 +91,28 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray,
                        targets: np.ndarray, out=None):
     """MSE over all output elements and its gradients w.r.t. every parameter.
 
-    Returns (loss, weight_grads, bias_grads) with grads ordered like the
-    model's parameter lists. They are fresh arrays unless ``out`` gives a
-    (weight_grads, bias_grads) pair of parameter-shaped arrays to fill.
+    The model is one network on (rows, d) features or a stack of B networks
+    (weights (B, fan_in, fan_out), biases (B, fan_out)) on (B, rows, d)
+    features, which gives B losses. Returns (loss, weight_grads, bias_grads)
+    with grads ordered like the model's parameter lists. They are fresh
+    arrays unless ``out`` gives a (weight_grads, bias_grads) pair of
+    parameter-shaped arrays to fill.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     acts = _activations(model, x)
     resid = acts[-1] - y
-    loss = float((resid * resid).mean())
-    delta = (2.0 / resid.size) * resid
+    sq = resid * resid
+    # each network's mean runs along one contiguous axis, as a flat mean does
+    loss = sq.reshape(*sq.shape[:-2], -1).mean(axis=-1)
+    delta = (2.0 / (resid.shape[-2] * resid.shape[-1])) * resid
     w_grads, b_grads = out or ([np.empty_like(w) for w in model.weights],
                                [np.empty_like(b) for b in model.biases])
     for i in reversed(range(len(model.weights))):
-        np.matmul(acts[i].T, delta, out=w_grads[i])
-        delta.sum(axis=0, out=b_grads[i])
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=w_grads[i])
+        delta.sum(axis=-2, out=b_grads[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+            delta = (delta @ model.weights[i].swapaxes(-1, -2)) * (acts[i] > 0)
     return loss, w_grads, b_grads
 
 
@@ -100,52 +120,68 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
               hidden: tuple[int, ...] = (20, 20), epochs: int = 200,
               learning_rate: float = 1e-3, batch_size: int = 0,
               seed: int = 10) -> MlpModel:
-    """Train a fresh network on (already standardized) features.
+    """Train fresh networks on (already standardized) features.
+
+    ``features`` (..., rows, d) and ``targets`` (..., rows, k) hold one
+    training block per network: (rows, d) trains one network, a (B, rows, d)
+    stack trains B of them. Every network starts from the same seeded init
+    and sees the same batch order, so a stack trains in lockstep: one stacked
+    forward/backward pass and one Adam update of the (B, P) parameter array
+    per batch. Each slice of a stacked matmul is its own BLAS call, so every
+    network comes out byte for byte as it would trained alone.
 
     ``batch_size = 0`` means full batch. The per-epoch training loss (before
-    that epoch's update) is recorded on ``model.loss_curve``; a non-finite
-    loss aborts with the epoch in the message. The parameters live in one flat
-    vector that ``model.weights`` and ``model.biases`` are views into.
+    that epoch's updates) is recorded on ``model.loss_curve``, one list per
+    network of a stack; a non-finite loss in any network aborts with the
+    epoch in the message. The parameters live in one array that
+    ``model.weights`` and ``model.biases`` are views into.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ValueError("features and targets must be 2-d")
-    if x.shape[0] != y.shape[0] or x.shape[0] < 1:
+    if x.ndim < 2 or x.ndim != y.ndim:
+        raise ValueError("features and targets must be 2-d, or stacks of equal rank")
+    if x.shape[:-1] != y.shape[:-1] or x.shape[-2] < 1:
         raise ValueError("features and targets need matching row counts >= 1")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if (batch_size or 0) < 0:
+    if batch_size < 0:
         raise ValueError("batch_size must be >= 0 (0 = full batch)")
 
-    model = MlpModel.initialize((x.shape[1], *hidden, y.shape[1]), seed)
-    theta = np.concatenate([np.append(w, b) for w, b in zip(model.weights, model.biases)])
-    model.weights, model.biases = _layer_views(model.layer_sizes, theta)
-    grad, step, scale = np.empty((3, theta.size))
-    grad_views = _layer_views(model.layer_sizes, grad)
-    m, v = np.zeros((2, theta.size))  # Adam moments
+    init = MlpModel.initialize((x.shape[-1], *hidden, y.shape[-1]), seed)
+    sizes, lead = init.layer_sizes, x.shape[:-2]
+    flat = np.concatenate([np.append(w, b) for w, b in zip(init.weights, init.biases)])
+    theta = np.tile(flat, (*lead, 1))
+    model = MlpModel(sizes, *_layer_views(sizes, theta), seed)
+    grad, step, scale = np.empty((3, *theta.shape))
+    grad_views = _layer_views(sizes, grad)
+    m, v = np.zeros((2, *theta.shape))  # Adam moments
     rng = np.random.default_rng(seed)
     steps = 0
 
-    rows = x.shape[0]
-    size = rows if batch_size in (0, None) else min(batch_size, rows)
+    rows = x.shape[-2]
+    size = rows if batch_size == 0 else min(batch_size, rows)
+    starts = range(0, rows, size)
+    # a network's batch losses lie along the last axis, so each epoch's mean
+    # runs along a contiguous axis, as the mean of a flat list does
+    epoch_losses = np.empty((*lead, len(starts)))
+    curves = np.empty((epochs, *lead))
     for epoch in range(epochs):
-        if size == rows:
-            batches = [(x, y)]
-        else:
-            perm = rng.permutation(rows)
-            batches = [(x[perm[i: i + size]], y[perm[i: i + size]])
-                       for i in range(0, rows, size)]
-        epoch_losses = []
-        for bx, by in batches:
+        perm = rng.permutation(rows) if size < rows else None
+        for j, start in enumerate(starts):
+            if perm is None:
+                bx, by = x, y
+            else:
+                batch = perm[start: start + size]
+                bx, by = x[..., batch, :], y[..., batch, :]
             loss = loss_and_gradients(model, bx, by, grad_views)[0]
-            epoch_losses.append(loss)
-            if not math.isfinite(loss):
-                raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
+            if not np.isfinite(loss).all():
+                bad = np.ravel(loss)[np.argmin(np.isfinite(loss))]
+                raise RuntimeError(f"training diverged at epoch {epoch}: loss={bad}")
+            epoch_losses[..., j] = loss
             steps += 1
             bias1 = 1.0 - ADAM_BETA1 ** steps
             bias2 = 1.0 - ADAM_BETA2 ** steps
-            # Adam on the whole vector, with a per-tensor update's order of
+            # Adam on the whole array, with a per-tensor update's order of
             # operations so the result matches one bit for bit
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
@@ -157,7 +193,8 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
             np.sqrt(np.divide(v, bias2, out=scale), out=scale)
             scale += ADAM_EPS
             theta -= np.divide(step, scale, out=step)
-        model.loss_curve.append(float(np.mean(epoch_losses)))
+        curves[epoch] = epoch_losses.mean(axis=-1)
+    model.loss_curve = np.moveaxis(curves, 0, -1).tolist()
     return model
 
 

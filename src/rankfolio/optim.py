@@ -100,24 +100,20 @@ def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
 
 def geometric_median(points: np.ndarray, tol: float = 1e-9,
                      max_iter: int = 200) -> np.ndarray:
-    """L1-median (spatial median) of the rows of ``points``, or of each window
-    of a stack.
+    """L1-median (spatial median) of the rows of each window of a stack.
 
-    ``points`` is one (m, n) window, which gives an (n,) median, or a (B, m, n)
-    stack of windows, which gives (B, n). Modified Weiszfeld iteration started
-    at the centroid, with the standard correction when an iterate coincides
-    with a data point. For two points the centroid start resolves the
-    degenerate segment to its midpoint. Each window stops on its own: once a
-    step moves it less than ``tol`` (it returns that step's iterate), when the
-    correction cannot move it off a data point, or after ``max_iter`` steps
-    (it returns its last iterate). A window's result does not depend on the
-    other windows of the stack.
+    ``points`` is a (B, m, n) stack of windows, which gives (B, n). Modified
+    Weiszfeld iteration started at the centroid, with the standard correction
+    when an iterate coincides with a data point. For two points the centroid
+    start resolves the degenerate segment to its midpoint. Each window stops
+    on its own: once a step moves it less than ``tol`` (it returns that
+    step's iterate), when the correction cannot move it off a data point, or
+    after ``max_iter`` steps (it returns its last iterate). A window's result
+    does not depend on the other windows of the stack.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 2:
-        return geometric_median(pts[None], tol, max_iter)[0]
     if pts.ndim != 3 or pts.shape[1] < 1:
-        raise ValueError("points must be a non-empty 2-d array or a 3-d stack")
+        raise ValueError("points must be a 3-d stack of non-empty windows")
     result = pts.mean(axis=1)
     live = np.arange(pts.shape[0])  # windows still iterating
     y = result.copy()

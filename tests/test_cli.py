@@ -390,6 +390,22 @@ def test_bad_classic_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     assert not (tmp_path / "b").exists()
 
 
+def test_compare_failing_strategy_fails_the_command(data_csv, ml_config,
+                                                    tmp_path, capsys):
+    # a learning rate this large passes config validation, but training
+    # diverges; compare used to warn, drop the row and exit 0
+    conf = tmp_path / "diverge.conf"
+    conf.write_text(ml_config.read_text() + "mlp_learning_rate = 1e150\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("compare", "--data", data_csv, "--strategies",
+                       "mlp,ucrp", "--config", conf, "--out", tmp_path / "c")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: training diverged at epoch" in err
+    assert "skipping" not in err
+    assert not (tmp_path / "c" / "compare.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["backtest", "plotdata", "sweep-fees"])
 @pytest.mark.parametrize("bench_id", ["nope", "knn"])
 def test_bad_benchmark_exits_2_before_the_run(data_csv, tmp_path, capsys,

@@ -14,38 +14,41 @@ from conftest import make_prices
 def test_base_learner_is_abstract():
     learner = Learner()
     with pytest.raises(NotImplementedError):
-        learner.fit(np.zeros((2, 2)), np.zeros((2, 1)))
+        learner.fit(np.zeros((1, 2, 2)), np.zeros((1, 2, 1)))
     with pytest.raises(NotImplementedError):
-        learner.predict(np.zeros(2))
+        learner.predict(0, np.zeros(2))
 
 
 def test_predict_before_fit_raises():
     with pytest.raises(ValueError, match="before fit"):
-        MlpLearner().predict(np.zeros(4))
+        MlpLearner().predict(0, np.zeros(4))
     with pytest.raises(ValueError, match="before fit"):
-        KnnLearner().predict(np.zeros(4))
+        KnnLearner().predict(0, np.zeros(4))
 
 
 def test_knn_learner_standardizes_then_averages():
     rng = np.random.default_rng(41)
-    feats = rng.normal(3.0, 5.0, size=(30, 6))
-    targets = rng.normal(size=(30, 3))
+    # two blocks: each is standardized and searched on its own
+    feats = rng.normal(3.0, 5.0, size=(2, 30, 6))
+    feats[1] *= 3.0
+    targets = rng.normal(size=(2, 30, 3))
     learner = KnnLearner(k=4)
     learner.fit(feats, targets)
     q = rng.normal(3.0, 5.0, size=6)
-    norm = Normalizer.fit(feats)
-    expected = knn_predict(norm.transform(feats), targets,
-                           norm.transform(q), 4)
-    np.testing.assert_array_equal(learner.predict(q), expected)
+    for block in range(2):
+        norm = Normalizer.fit(feats[block])
+        expected = knn_predict(norm.transform(feats[block]), targets[block],
+                               norm.transform(q), 4)
+        np.testing.assert_array_equal(learner.predict(block, q), expected)
 
 
 def test_knn_learner_copies_targets():
     feats = np.random.default_rng(1).normal(size=(5, 2))
     targets = np.ones((5, 2))
     learner = KnnLearner(k=5)
-    learner.fit(feats, targets)
+    learner.fit(feats[None], targets[None])
     targets[:] = 99.0
-    np.testing.assert_array_equal(learner.predict(feats[0]), [1.0, 1.0])
+    np.testing.assert_array_equal(learner.predict(0, feats[0]), [1.0, 1.0])
 
 
 def test_knn_learner_validates_k():
@@ -55,32 +58,37 @@ def test_knn_learner_validates_k():
 
 def test_mlp_learner_deterministic_and_standardized():
     rng = np.random.default_rng(42)
-    feats = rng.normal(10.0, 4.0, size=(25, 8))
-    targets = rng.normal(size=(25, 2))
+    feats = rng.normal(10.0, 4.0, size=(2, 25, 8))
+    targets = rng.normal(size=(2, 25, 2))
     a = MlpLearner(hidden=(5,), epochs=10, seed=3)
     b = MlpLearner(hidden=(5,), epochs=10, seed=3)
     a.fit(feats, targets)
     b.fit(feats, targets)
     q = rng.normal(10.0, 4.0, size=8)
-    np.testing.assert_array_equal(a.predict(q), b.predict(q))
-    # the network sees z-scored features
-    z = a.normalizer.transform(q)
-    np.testing.assert_array_equal(a.predict(q), a.model.forward(z))
+    for block in range(2):
+        np.testing.assert_array_equal(a.predict(block, q), b.predict(block, q))
+        # each block's network sees features z-scored by that block
+        z = a.normalizers[block].transform(q)
+        np.testing.assert_array_equal(a.predict(block, q),
+                                      a.models[block].forward(z))
+    assert not np.array_equal(a.predict(0, q), a.predict(1, q))
 
 
 class CountingLearner(Learner):
-    """Records fit calls; predicts a fixed positive score vector."""
+    """Records refits and fit calls; predicts a fixed positive score vector."""
 
     def __init__(self, n):
         self.n = n
         self.fits = 0
         self.fit_rows = []
+        self.block_sizes = []
 
     def fit(self, features, targets):
-        self.fits += 1
-        self.fit_rows.append(features.shape[0])
+        self.fits += len(features)
+        self.fit_rows.extend(f.shape[0] for f in features)
+        self.block_sizes.append(len(features))
 
-    def predict(self, feature_vec):
+    def predict(self, block, feature_vec):
         return np.arange(1.0, self.n + 1.0)
 
 
@@ -93,6 +101,19 @@ def test_rank_forecast_refit_cadence():
     # 20 days, refit on days 41, 45, 49, 53, 57
     assert learner.fits == 5
     assert learner.fit_rows == [30] * 5
+    assert learner.block_sizes == [5]
+
+
+@pytest.mark.parametrize("refits,blocks", [(7, [7]), (8, [8]), (9, [8, 1]),
+                                           (17, [8, 8, 1])])
+def test_rank_forecast_fits_refits_in_blocks_of_eight(refits, blocks):
+    pm = make_prices(70, 3, seed=15)
+    learner = CountingLearner(3)
+    strat = RankForecastStrategy(learner, lookback=20, refit_interval=2,
+                                 feature_window=10)
+    # refits on days 31, 33, ..., one fit call per block of 8
+    strat.run(pm.prices, 31, 31 + 2 * refits - 1)
+    assert learner.block_sizes == blocks
 
 
 def test_rank_forecast_weights_from_scores():
@@ -122,7 +143,7 @@ def test_rank_forecast_trains_on_trailing_window():
     class Capture(CountingLearner):
         def fit(self, features, targets):
             super().fit(features, targets)
-            self.last = (features.copy(), targets.copy())
+            self.last = (features[-1].copy(), targets[-1].copy())
 
     learner = Capture(3)
     strat = RankForecastStrategy(learner, lookback=25, refit_interval=10,
@@ -137,7 +158,7 @@ def test_rank_forecast_prediction_uses_current_window():
     pm = make_prices(70, 3, seed=19)
 
     class Echo(CountingLearner):
-        def predict(self, feature_vec):
+        def predict(self, block, feature_vec):
             self.seen = feature_vec.copy()
             return np.ones(self.n)
 
@@ -155,7 +176,8 @@ def test_rank_forecast_validates_interval():
 
 
 class RecordingLearner(CountingLearner):
-    """Keeps the bytes of every fit and predict input, in call order."""
+    """Keeps the bytes of every refit's training block and of every predict
+    input, in call order, with the refit each prediction uses."""
 
     def __init__(self, n):
         super().__init__(n)
@@ -164,11 +186,14 @@ class RecordingLearner(CountingLearner):
 
     def fit(self, features, targets):
         super().fit(features, targets)
-        self.fit_inputs.append((features.tobytes(), targets.tobytes()))
+        self.first_refit = len(self.fit_inputs)
+        self.fit_inputs.extend((f.tobytes(), t.tobytes())
+                               for f, t in zip(features, targets))
 
-    def predict(self, feature_vec):
-        self.predict_inputs.append(feature_vec.tobytes())
-        return super().predict(feature_vec)
+    def predict(self, block, feature_vec):
+        self.predict_inputs.append((self.first_refit + block,
+                                    feature_vec.tobytes()))
+        return super().predict(block, feature_vec)
 
 
 @pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
@@ -178,14 +203,17 @@ def test_rank_forecast_cache_matches_stateless_functions(trend, power):
     RankForecastStrategy(learner, lookback=20, refit_interval=3,
                          feature_window=12, trend=trend,
                          rank_power=power).run(prices, 37, 100)
-    # refits on days 37, 40, ..., 100; one prediction per day
+    # refits on days 37, 40, ..., 100 in blocks of 8; one prediction per
+    # day, from the day's latest refit
     fit_days = range(37, 101, 3)
+    assert learner.block_sizes == [8, 8, 6]
     assert len(learner.fit_inputs) == len(fit_days)
     for t, (feats, targets) in zip(fit_days, learner.fit_inputs):
         want_f, want_t = training_set(prices[:t], 20, power, 12, trend)
         assert feats == want_f.tobytes()
         assert targets == want_t.tobytes()
     assert len(learner.predict_inputs) == 64
-    for t, seen in zip(range(37, 101), learner.predict_inputs):
+    for t, (refit, seen) in zip(range(37, 101), learner.predict_inputs):
+        assert refit == (t - 37) // 3
         want = features_from_window(prices[t - 12: t], trend)
         assert seen == want.tobytes()

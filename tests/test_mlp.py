@@ -190,6 +190,82 @@ def test_trained_parameters_share_one_vector():
     assert base.size == sum(p.size for p in params)
 
 
+def distinct_blocks(stack, rows=37, d=6, k=3, seed=44):
+    """A (stack, rows, d) feature stack and (stack, rows, k) targets, every
+    block drawn afresh."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(stack, rows, d)), rng.normal(size=(stack, rows, k))
+
+
+def assert_same_network(got, want):
+    assert got.layer_sizes == want.layer_sizes
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert (np.array(got.loss_curve).tobytes()
+            == np.array(want.loss_curve).tobytes())
+
+
+@pytest.mark.parametrize("stack", [1, 3, 9])
+@pytest.mark.parametrize("hidden", [(), (4,), (20, 20)])
+@pytest.mark.parametrize("batch_size", [0, 4, 16, 37])
+def test_stack_training_byte_equal_to_per_network_loop(stack, hidden, batch_size):
+    # 37 rows: batches of 16 leave a ragged last batch of 5 rows, batches of
+    # 4 make each epoch's loss a mean over 10 batches (numpy sums 8 or more
+    # along a contiguous axis pairwise), and 37 is the full batch again
+    x, y = distinct_blocks(stack)
+    kwargs = dict(hidden=hidden, epochs=12, learning_rate=3e-3,
+                  batch_size=batch_size, seed=5)
+    trained = mlp_train(x, y, **kwargs)
+    assert [w.shape for w in trained.weights] == [
+        (stack, a, b) for a, b in zip((6, *hidden), (*hidden, 3))]
+    networks = trained.unstack()
+    assert len(networks) == stack
+    for b, network in enumerate(networks):
+        assert_same_network(network, mlp_train_loop(x[b], y[b], **kwargs))
+
+
+def test_stack_divergence_in_last_network_raises():
+    # the first two blocks train normally on their own; the last one's
+    # squared residual overflows on the first epoch, which stops the stack
+    x, y = distinct_blocks(3, rows=4, d=2, k=1)
+    mlp_train(x[:2], y[:2], hidden=(3,), epochs=5, learning_rate=1.0, seed=0)
+    y[2] = -1e200
+    with np.errstate(over="ignore"):
+        with pytest.raises(RuntimeError, match="diverged at epoch 0: loss=inf"):
+            mlp_train(x, y, hidden=(3,), epochs=5, learning_rate=1.0, seed=0)
+
+
+def test_stacked_gradients_equal_per_network_ones():
+    # one body serves a single network and a stack: each network's loss and
+    # gradients in a stack are the bytes of its own call
+    x, y = distinct_blocks(4, rows=9, d=5, k=2)
+    stack = mlp_train(x, y, hidden=(4, 3), epochs=3, seed=2)
+    loss, w_grads, b_grads = loss_and_gradients(stack, x, y)
+    assert loss.shape == (4,)
+    for b, network in enumerate(stack.unstack()):
+        one_loss, one_w, one_b = loss_and_gradients(network, x[b], y[b])
+        assert loss[b].tobytes() == one_loss.tobytes()
+        for a, g in zip(w_grads + b_grads, one_w + one_b):
+            assert a[b].tobytes() == g.tobytes()
+
+
+def test_unstacked_networks_are_rows_of_one_array():
+    x, y = distinct_blocks(3, rows=8, d=3, k=2)
+    stack = mlp_train(x, y, hidden=(4,), epochs=2, seed=1)
+    base = stack.weights[0].base
+    assert base is not None and base.shape == (3, 3 * 4 + 4 + 4 * 2 + 2)
+    for b, network in enumerate(stack.unstack()):
+        params = network.weights + network.biases
+        assert all(p.base is base for p in params)
+        # network b's parameters fill row b, in initialize's draw order
+        row = np.concatenate([np.append(w, c) for w, c in
+                              zip(network.weights, network.biases)])
+        assert row.tobytes() == base[b].tobytes()
+        assert network.loss_curve == stack.loss_curve[b]
+        assert len(network.loss_curve) == 2
+
+
 def test_training_reduces_loss_on_learnable_data():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(64, 6))

@@ -237,43 +237,47 @@ def l1_objective(points: np.ndarray, y: np.ndarray) -> float:
 
 
 def test_median_single_point():
-    np.testing.assert_allclose(geometric_median(np.array([[3.0, 4.0]])),
+    np.testing.assert_allclose(geometric_median(np.array([[[3.0, 4.0]]]))[0],
                                [3.0, 4.0])
 
 
 def test_median_two_points_is_midpoint():
     pts = np.array([[0.0, 0.0], [2.0, 4.0]])
-    np.testing.assert_allclose(geometric_median(pts), [1.0, 2.0], atol=1e-8)
+    np.testing.assert_allclose(geometric_median(pts[None])[0],
+                               [1.0, 2.0], atol=1e-8)
 
 
 def test_median_equilateral_triangle_is_centroid():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    np.testing.assert_allclose(geometric_median(pts), pts.mean(axis=0),
+    np.testing.assert_allclose(geometric_median(pts[None])[0], pts.mean(axis=0),
                                atol=1e-8)
 
 
 def test_median_rectangle_is_center():
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 2.0], [4.0, 2.0]])
-    np.testing.assert_allclose(geometric_median(pts), [2.0, 1.0], atol=1e-8)
+    np.testing.assert_allclose(geometric_median(pts[None])[0],
+                               [2.0, 1.0], atol=1e-8)
 
 
 def test_median_three_collinear_is_middle_point():
     # with an odd count on a line the L1-median is the middle data point
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
-    np.testing.assert_allclose(geometric_median(pts), [1.0, 1.0], atol=1e-7)
+    np.testing.assert_allclose(geometric_median(pts[None])[0],
+                               [1.0, 1.0], atol=1e-7)
 
 
 def test_median_majority_coincident_point_wins():
     # when more than half the mass sits on one point, that point is the median
     pts = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-    np.testing.assert_allclose(geometric_median(pts), [1.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(geometric_median(pts[None])[0],
+                               [1.0, 1.0], atol=1e-9)
 
 
 def test_median_objective_not_worse_than_candidates():
     rng = np.random.default_rng(31)
     for _ in range(20):
         pts = rng.normal(0, 1, size=(rng.integers(2, 12), 3))
-        y = geometric_median(pts)
+        y = geometric_median(pts[None])[0]
         fy = l1_objective(pts, y)
         assert fy <= l1_objective(pts, pts.mean(axis=0)) + 1e-7
         for p in pts:
@@ -286,7 +290,7 @@ def test_median_validation():
     with pytest.raises(ValueError):
         geometric_median(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        geometric_median(np.empty((0, 2)))
+        geometric_median(np.ones((4, 2)))  # a window, not a stack of them
     with pytest.raises(ValueError):
         geometric_median(np.empty((3, 0, 2)))
     with pytest.raises(ValueError):
@@ -300,7 +304,9 @@ def assert_stack_matches_loop(stack, **kwargs):
     for window, median in zip(stack, got):
         want = geometric_median_loop(window, **kwargs)
         assert median.tobytes() == want.tobytes()
-        assert geometric_median(window, **kwargs).tobytes() == want.tobytes()
+        # a window alone in its stack gives the same bytes
+        alone = geometric_median(window[None], **kwargs)[0]
+        assert alone.tobytes() == want.tobytes()
 
 
 def walk_windows(days, assets, length, seed):

@@ -377,9 +377,10 @@ def day_rows(name, config, prices, t_first, t_last):
     for i, t in enumerate(days):
         if i % config.refit_interval == 0:
             learner = build_strategy(name, config).learner
-            learner.fit(*training_set(prices[:t], config.lookback,
-                                      config.rank_power, fw, trend))
-        scores = learner.predict(features_from_window(prices[t - fw: t], trend))
+            feats, targets = training_set(prices[:t], config.lookback,
+                                          config.rank_power, fw, trend)
+            learner.fit(feats[None], targets[None])
+        scores = learner.predict(0, features_from_window(prices[t - fw: t], trend))
         rows.append(scores_to_weights(scores))
     return np.array(rows)
 
@@ -411,6 +412,15 @@ def test_run_equals_step_loop(long_walk, name):
     assert_run_equals_step_loop(
         name, BacktestConfig(**RUN_ML), long_walk,
         LEARNER_SPANS if learner else CLASSIC_SPANS)
+
+
+@pytest.mark.parametrize("refits", [7, 8, 9, 17])
+@pytest.mark.parametrize("name", ["mlp", "knn"])
+def test_learner_run_equals_day_rows_across_refit_blocks(walk, name, refits):
+    # with a refit every day, runs of 7, 8, 9 and 17 refits end on either
+    # side of the edges of the learners' blocks of 8 refits
+    config = BacktestConfig(**RUN_ML, refit_interval=1)
+    assert_run_equals_step_loop(name, config, walk, ((31, 30 + refits),))
 
 
 @pytest.mark.parametrize("window", [1, 2, 5, 30])
