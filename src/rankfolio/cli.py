@@ -2,7 +2,7 @@
 
 Commands: backtest, compare, sweep-fees, plotdata, fetch, validate.
 Exit codes: 0 success, 1 runtime failure (bad data, failed fetch), 2 usage
-error (bad flags, unknown strategy, bad config key).
+error (bad flags, bad strategy id, bad config key).
 
 Percent-valued table columns are emitted times 100 with 2 decimals
 (round-half-even, Python's float formatting); a raw full-precision CSV is
@@ -18,18 +18,18 @@ import json
 import sys
 from dataclasses import fields, replace
 from datetime import date, datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .data import PriceMatrix, load_csv, summary_stats
-from .engine import (FEE_GRID, ML_NAMES, BacktestConfig, BacktestResult,
-                     build_strategy, check_fee_rate, config_as_dict,
-                     known_strategy, parse_strategy, reprice, resolve_window,
+from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
+                     config_as_dict, make_strategy, reprice, resolve_window,
                      run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
-from .strategies import CLASSIC_NAMES
+from .strategies import CLASSIC_NAMES, Strategy
 
 
 class UsageError(Exception):
@@ -193,12 +193,15 @@ def _raw(value: float) -> str:
     return repr(float(value))
 
 
-def write_returns_csv(path: Path, result: BacktestResult) -> None:
+# the series of a returns CSV, one column each
+_returns_series = attrgetter("dates", "gross", "cost", "net", "wealth")
+
+
+def write_returns_csv(path: Path, dates, gross, cost, net, wealth) -> None:
     header = ["date", "gross", "cost", "net", "wealth"]
     rows = [
         [d.isoformat(), _raw(g), _raw(c), _raw(n), _raw(w)]
-        for d, g, c, n, w in zip(result.dates, result.gross, result.cost,
-                                 result.net, result.wealth)
+        for d, g, c, n, w in zip(dates, gross, cost, net, wealth)
     ]
     write_csv_rows(path, header, rows)
 
@@ -240,31 +243,22 @@ def _file_label(strategy_id: str) -> str:
     return strategy_id.replace(":", "_")
 
 
-def _require_known(strategy_id: str, config: BacktestConfig) -> str:
-    if not known_strategy(strategy_id):
-        raise UsageError(
-            f"unknown strategy {strategy_id!r} "
-            f"(choose from {', '.join(CLASSIC_NAMES + ML_NAMES)}; "
-            f"ml strategies accept a :power suffix)"
-        )
-    name, power = parse_strategy(strategy_id)
-    if name in ML_NAMES:  # the config already built every classic strategy
-        try:
-            build_strategy(name, config, power)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    return strategy_id
-
-
-def _aligned_config(config: BacktestConfig, result: BacktestResult) -> BacktestConfig:
-    return replace(config, start=result.dates[0], end=result.dates[-1])
+def _make_strategies(config: BacktestConfig, *ids: str) -> list[Strategy]:
+    """``make_strategy`` of each id, with a bad id or setting as a usage
+    error, so a command fails before it runs or writes anything."""
+    try:
+        return [make_strategy(strategy_id, config) for strategy_id in ids]
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
                       result: BacktestResult) -> BacktestResult:
     """The benchmark run on ``result``'s window; callers check
-    ``config.benchmark`` with ``_require_known`` before the strategy runs."""
-    return run_backtest(matrix, config.benchmark, _aligned_config(config, result))
+    ``config.benchmark`` with ``_make_strategies`` before the strategy runs."""
+    return run_backtest(matrix, config.benchmark,
+                        replace(config, start=result.dates[0],
+                                end=result.dates[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +266,8 @@ def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
 
 def cmd_backtest(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy, config)
-    _require_known(config.benchmark, config)
+    strategy_id = args.strategy
+    _make_strategies(config, strategy_id, config.benchmark)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)
@@ -281,7 +275,7 @@ def cmd_backtest(args) -> int:
 
     out = _out_dir(args)
     write_weights_csv(out / "weights.csv", result)
-    write_returns_csv(out / "returns.csv", result)
+    write_returns_csv(out / "returns.csv", *_returns_series(result))
     table = write_metrics_outputs(out, "metrics", "strategy",
                                   [(strategy_id, report)])
     write_manifest(out, "backtest", args.data, config,
@@ -295,16 +289,14 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _expand_strategy_list(spec: str, config: BacktestConfig) -> list[str]:
+def _expand_strategy_list(spec: str) -> list[str]:
     requested: list[str] = []
     for token in spec.split(","):
         token = token.strip().lower()
-        if not token:
-            continue
         if token == "all":
             requested.extend(CLASSIC_NAMES)
-        else:
-            requested.append(_require_known(token, config))
+        elif token:
+            requested.append(token)
     if not requested:
         raise UsageError("no strategies requested")
     return sorted(dict.fromkeys(requested))
@@ -312,27 +304,29 @@ def _expand_strategy_list(spec: str, config: BacktestConfig) -> list[str]:
 
 def cmd_compare(args) -> int:
     config = build_config(args)
+    strategies = _expand_strategy_list(args.strategies)
+    # one shared trading window so every row is comparable: it starts on the
+    # latest first day among the rows and the benchmark
+    first_day = max(strategy.first_day for strategy in
+                    _make_strategies(config, *strategies, config.benchmark))
     matrix = load_csv(args.data)
-    strategies = _expand_strategy_list(args.strategies, config)
-    _require_known(config.benchmark, config)
-
-    # one shared trading window so every row is comparable; ML feasibility
-    # pins the start when any learner-driven row or benchmark is present
-    any_ml = any(parse_strategy(s)[0] in ML_NAMES
-                 for s in strategies + [config.benchmark])
-    t_first, t_last = resolve_window(matrix, config, any_ml)
+    t_first, t_last = resolve_window(matrix, config, first_day)
     aligned = replace(config, start=matrix.dates[t_first - 1],
                       end=matrix.dates[t_last - 1])
 
     bench = run_backtest(matrix, config.benchmark, aligned)
-    out = _out_dir(args)
-    rows = []
-    # a failing strategy fails the whole command: no partial table
+    rows, returns = [], {}
+    # every row runs before anything is written, so a failing strategy
+    # leaves no output; each row keeps its report and return series only
     for strategy_id in strategies:
         result = run_backtest(matrix, strategy_id, aligned)
         rows.append((strategy_id, result.report("net", bench.net)))
-        write_returns_csv(out / f"returns_{_file_label(strategy_id)}.csv", result)
+        label = _file_label(strategy_id)
+        returns[f"returns_{label}.csv"] = _returns_series(result)
 
+    out = _out_dir(args)
+    for name, series in returns.items():
+        write_returns_csv(out / name, *series)
     table = write_metrics_outputs(out, "compare", "strategy", rows)
     write_manifest(out, "compare", args.data, config,
                    {"strategies": [r[0] for r in rows],
@@ -363,8 +357,8 @@ def _parse_fees(text: str | None) -> list[float]:
 
 def cmd_sweep_fees(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy, config)
-    _require_known(config.benchmark, config)
+    strategy_id = args.strategy
+    _make_strategies(config, strategy_id, config.benchmark)
     fees = _parse_fees(args.fees)
     matrix = load_csv(args.data)
 
@@ -387,8 +381,8 @@ def cmd_sweep_fees(args) -> int:
 
 def cmd_plotdata(args) -> int:
     config = build_config(args)
-    strategy_id = _require_known(args.strategy, config)
-    _require_known(config.benchmark, config)
+    strategy_id = args.strategy
+    _make_strategies(config, strategy_id, config.benchmark)
     matrix = load_csv(args.data)
     result = run_backtest(matrix, strategy_id, config)
     bench = _benchmark_result(matrix, config, result)

@@ -1,16 +1,23 @@
-"""Backtest engine: strategy dispatch, weight decay, and accounting.
+"""Backtest engine: the strategy catalogue, weight decay, and accounting.
 
-Day indices are 1-based (day t is price row t-1). One ``Strategy.run`` call
-per backtest, on a fresh strategy, gives the weights of every trading day. It
-sees prices up to the last trading day only, and its row for day t depends
-only on prices for days 1..t: recursions replay from day 1, while
-buy-and-hold and the learners' refit schedule anchor at the first trading
-day. Each row is then optionally smoothed by an exponential decay over the
-run's own recent outputs. Once every day's weights are known, ``account``
-realizes each day's return from day t to t+1 and its cost in a few array
-operations. Costs are proportional to the L1 distance between the new
-weights and the previous day's weights after drifting with the market; the
-first day pays for the full move out of cash.
+``make_strategy`` is the one place a strategy id is read. An id is a classic
+name or ``mlp``/``knn`` with an optional ``:power`` suffix (an integer >= 1
+or ``return``, so ``mlp:0`` is rejected) that replaces ``rank_power``; case
+and surrounding spaces do not matter.
+
+Day indices are 1-based (day t is price row t-1); the trading window starts
+no earlier than the strategy's ``first_day``. One ``Strategy.run`` call per
+backtest, on a fresh strategy, gives the weights of every trading day. It
+sees prices up to the last trading day only (bcrp, the ``hindsight``
+reference, one day more), and its row for day t depends only on prices for
+days 1..t: recursions replay from day 1, while buy-and-hold and the
+learners' refit schedule anchor at the first trading day. Each row is then
+optionally smoothed by an exponential decay over the run's own recent
+outputs. Once every day's weights are known, ``account`` realizes each
+day's return from day t to t+1 and its cost in a few array operations.
+Costs are proportional to the L1 distance between the new weights and the
+previous day's weights after drifting with the market; the first day pays
+for the full move out of cash.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ from .data import PriceMatrix
 from .features import RankPower
 from .learners import KnnLearner, MlpLearner, RankForecastStrategy
 from .metrics import MetricsReport, compute_report
-from .strategies import (CLASSIC_NAMES, Anticor, Bnn, BuyAndHold, Corn, Cwmr,
-                         ExponentiatedGradient, FixedWeights, Olmar, Pamr,
-                         Rmr, Strategy, UniformCRP, UniversalSampler,
-                         bcrp_hindsight)
+from .strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn, BuyAndHold,
+                         Corn, Cwmr, ExponentiatedGradient, Olmar, Pamr, Rmr,
+                         Strategy, UniformCRP, UniversalSampler)
 
 ML_NAMES = ("mlp", "knn")
 
@@ -119,8 +125,7 @@ class BacktestConfig:
         # constructor messages start with the parameter: prefixing names the key
         for name in CLASSIC_NAMES:
             try:
-                if name != "bcrp":
-                    build_strategy(name, self)
+                make_strategy(name, self)
             except ValueError as exc:
                 raise ValueError(f"{name}_{exc}") from None
 
@@ -194,94 +199,78 @@ class BacktestResult:
                               days_per_year=self.config.days_per_year)
 
 
-def parse_strategy(strategy_id: str) -> tuple[str, RankPower | None]:
-    """Split "mlp:2" / "knn:return" style ids into (name, rank power)."""
+def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
+    """The strategy an id names, built from ``config``; ValueError for an
+    unknown id, a bad ``:power`` suffix, or ``knn_k`` above ``lookback``."""
     name, sep, power = strategy_id.partition(":")
     name = name.strip().lower()
-    if not sep:
-        return name, None
-    power = power.strip().lower()
-    if name not in ML_NAMES:
-        raise ValueError(f"strategy {name!r} does not take a rank power")
-    if power == "return":
-        return name, "return"
-    try:
-        return name, int(power)
-    except ValueError:
-        raise ValueError(f"bad rank power {power!r} in {strategy_id!r}") from None
-
-
-def known_strategy(strategy_id: str) -> bool:
-    try:
-        name, _ = parse_strategy(strategy_id)
-    except ValueError:
-        return False
-    return name in CLASSIC_NAMES or name in ML_NAMES
-
-
-def build_strategy(name: str, config: BacktestConfig,
-                   rank_power: RankPower | None = None) -> Strategy:
-    """Instantiate a registered strategy from config (bcrp is handled by
-    run_backtest, which must solve it on the trading window)."""
-    power = config.rank_power if rank_power is None else rank_power
-    if name == "mlp":
-        learner = MlpLearner(hidden=config.mlp_hidden,
-                             epochs=config.mlp_epochs,
-                             learning_rate=config.mlp_learning_rate,
-                             batch_size=config.mlp_batch_size,
-                             seed=config.seed)
-    elif name == "knn":
+    if name not in ML_NAMES and (sep or name not in CLASSIC_NAMES):
+        raise ValueError(
+            f"unknown strategy {strategy_id!r} "
+            f"(choose from {', '.join(CLASSIC_NAMES + ML_NAMES)}; "
+            f"ml strategies accept a :power suffix)")
+    classics = {
+        "bah": BuyAndHold,
+        "ucrp": UniformCRP,
+        "bcrp": BestCRP,
+        "up": lambda: UniversalSampler(config.up_samples, config.seed),
+        "eg": lambda: ExponentiatedGradient(config.eg_eta),
+        "anticor": lambda: Anticor(config.anticor_window),
+        "pamr": lambda: Pamr(config.pamr_eps),
+        "cwmr": lambda: Cwmr(config.cwmr_confidence, config.cwmr_eps),
+        "olmar": lambda: Olmar(config.olmar_window, config.olmar_eps),
+        "rmr": lambda: Rmr(config.rmr_window, config.rmr_eps),
+        "bnn": lambda: Bnn(config.bnn_neighbors, config.bnn_window),
+        "corn": lambda: Corn(config.corn_rho, config.corn_window),
+    }
+    if name in classics:
+        return classics[name]()
+    if sep:
+        power = power.strip().lower()
+        try:  # the config's own check judges the power
+            config = replace(config, rank_power=(
+                power if power == "return" else int(power)))
+        except ValueError:
+            raise ValueError(
+                f"bad rank power in {strategy_id!r}: "
+                f"it must be an integer >= 1 or 'return'") from None
+    if name == "knn":
         if config.knn_k > config.lookback:
             raise ValueError(
                 f"knn_k must be in 1..lookback ({config.lookback})")
         learner = KnnLearner(k=config.knn_k)
     else:
-        factories = {
-            "bah": BuyAndHold,
-            "ucrp": UniformCRP,
-            "up": lambda: UniversalSampler(config.up_samples, config.seed),
-            "eg": lambda: ExponentiatedGradient(config.eg_eta),
-            "anticor": lambda: Anticor(config.anticor_window),
-            "pamr": lambda: Pamr(config.pamr_eps),
-            "cwmr": lambda: Cwmr(config.cwmr_confidence, config.cwmr_eps),
-            "olmar": lambda: Olmar(config.olmar_window, config.olmar_eps),
-            "rmr": lambda: Rmr(config.rmr_window, config.rmr_eps),
-            "bnn": lambda: Bnn(config.bnn_neighbors, config.bnn_window),
-            "corn": lambda: Corn(config.corn_rho, config.corn_window),
-        }
-        if name not in factories:
-            raise ValueError(f"unknown strategy {name!r}")
-        return factories[name]()
+        learner = MlpLearner(hidden=config.mlp_hidden,
+                             epochs=config.mlp_epochs,
+                             learning_rate=config.mlp_learning_rate,
+                             batch_size=config.mlp_batch_size,
+                             seed=config.seed)
     return RankForecastStrategy(
         learner, lookback=config.lookback,
-        refit_interval=config.refit_interval, rank_power=power,
+        refit_interval=config.refit_interval, rank_power=config.rank_power,
         feature_window=config.feature_window, trend=config.trend_feature,
     )
 
 
-def min_start_day(config: BacktestConfig, is_ml: bool) -> int:
-    """Earliest 1-based trading day with enough history for the strategy."""
-    return config.lookback + config.feature_window + 1 if is_ml else 1
-
-
 def resolve_window(matrix: PriceMatrix, config: BacktestConfig,
-                   is_ml: bool) -> tuple[int, int]:
-    """(first, last) 1-based trading day indices for a run."""
+                   first_day: int) -> tuple[int, int]:
+    """(first, last) 1-based trading day indices for a run that may start no
+    earlier than ``first_day`` (a strategy's ``first_day``)."""
     total = matrix.num_days
     if total < 2:
         raise ValueError("need at least 2 days of prices to trade")
-    floor_day = min_start_day(config, is_ml)
     if config.start is None:
-        t_first = floor_day
+        t_first = first_day
     else:
         later = [i for i, d in enumerate(matrix.dates) if d >= config.start]
         if not later:
             raise ValueError(f"start {config.start.isoformat()} is after the data ends")
         t_first = later[0] + 1
-        if t_first < floor_day:
+        if t_first < first_day:
             raise ValueError(
-                f"trading start day {t_first} needs lookback + feature_window "
-                f"+ 1 = {floor_day} days of history"
+                f"trading start day {t_first} is before the strategy's first "
+                f"day {first_day} (lookback + feature_window + 1 for the "
+                f"learners)"
             )
     if config.end is None:
         t_last = total - 1
@@ -301,20 +290,13 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
                  config: BacktestConfig | None = None) -> BacktestResult:
     """Backtest one strategy over the trading window implied by config."""
     config = config if config is not None else BacktestConfig()
-    name, power = parse_strategy(strategy_id)
-    is_ml = name in ML_NAMES
-    t_first, t_last = resolve_window(matrix, config, is_ml)
+    strategy = make_strategy(strategy_id, config)
+    t_first, t_last = resolve_window(matrix, config, strategy.first_day)
     prices = matrix.prices
-
-    if name == "bcrp":
-        window_relatives = prices[t_first: t_last + 1] / prices[t_first - 1: t_last]
-        strategy: Strategy = FixedWeights(bcrp_hindsight(window_relatives))
-    else:
-        strategy = build_strategy(name, config, power)
-
-    raw = strategy.run(prices[:t_last], t_first, t_last)
+    raw = strategy.run(prices[:t_last + strategy.hindsight], t_first, t_last)
     held_weights = raw.copy()
-    if (is_ml or config.decay_classic) and config.decay_len > 0:
+    if ((isinstance(strategy, RankForecastStrategy) or config.decay_classic)
+            and config.decay_len > 0):
         recent: list[np.ndarray] = []  # most recent smoothed weights first
         for i, predicted in enumerate(raw):
             smoothed = apply_decay(recent, predicted, config.decay_alpha,

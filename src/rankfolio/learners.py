@@ -140,6 +140,7 @@ class RankForecastStrategy(Strategy):
         self.rank_power = rank_power
         self.feature_window = feature_window
         self.trend = trend
+        self.first_day = lookback + feature_window + 1
 
     def run(self, prices, t_first, t_last):
         prices = _run_prices(prices, t_first, t_last)

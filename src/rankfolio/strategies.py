@@ -5,7 +5,11 @@ days, columns assets, most recent row last) to a long-only weight vector on
 the probability simplex. ``run(prices, t_first, t_last)`` is the one
 interface: the engine calls it once per backtest on a fresh strategy. It sees
 ``prices[:t_last]`` and returns one row per trading day t_first..t_last, and
-the row of day t depends only on ``prices[:t]``.
+the row of day t depends only on ``prices[:t]``. Two class attributes tell
+the engine the rest: ``first_day``, the earliest day a run may start, and
+``hindsight``. BCRP is the one hindsight strategy: its run also sees the
+price after t_last, because it holds the best constant portfolio of the
+window it trades.
 
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
 replay it from day 1 of the supplied prices, so a row does not depend on
@@ -43,6 +47,9 @@ def uniform_weights(n: int) -> np.ndarray:
 
 class Strategy:
     """Base interface: the weights of a run of trading days."""
+
+    first_day = 1       # earliest 1-based day a run may start on
+    hindsight = False   # run also sees the price after t_last
 
     def run(self, prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
         """Weights of days t_first..t_last (1-based), one row each, from
@@ -95,16 +102,22 @@ class UniformCRP(ReplayStrategy):
         return uniform_weights(prefix.shape[1])
 
 
-class FixedWeights(ReplayStrategy):
-    """Rebalance to a fixed target every day (used for hindsight CRP runs)."""
+class BestCRP(Strategy):
+    """Rebalance every day to the best constant portfolio of the run's own
+    window, chosen in hindsight: a reference bound, not a tradable strategy.
 
-    def __init__(self, weights: np.ndarray):
-        self._target = np.asarray(weights, dtype=np.float64).copy()
+    The one hindsight strategy: ``run`` takes ``prices[:t_last + 1]``,
+    because day t_last's return is realized at the price after it.
+    """
 
-    def _advance(self, prefix):
-        if self._target.size != prefix.shape[1]:
-            raise ValueError("fixed weights do not match asset count")
-        return self._target.copy()
+    hindsight = True
+
+    def run(self, prices, t_first, t_last):
+        if t_first > t_last:
+            raise ValueError("run needs t_first <= t_last")
+        prices = _run_prices(prices, t_first, t_last + 1)
+        target = bcrp_hindsight(prices[t_first:] / prices[t_first - 1: t_last])
+        return np.tile(target, (t_last - t_first + 1, 1))
 
 
 class UniversalSampler(ReplayStrategy):

@@ -271,6 +271,44 @@ def test_compare_unknown_strategy(data_csv, tmp_path):
                    "--out", tmp_path / "x") == 2
 
 
+def test_compare_window_starts_on_the_benchmark_first_day(data_csv, ml_config,
+                                                          tmp_path):
+    # classic rows alone would start on day 1; a learner benchmark pins the
+    # shared window to its first day, lookback + feature_window + 1 = 31
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--data", data_csv, "--config", ml_config,
+                   "--strategies", "ucrp,bah", "--benchmark", "knn",
+                   "--out", out) == 0
+    pm = load_csv(data_csv)
+    for label in ("bah", "ucrp"):
+        lines = (out / f"returns_{label}.csv").read_text().splitlines()
+        assert lines[1].split(",")[0] == pm.dates[30].isoformat()
+        assert lines[-1].split(",")[0] == pm.dates[-2].isoformat()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["first_date"] == pm.dates[30].isoformat()
+
+
+@pytest.mark.parametrize("command, flag, strategy_id", [
+    ("backtest", "--strategy", "mlp:0"),
+    ("sweep-fees", "--strategy", "knn:x"),
+    ("compare", "--strategies", "ucrp,knn:-2"),
+])
+def test_bad_rank_power_suffix_exits_2_before_the_run(
+        data_csv, ml_config, tmp_path, capsys, monkeypatch, command, flag,
+        strategy_id):
+    # the suffix is checked with the ids, before any strategy runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_backtest called before the suffix check")
+
+    monkeypatch.setattr("rankfolio.cli.run_backtest", no_run)
+    out = tmp_path / "o"
+    assert run_cli(command, "--data", data_csv, "--config", ml_config,
+                   flag, strategy_id, "--out", out) == 2
+    bad_id = strategy_id.split(",")[-1]
+    assert f"bad rank power in '{bad_id}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- sweep-fees ------------------------------------------------------------------------
 
 def test_sweep_fees_rows_and_monotonic_return(data_csv, tmp_path):
@@ -403,7 +441,8 @@ def test_compare_failing_strategy_fails_the_command(data_csv, ml_config,
     err = capsys.readouterr().err
     assert "error: training diverged at epoch" in err
     assert "skipping" not in err
-    assert not (tmp_path / "c" / "compare.csv").exists()
+    # every row runs before the output directory is made
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("command", ["backtest", "plotdata", "sweep-fees"])

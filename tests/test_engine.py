@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfolio.engine import (FEE_GRID, BacktestConfig, account, apply_decay,
-                              build_strategy, config_as_dict, known_strategy,
-                              min_start_day, parse_strategy, reprice,
-                              resolve_window, run_backtest)
-from rankfolio.strategies import CLASSIC_NAMES, bcrp_hindsight
+from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
+                              apply_decay, config_as_dict, make_strategy,
+                              reprice, resolve_window, run_backtest)
+from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
+from rankfolio.strategies import (CLASSIC_NAMES, BestCRP, Olmar,
+                                  bcrp_hindsight)
 
 from conftest import make_prices
 
@@ -132,8 +133,8 @@ def test_bad_learner_settings_rejected_at_construction(kwargs, message):
 def test_knn_k_above_lookback_rejected_where_knn_is_built(kwargs):
     cfg = BacktestConfig(**kwargs)  # no other strategy reads knn_k
     with pytest.raises(ValueError, match=r"knn_k must be in 1\.\.lookback"):
-        build_strategy("knn", cfg)
-    build_strategy("mlp", cfg)
+        make_strategy("knn", cfg)
+    make_strategy("mlp", cfg)
     result = run_backtest(make_prices(40, 3, seed=3), "ucrp", cfg)
     assert np.isfinite(result.wealth).all()
 
@@ -184,69 +185,108 @@ def test_learner_settings_at_their_bounds_run(prices_small):
 
 
 def test_parse_strategy():
-    assert parse_strategy("olmar") == ("olmar", None)
-    assert parse_strategy("mlp") == ("mlp", None)
-    assert parse_strategy("mlp:3") == ("mlp", 3)
-    assert parse_strategy("knn:return") == ("knn", "return")
-    assert parse_strategy("MLP:2") == ("mlp", 2)
-    with pytest.raises(ValueError, match="does not take"):
-        parse_strategy("olmar:2")
-    with pytest.raises(ValueError, match="bad rank power"):
-        parse_strategy("mlp:x")
+    # case and spaces do not matter; a suffix replaces the config's power
+    cfg = BacktestConfig(rank_power=4)
+    assert isinstance(make_strategy("olmar", cfg), Olmar)
+    assert isinstance(make_strategy(" BCRP ", cfg), BestCRP)
+    for strategy_id, learner, power in [
+            ("mlp", MlpLearner, 4), ("mlp:3", MlpLearner, 3),
+            ("knn:return", KnnLearner, "return"), ("MLP:2", MlpLearner, 2),
+            (" Knn : RETURN ", KnnLearner, "return"), ("knn:1", KnnLearner, 1)]:
+        strategy = make_strategy(strategy_id, cfg)
+        assert isinstance(strategy, RankForecastStrategy), strategy_id
+        assert isinstance(strategy.learner, learner), strategy_id
+        assert strategy.rank_power == power, strategy_id
+    with pytest.raises(ValueError, match="unknown strategy 'olmar:2'"):
+        make_strategy("olmar:2", cfg)
+    # the suffix obeys the rank_power rule: an integer >= 1 or "return"
+    for strategy_id in ("mlp:x", "mlp:0", "knn:-2", "mlp:", "knn:2.5",
+                        "mlp:returns"):
+        with pytest.raises(ValueError,
+                           match=f"bad rank power in '{strategy_id}'"):
+            make_strategy(strategy_id, cfg)
 
 
 def test_known_strategy():
-    assert known_strategy("bah")
-    assert known_strategy("mlp:4")
-    assert known_strategy("knn:return")
-    assert not known_strategy("nope")
-    assert not known_strategy("olmar:2")
-    assert not known_strategy("mlp:bogus")
+    cfg = BacktestConfig()
+    for strategy_id in CLASSIC_NAMES + ML_NAMES + ("mlp:4", "knn:return"):
+        make_strategy(strategy_id, cfg)
+    for strategy_id in ("nope", "olmar:2", "bcrp:1", "", ":2", "mlp knn"):
+        with pytest.raises(ValueError, match=(
+                rf"unknown strategy '{strategy_id}' \(choose from bah, .*, "
+                r"knn; ml strategies accept a :power suffix\)")):
+            make_strategy(strategy_id, cfg)
+    with pytest.raises(ValueError, match="bad rank power"):
+        make_strategy("mlp:bogus", cfg)
 
 
 def test_min_start_day():
+    # a strategy's first feasible day, and whether it sees past t_last
     cfg = BacktestConfig(lookback=80, feature_window=20)
-    assert min_start_day(cfg, is_ml=False) == 1
-    assert min_start_day(cfg, is_ml=True) == 101
+    for name in CLASSIC_NAMES:
+        strategy = make_strategy(name, cfg)
+        assert strategy.first_day == 1, name
+        assert strategy.hindsight == (name == "bcrp"), name
+    for strategy_id in ("mlp", "knn", "mlp:return"):
+        strategy = make_strategy(strategy_id, cfg)
+        assert strategy.first_day == 101, strategy_id
+        assert not strategy.hindsight, strategy_id
+
+
+def test_bad_rank_power_suffix_rejected_before_the_run(prices_small,
+                                                       monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a strategy ran")
+
+    monkeypatch.setattr(RankForecastStrategy, "run", no_run)
+    for strategy_id in ("mlp:0", "knn:-2"):
+        with pytest.raises(ValueError, match="bad rank power"):
+            run_backtest(prices_small, strategy_id, BacktestConfig(**FAST_ML))
 
 
 def test_resolve_window_defaults():
     pm = make_prices(50, 3, seed=1)
     cfg = BacktestConfig(lookback=20, feature_window=10)
-    assert resolve_window(pm, cfg, is_ml=False) == (1, 49)
-    assert resolve_window(pm, cfg, is_ml=True) == (31, 49)
+    assert resolve_window(pm, cfg, first_day=1) == (1, 49)
+    assert resolve_window(pm, cfg, first_day=31) == (31, 49)
+    # the default start is the strategy's own first day
+    knn_first = make_strategy("knn", cfg).first_day
+    assert resolve_window(pm, cfg, knn_first) == (31, 49)
 
 
 def test_resolve_window_start_end_dates():
     pm = make_prices(50, 3, seed=1)
     cfg = BacktestConfig(start=pm.dates[9], end=pm.dates[39])
-    assert resolve_window(pm, cfg, is_ml=False) == (10, 40)
+    assert resolve_window(pm, cfg, first_day=1) == (10, 40)
     # end beyond the data clamps to the last tradable day
     cfg2 = BacktestConfig(end=date(2030, 1, 1))
-    assert resolve_window(pm, cfg2, is_ml=False) == (1, 49)
+    assert resolve_window(pm, cfg2, first_day=1) == (1, 49)
     cfg3 = BacktestConfig(start=date(2030, 1, 1))
     with pytest.raises(ValueError, match="after the data"):
-        resolve_window(pm, cfg3, is_ml=False)
+        resolve_window(pm, cfg3, first_day=1)
     cfg4 = BacktestConfig(end=date(2000, 1, 1))
     with pytest.raises(ValueError, match="before the data"):
-        resolve_window(pm, cfg4, is_ml=False)
+        resolve_window(pm, cfg4, first_day=1)
     cfg5 = BacktestConfig(start=pm.dates[30], end=pm.dates[10])
     with pytest.raises(ValueError, match="empty trading window"):
-        resolve_window(pm, cfg5, is_ml=False)
+        resolve_window(pm, cfg5, first_day=1)
 
 
 def test_resolve_window_ml_floor_enforced():
     pm = make_prices(60, 3, seed=1)
     cfg = BacktestConfig(lookback=20, feature_window=10, start=pm.dates[5])
-    with pytest.raises(ValueError, match="lookback"):
-        resolve_window(pm, cfg, is_ml=True)
+    with pytest.raises(ValueError, match="start day 6 is before the "
+                       "strategy's first day 31"):
+        resolve_window(pm, cfg, first_day=31)
+    with pytest.raises(ValueError, match="first day 31"):
+        run_backtest(pm, "mlp", replace(cfg, mlp_epochs=1))
     # the same start is fine for a classic strategy
-    assert resolve_window(pm, cfg, is_ml=False)[0] == 6
+    assert resolve_window(pm, cfg, first_day=1)[0] == 6
 
 
 def test_resolve_window_two_days_is_one_trade():
     pm = make_prices(2, 2, seed=1)
-    assert resolve_window(pm, BacktestConfig(), is_ml=False) == (1, 1)
+    assert resolve_window(pm, BacktestConfig(), first_day=1) == (1, 1)
 
 
 def test_resolve_window_one_day_errors():
@@ -254,7 +294,7 @@ def test_resolve_window_one_day_errors():
     pm = PriceMatrix(dates=(date(2024, 1, 1),), assets=("X",),
                      prices=np.array([[1.0]]))
     with pytest.raises(ValueError, match="at least 2 days"):
-        resolve_window(pm, BacktestConfig(), is_ml=False)
+        resolve_window(pm, BacktestConfig(), first_day=1)
 
 
 # --- accounting ----------------------------------------------------------------
@@ -386,7 +426,7 @@ def test_decay_len_zero_disables_decay():
     np.testing.assert_array_equal(result.weights, result.raw_weights)
 
 
-# --- bcrp special case -----------------------------------------------------------
+# --- bcrp, the hindsight strategy ------------------------------------------------
 
 def test_bcrp_constant_weights_solved_on_window():
     pm = make_prices(60, 3, seed=29)
@@ -399,6 +439,11 @@ def test_bcrp_constant_weights_solved_on_window():
     # moving the window moves the solution
     other = run_backtest(pm, "bcrp", BacktestConfig(end=pm.dates[29]))
     assert not np.array_equal(other.weights[0], target)
+    # its run needs the price after t_last, which realizes day t_last
+    assert BestCRP().run(pm.prices[:51], 20, 50).tobytes() == \
+        result.raw_weights.tobytes()
+    with pytest.raises(ValueError):
+        BestCRP().run(pm.prices[:50], 20, 50)
 
 
 # --- reprice and fees -------------------------------------------------------------

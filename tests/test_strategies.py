@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from rankfolio.engine import BacktestConfig, build_strategy
+from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
 from rankfolio.features import (features_from_window, scores_to_weights,
                                 training_set)
 from rankfolio.optim import log_optimal_portfolio
-from rankfolio.strategies import (CLASSIC_NAMES, Anticor, Bnn, BuyAndHold,
-                                  Corn, Cwmr, ExponentiatedGradient,
-                                  FixedWeights, Olmar, Pamr, Rmr, UniformCRP,
-                                  UniversalSampler, _relative_windows,
-                                  bcrp_hindsight, uniform_weights)
+from rankfolio.strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn,
+                                  BuyAndHold, Corn, Cwmr,
+                                  ExponentiatedGradient, Olmar, Pamr, Rmr,
+                                  UniformCRP, UniversalSampler,
+                                  _relative_windows, bcrp_hindsight,
+                                  uniform_weights)
 
 import oracles
 from conftest import make_prices
@@ -113,14 +114,6 @@ def test_ucrp_always_uniform(walk):
     rows = all_days(UniformCRP(), walk[:30])
     for t in (1, 2, 30):
         np.testing.assert_array_equal(rows[t - 1], uniform_weights(4))
-
-
-def test_fixed_weights_repeats_target(walk):
-    target = np.array([0.7, 0.1, 0.1, 0.1])
-    np.testing.assert_array_equal(last_day(FixedWeights(target), walk[:3]),
-                                  target)
-    with pytest.raises(ValueError, match="match"):
-        last_day(FixedWeights(np.array([0.5, 0.5])), walk[:2])
 
 
 def test_eg_matches_oracle(walk):
@@ -330,13 +323,6 @@ def long_walk(request):
     return make_prices(300, request.param, seed=request.param).prices
 
 
-def fresh(name, config, prices, t_first, t_last):
-    if name == "bcrp":  # solved on the trading window, as run_backtest does
-        rels = prices[t_first: t_last + 1] / prices[t_first - 1: t_last]
-        return FixedWeights(bcrp_hindsight(rels))
-    return build_strategy(name, config)
-
-
 def step_days(t_first, t_last, extra=()):
     """The days checked against one-day runs: both ends of the span, the
     days next to them, its middle, and ``extra``."""
@@ -347,8 +333,12 @@ def step_days(t_first, t_last, extra=()):
 
 def step_row(name, config, prices, t, t_first, t_last):
     """Day t from a fresh one-day run on ``prices[:t]``; bah buys at
-    t_first, so its run is cut at day t instead."""
-    strategy = fresh(name, config, prices, t_first, t_last)
+    t_first, so its run is cut at day t instead, and bcrp holds the
+    hindsight solution of the whole span every day."""
+    if name == "bcrp":
+        return bcrp_hindsight(prices[t_first: t_last + 1]
+                              / prices[t_first - 1: t_last])
+    strategy = make_strategy(name, config)
     if name == "bah":
         return strategy.run(prices[:t], t_first, t)[-1]
     return strategy.run(prices[:t], t, t)[0]
@@ -376,7 +366,7 @@ def day_rows(name, config, prices, t_first, t_last):
     fw, trend = config.feature_window, config.trend_feature
     for i, t in enumerate(days):
         if i % config.refit_interval == 0:
-            learner = build_strategy(name, config).learner
+            learner = make_strategy(name, config).learner
             feats, targets = training_set(prices[:t], config.lookback,
                                           config.rank_power, fw, trend)
             learner.fit(feats[None], targets[None])
@@ -388,10 +378,12 @@ def day_rows(name, config, prices, t_first, t_last):
 def assert_run_equals_step_loop(name, config, prices, spans, extra_days=()):
     """Each row of a run equals, byte for byte, its day computed on its own:
     a one-day run for the classics, the per-day references for rmr, bnn,
-    corn and the learners."""
+    corn and the learners. A run sees the prices it is given by the engine:
+    up to t_last, and one more day for bcrp."""
     for t_first, t_last in spans:
-        got = fresh(name, config, prices, t_first, t_last).run(
-            prices[:t_last], t_first, t_last)
+        strategy = make_strategy(name, config)
+        got = strategy.run(prices[:t_last + strategy.hindsight], t_first,
+                           t_last)
         assert got.shape == (t_last - t_first + 1, prices.shape[1])
         if name in ("rmr", "bnn", "corn", "mlp", "knn"):
             want = day_rows(name, config, prices, t_first, t_last)
@@ -438,28 +430,34 @@ def test_run_equals_step_loop_windows(long_walk, name, window):
 
 
 def test_run_only_sees_prices_up_to_t_last(walk):
-    # the rows of a run do not depend on prices past t_last
-    for name in CLASSIC_NAMES:
-        if name == "bcrp":
-            continue
-        cut = build_strategy(name, BacktestConfig()).run(walk[:50], 10, 50)
-        full = build_strategy(name, BacktestConfig()).run(walk, 10, 50)
+    # the rows of a run do not depend on prices past t_last, or past
+    # t_last + 1 for bcrp, the one hindsight strategy
+    config = BacktestConfig(**RUN_ML)
+    for name in CLASSIC_NAMES + ML_NAMES:
+        strategy = make_strategy(name, config)
+        assert strategy.hindsight == (name == "bcrp"), name
+        t_first = strategy.first_day
+        seen = 50 + strategy.hindsight
+        cut = strategy.run(walk[:seen], t_first, 50)
+        full = make_strategy(name, config).run(walk, t_first, 50)
         assert cut.tobytes() == full.tobytes(), name
+        with pytest.raises(ValueError):  # and it needs all of them
+            make_strategy(name, config).run(walk[:seen - 1], t_first, 50)
 
 
 def test_run_twice_gives_the_same_rows(walk):
     # state a run builds (UP's samples, CWMR's belief, a learner's fit) must
     # not leak into the next run on the same strategy
     config = BacktestConfig(**RUN_ML)
-    for name in CLASSIC_NAMES + ("mlp", "knn"):
-        t_first = 31 if name in ("mlp", "knn") else 1
-        strategy = fresh(name, config, walk, t_first, 60)
+    for name in CLASSIC_NAMES + ML_NAMES:
+        strategy = make_strategy(name, config)
+        t_first = strategy.first_day
         first = strategy.run(walk, t_first, 60)
         assert strategy.run(walk, t_first, 60).tobytes() == first.tobytes(), name
 
 
 def test_run_rejects_bad_window(walk):
     for t_first, t_last in ((0, 5), (6, 5), (1, walk.shape[0] + 1)):
-        for strategy in (UniformCRP(), Rmr(), Bnn(), Corn()):
+        for strategy in (UniformCRP(), Rmr(), Bnn(), Corn(), BestCRP()):
             with pytest.raises(ValueError):
                 strategy.run(walk, t_first, t_last)
