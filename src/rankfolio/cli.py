@@ -4,6 +4,10 @@ Commands: backtest, compare, sweep-fees, plotdata, fetch, validate.
 Exit codes: 0 success, 1 runtime failure (bad data, failed fetch), 2 usage
 error (bad flags, bad strategy id, bad config key).
 
+The four runner commands (backtest, compare, sweep-fees, plotdata) share
+one set-up, ``_shared_window``, so every strategy trades the same window as
+its benchmark; each command then writes only its own files.
+
 Percent-valued table columns are emitted times 100 with 2 decimals
 (round-half-even, Python's float formatting); a raw full-precision CSV is
 always written alongside. Every output directory gets a manifest.json with
@@ -24,12 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import PriceMatrix, load_csv, summary_stats
+from .data import load_csv, summary_stats
 from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
                      config_as_dict, make_strategy, reprice, resolve_window,
                      run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
-from .strategies import CLASSIC_NAMES, Strategy
+from .strategies import CLASSIC_NAMES
 
 
 class UsageError(Exception):
@@ -243,34 +247,35 @@ def _file_label(strategy_id: str) -> str:
     return strategy_id.replace(":", "_")
 
 
-def _make_strategies(config: BacktestConfig, *ids: str) -> list[Strategy]:
-    """``make_strategy`` of each id, with a bad id or setting as a usage
-    error, so a command fails before it runs or writes anything."""
+def _shared_window(args, *strategy_ids: str):
+    """The set-up of every runner command: (config, prices, config pinned to
+    the shared window, the benchmark's run on that window).
+
+    Each id and the benchmark is built with ``make_strategy`` before any
+    prices load, so a bad id or setting is a usage error. The window starts
+    on the largest ``first_day`` among them, so every strategy trades the
+    same days as its benchmark.
+    """
+    config = build_config(args)
     try:
-        return [make_strategy(strategy_id, config) for strategy_id in ids]
+        first_day = max(make_strategy(strategy_id, config).first_day
+                        for strategy_id in (*strategy_ids, config.benchmark))
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _benchmark_result(matrix: PriceMatrix, config: BacktestConfig,
-                      result: BacktestResult) -> BacktestResult:
-    """The benchmark run on ``result``'s window; callers check
-    ``config.benchmark`` with ``_make_strategies`` before the strategy runs."""
-    return run_backtest(matrix, config.benchmark,
-                        replace(config, start=result.dates[0],
-                                end=result.dates[-1]))
+    matrix = load_csv(args.data)
+    t_first, t_last = resolve_window(matrix, config, first_day)
+    window = replace(config, start=matrix.dates[t_first - 1],
+                     end=matrix.dates[t_last - 1])
+    return config, matrix, window, run_backtest(matrix, config.benchmark, window)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_backtest(args) -> int:
-    config = build_config(args)
     strategy_id = args.strategy
-    _make_strategies(config, strategy_id, config.benchmark)
-    matrix = load_csv(args.data)
-    result = run_backtest(matrix, strategy_id, config)
-    bench = _benchmark_result(matrix, config, result)
+    config, matrix, window, bench = _shared_window(args, strategy_id)
+    result = run_backtest(matrix, strategy_id, window)
     report = result.report("net", bench.net)
 
     out = _out_dir(args)
@@ -303,23 +308,13 @@ def _expand_strategy_list(spec: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    config = build_config(args)
     strategies = _expand_strategy_list(args.strategies)
-    # one shared trading window so every row is comparable: it starts on the
-    # latest first day among the rows and the benchmark
-    first_day = max(strategy.first_day for strategy in
-                    _make_strategies(config, *strategies, config.benchmark))
-    matrix = load_csv(args.data)
-    t_first, t_last = resolve_window(matrix, config, first_day)
-    aligned = replace(config, start=matrix.dates[t_first - 1],
-                      end=matrix.dates[t_last - 1])
-
-    bench = run_backtest(matrix, config.benchmark, aligned)
+    config, matrix, window, bench = _shared_window(args, *strategies)
     rows, returns = [], {}
     # every row runs before anything is written, so a failing strategy
     # leaves no output; each row keeps its report and return series only
     for strategy_id in strategies:
-        result = run_backtest(matrix, strategy_id, aligned)
+        result = run_backtest(matrix, strategy_id, window)
         rows.append((strategy_id, result.report("net", bench.net)))
         label = _file_label(strategy_id)
         returns[f"returns_{label}.csv"] = _returns_series(result)
@@ -330,8 +325,8 @@ def cmd_compare(args) -> int:
     table = write_metrics_outputs(out, "compare", "strategy", rows)
     write_manifest(out, "compare", args.data, config,
                    {"strategies": [r[0] for r in rows],
-                    "first_date": matrix.dates[t_first - 1].isoformat(),
-                    "last_date": matrix.dates[t_last - 1].isoformat()})
+                    "first_date": window.start.isoformat(),
+                    "last_date": window.end.isoformat()})
     print(table)
     return 0
 
@@ -356,20 +351,16 @@ def _parse_fees(text: str | None) -> list[float]:
 
 
 def cmd_sweep_fees(args) -> int:
-    config = build_config(args)
     strategy_id = args.strategy
-    _make_strategies(config, strategy_id, config.benchmark)
     fees = _parse_fees(args.fees)
-    matrix = load_csv(args.data)
-
+    config, matrix, window, bench = _shared_window(args, strategy_id)
     # weights do not depend on fees, so run once and re-cost per fee
-    base = run_backtest(matrix, strategy_id, replace(config, fee_rate=0.0))
-    bench_base = _benchmark_result(matrix, config, base)
+    result = run_backtest(matrix, strategy_id, window)
     rows = []
     for fee in fees:
-        result = reprice(matrix, base, fee)
-        bench = reprice(matrix, bench_base, fee)
-        rows.append((repr(float(fee)), result.report("net", bench.net)))
+        bench_net = reprice(matrix, bench, fee).net
+        rows.append((repr(float(fee)),
+                     reprice(matrix, result, fee).report("net", bench_net)))
 
     out = _out_dir(args)
     table = write_metrics_outputs(out, "sweep", "fee", rows)
@@ -380,12 +371,9 @@ def cmd_sweep_fees(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    config = build_config(args)
     strategy_id = args.strategy
-    _make_strategies(config, strategy_id, config.benchmark)
-    matrix = load_csv(args.data)
-    result = run_backtest(matrix, strategy_id, config)
-    bench = _benchmark_result(matrix, config, result)
+    config, matrix, window, bench = _shared_window(args, strategy_id)
+    result = run_backtest(matrix, strategy_id, window)
 
     out = _out_dir(args)
     normalized = matrix.prices / matrix.prices[0]
@@ -416,20 +404,21 @@ def cmd_fetch(args) -> int:
         end = _parse_date(args.end)
     except ValueError as exc:
         raise UsageError(f"bad date: {exc}")
+    if end < start:
+        raise UsageError("end date before start date")
+    assets = [token.strip() for token in args.assets.split(",") if token.strip()]
+    if not assets:
+        raise UsageError("no assets given")
+    try:
+        fetcher = Fetcher(delay=args.delay_ms / 1000.0)
+    except ValueError as exc:
+        raise UsageError(f"bad --delay-ms: {exc}")
     out = _out_dir(args)
-    fetcher = Fetcher(delay=args.delay_ms / 1000.0)
-    written = []
-    for token in args.assets.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in assets:
         asset_id, _, symbol = token.partition(":")
         path = out / f"{(symbol or asset_id)}.csv"
         fetcher.fetch_history(asset_id, start, end, path, symbol=symbol or None)
-        written.append(path)
         print(f"fetched {asset_id} -> {path}")
-    if not written:
-        raise UsageError("no assets given")
     return 0
 
 
@@ -462,8 +451,8 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_strategy: bool = True):
         sub.add_argument("--strategy", default="mlp",
                          help="strategy id, e.g. mlp, mlp:return, knn:3, olmar")
     sub.add_argument("--rank-power", dest="rank_power",
-                     choices=["return", "1", "2", "3", "4"],
-                     help="rank target transform for ml strategies")
+                     help="rank target transform for ml strategies: "
+                          "an integer >= 1 or return")
     sub.add_argument("--fee", help="proportional fee per unit turnover")
     sub.add_argument("--lookback", help="training days per refit")
     sub.add_argument("--refit", help="trading days between refits")

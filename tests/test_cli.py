@@ -271,21 +271,61 @@ def test_compare_unknown_strategy(data_csv, tmp_path):
                    "--out", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("command",
+                         ["compare", "backtest", "plotdata", "sweep-fees"])
 def test_compare_window_starts_on_the_benchmark_first_day(data_csv, ml_config,
-                                                          tmp_path):
-    # classic rows alone would start on day 1; a learner benchmark pins the
-    # shared window to its first day, lookback + feature_window + 1 = 31
-    out = tmp_path / "cmp"
-    assert run_cli("compare", "--data", data_csv, "--config", ml_config,
-                   "--strategies", "ucrp,bah", "--benchmark", "knn",
-                   "--out", out) == 0
+                                                          tmp_path, command):
+    # classic strategies alone would start on day 1; a learner benchmark pins
+    # every runner command's window to its first day,
+    # lookback + feature_window + 1 = 31
+    def run(command, flag, ids, out):
+        return run_cli(command, "--data", data_csv, "--config", ml_config,
+                       flag, ids, "--benchmark", "knn", "--out", out)
+
+    out = tmp_path / "out"
+    if command == "compare":
+        assert run(command, "--strategies", "ucrp,bah", out) == 0
+    else:
+        assert run(command, "--strategy", "ucrp", out) == 0
     pm = load_csv(data_csv)
-    for label in ("bah", "ucrp"):
-        lines = (out / f"returns_{label}.csv").read_text().splitlines()
+    if command == "sweep-fees":
+        # the same window as backtest, so the fee-0 row is its metrics row
+        assert run("backtest", "--strategy", "ucrp", tmp_path / "bt") == 0
+        sweep_row = (out / "sweep_raw.csv").read_text().splitlines()[1]
+        bt_row = (tmp_path / "bt" / "metrics_raw.csv").read_text().splitlines()[1]
+        assert sweep_row.split(",")[0] == "0.0"
+        assert sweep_row.split(",")[1:] == bt_row.split(",")[1:]
+        return
+    series = {"compare": ["returns_bah.csv", "returns_ucrp.csv"],
+              "backtest": ["returns.csv"],
+              "plotdata": ["plot_wealth.csv"]}[command]
+    for name in series:
+        lines = (out / name).read_text().splitlines()
         assert lines[1].split(",")[0] == pm.dates[30].isoformat()
         assert lines[-1].split(",")[0] == pm.dates[-2].isoformat()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["first_date"] == pm.dates[30].isoformat()
+    if command == "compare":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["first_date"] == pm.dates[30].isoformat()
+
+
+def test_rank_power_flag_takes_what_the_config_takes(data_csv, ml_config,
+                                                     tmp_path, capsys):
+    # the flag has no bound of its own: BacktestConfig judges the power
+    conf = tmp_path / "power.conf"
+    conf.write_text(ml_config.read_text() + "rank_power = 5\n")
+    by_flag, by_file, bad = tmp_path / "flag", tmp_path / "file", tmp_path / "bad"
+    assert run_cli("backtest", "--data", data_csv, "--config", ml_config,
+                   "--strategy", "knn", "--rank-power", "5",
+                   "--out", by_flag) == 0
+    assert run_cli("backtest", "--data", data_csv, "--config", conf,
+                   "--strategy", "knn", "--out", by_file) == 0
+    assert ((by_flag / "weights.csv").read_bytes()
+            == (by_file / "weights.csv").read_bytes())
+    assert run_cli("backtest", "--data", data_csv, "--config", ml_config,
+                   "--strategy", "knn", "--rank-power", "0", "--out", bad) == 2
+    assert ("rank_power must be an integer >= 1 or 'return'"
+            in capsys.readouterr().err)
+    assert not bad.exists()
 
 
 @pytest.mark.parametrize("command, flag, strategy_id", [
@@ -552,6 +592,25 @@ def test_fetch_command(tmp_path, monkeypatch):
 def test_fetch_bad_date(tmp_path):
     assert run_cli("fetch", "--assets", "x", "--start", "not-a-date",
                    "--end", "2024-01-02", "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delay-ms", "-5"], "delay and backoff must be non-negative"),
+    (["--start", "2024-01-03"], "end date before start date"),
+    (["--assets", " , "], "no assets given"),
+], ids=["negative-delay", "end-before-start", "no-assets"])
+def test_fetch_bad_flag_exits_2_before_the_out_dir(tmp_path, capsys,
+                                                   monkeypatch, flags, message):
+    def no_request(*args, **kwargs):
+        raise AssertionError("fetch reached the network")
+
+    monkeypatch.setattr("rankfolio.fetch.Fetcher._get_json", no_request)
+    out = tmp_path / "fetched"
+    # a repeated flag overrides the valid value before it
+    assert run_cli("fetch", "--assets", "x", "--start", "2024-01-01",
+                   "--end", "2024-01-02", "--out", out, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):
