@@ -255,7 +255,8 @@ def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
 def resolve_window(matrix: PriceMatrix, config: BacktestConfig,
                    first_day: int) -> tuple[int, int]:
     """(first, last) 1-based trading day indices for a run that may start no
-    earlier than ``first_day`` (a strategy's ``first_day``)."""
+    earlier than ``first_day`` (the largest ``first_day`` of the strategies
+    that trade the window, the benchmark among them)."""
     total = matrix.num_days
     if total < 2:
         raise ValueError("need at least 2 days of prices to trade")
@@ -268,9 +269,9 @@ def resolve_window(matrix: PriceMatrix, config: BacktestConfig,
         t_first = later[0] + 1
         if t_first < first_day:
             raise ValueError(
-                f"trading start day {t_first} is before the strategy's first "
-                f"day {first_day} (lookback + feature_window + 1 for the "
-                f"learners)"
+                f"trading start day {t_first} is before day {first_day}, the "
+                f"first day that every strategy and the benchmark of the run "
+                f"can trade (lookback + feature_window + 1 for the learners)"
             )
     if config.end is None:
         t_last = total - 1

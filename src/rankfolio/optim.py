@@ -89,12 +89,105 @@ def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
             w, fw = w2, fw2
 
     if (np.maximum(relatives @ w, RELATIVE_FLOOR) <= RELATIVE_FLOOR).any():
-        warnings.warn(
-            "log-optimal solution sits on the relative floor; "
-            "input rows contain non-positive entries",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn_floor()
+    return w
+
+
+def _warn_floor() -> None:
+    warnings.warn(
+        "log-optimal solution sits on the relative floor; "
+        "input rows contain non-positive entries",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def _project_rows(v: np.ndarray) -> np.ndarray:
+    """``project_to_simplex`` of each row of ``v``, with its bytes."""
+    n = v.shape[1]
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    hits = u * np.arange(1, n + 1) > (css - 1.0)
+    rho = n - 1 - np.argmax(hits[:, ::-1], axis=1)  # each row's last hit
+    theta = (css[np.arange(len(v)), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def _port_stack(relatives: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # one BLAS gemv per problem, the bytes of relatives[b] @ w[b]
+    return np.maximum(np.matmul(relatives, w[:, :, None])[:, :, 0],
+                      RELATIVE_FLOOR)
+
+
+def _ascend_stack(relatives: np.ndarray, w: np.ndarray, tol: float,
+                  max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_ascend`` on each problem of a (B, m, n) stack from the rows of
+    ``w``, in lockstep: one line-search trial per live problem at a time.
+    Each problem keeps its own step, acceptance, ``tol`` stop and
+    iteration count, and leaves the stack when it stops."""
+    port = _port_stack(relatives, w)
+    fw = np.log(port).sum(axis=1)
+    w_out, f_out = w.copy(), fw.copy()
+    if max_iter < 1:
+        return w_out, f_out
+    live, rel, w = np.arange(len(w)), relatives, w.copy()
+    grad = (rel / port[:, :, None]).sum(axis=1)
+    step = np.ones(live.size)
+    iters = np.ones(live.size, dtype=np.int64)  # iterations begun
+    while live.size:
+        cand = _project_rows(w + step[:, None] * grad)
+        cand_port = _port_stack(rel, cand)
+        fc = np.log(cand_port).sum(axis=1)
+        d = cand - w
+        # per problem sqrt(d @ d), the bytes of np.linalg.norm(d)
+        moved = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        up = fc > fw
+        w[up], fw[up], port[up] = cand[up], fc[up], cand_port[up]
+        step[up] *= 2.0
+        step[~up] *= 0.5
+        done = (moved < tol) | np.where(up, iters == max_iter, step < 1e-18)
+        more = up & ~done  # accepted and going on: a new iteration begins
+        grad[more] = (rel[more] / port[more][:, :, None]).sum(axis=1)
+        iters[more] += 1
+        if done.any():
+            w_out[live[done]], f_out[live[done]] = w[done], fw[done]
+            keep = ~done
+            live, rel, w, fw, port = (live[keep], rel[keep], w[keep],
+                                      fw[keep], port[keep])
+            grad, step, iters = grad[keep], step[keep], iters[keep]
+    return w_out, f_out
+
+
+def log_optimal_stack(relatives: np.ndarray, tol: float = 1e-10,
+                      max_iter: int = 10_000) -> np.ndarray:
+    """``log_optimal_portfolio`` of each matrix of a (B, m, n) stack, which
+    gives (B, n) weights; each row has the bytes of solving its problem
+    alone. The problems ascend in lockstep, each with its own step, stop,
+    corner restart and floor check (one warning for the stack)."""
+    relatives = np.asarray(relatives, dtype=np.float64)
+    if relatives.ndim != 3:
+        raise ValueError("relatives must be a 3-d stack of matrices")
+    count, m, n = relatives.shape
+    if m < 1:
+        raise ValueError("need at least one row of relatives")
+    if n == 1:
+        return np.ones((count, 1))
+
+    w, fw = _ascend_stack(relatives, np.full((count, n), 1.0 / n), tol,
+                          max_iter)
+
+    corner_f = np.log(np.maximum(relatives, RELATIVE_FLOOR)).sum(axis=1)
+    best = np.argmax(corner_f, axis=1)
+    stalled = np.nonzero(corner_f[np.arange(count), best] > fw)[0]
+    if stalled.size:
+        corners = np.zeros((stalled.size, n))
+        corners[np.arange(stalled.size), best[stalled]] = 1.0
+        w2, fw2 = _ascend_stack(relatives[stalled], corners, tol, max_iter)
+        wins = fw2 > fw[stalled]
+        w[stalled[wins]] = w2[wins]
+
+    if (_port_stack(relatives, w) <= RELATIVE_FLOOR).any():
+        _warn_floor()
     return w
 
 

@@ -14,18 +14,23 @@ window it trades.
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
 replay it from day 1 of the supplied prices, so a row does not depend on
 where the trading window begins. Buy-and-hold is the one exception: it buys
-at day t_first, the start of the trading period. RMR, BNN and CORN do their
-price-only work (L1 medians, relative windows) once per run.
+at day t_first, the start of the trading period. RMR, BNN, CORN and Anticor
+do their price-only work (L1 medians, relative windows, window statistics
+and claims) once per run. RMR solves its medians and BNN its log-optimal
+problems in lockstep stacks; CORN's problems differ in size, so it solves
+each alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from statistics import NormalDist
 
 import numpy as np
 
-from .optim import geometric_median, log_optimal_portfolio, project_to_simplex
+from .optim import (geometric_median, log_optimal_portfolio,
+                    log_optimal_stack, project_to_simplex)
 
 # Canonical registry names of the classic strategies (CLI-facing).
 CLASSIC_NAMES = (
@@ -40,9 +45,22 @@ _NULL_DIRECTION = 1e-24
 # first window, so memory stays bounded whatever the run length.
 _MEDIAN_BLOCK = 256
 
+# BNN solves its log-optimal problems, and Anticor computes its claims, in
+# blocks sized so that a stacked array (BNN's relatives, Anticor's n x n
+# claims of each day) holds at most this many floats: memory stays bounded
+# whatever the asset count.
+_STACK_FLOATS = 16_384
+
 
 def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
+
+
+def _finite(name: str, value: float) -> float:
+    """``value``, or ValueError when it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class Strategy:
@@ -157,7 +175,7 @@ class ExponentiatedGradient(ReplayStrategy):
     def __init__(self, eta: float = 0.05):
         if not eta >= 0:  # also rejects NaN
             raise ValueError("eta must be >= 0")
-        self.eta = eta
+        self.eta = _finite("eta", eta)
 
     def _advance(self, prefix):
         n = prefix.shape[1]
@@ -171,14 +189,16 @@ class ExponentiatedGradient(ReplayStrategy):
         return w_new / w_new.sum()
 
 
-class Anticor(ReplayStrategy):
+class Anticor(Strategy):
     """Transfer weight from recent winners to laggards they correlate with.
 
     Compares log returns over two consecutive windows of length ``window``.
     Weight moves from asset i to asset j when i outperformed j in the latest
     window and the cross-window correlation claim holds, with negative
     autocorrelation penalties added per the standard formulation. Uniform
-    until 2 * window return observations exist.
+    until 2 * window return observations exist. The claims depend on prices
+    only, so ``run`` computes them for blocks of days at once; only the
+    transfer, which needs the previous day's weights, runs per day.
     """
 
     def __init__(self, window: int = 5):
@@ -186,41 +206,57 @@ class Anticor(ReplayStrategy):
             raise ValueError("window must be >= 2")
         self.window = window
 
-    def _advance(self, prefix):
-        t, n = prefix.shape
-        w = self.window
-        if t - 1 < 2 * w:
-            return self._w
-        tail = prefix[t - 2 * w - 1: t]
-        log_rel = np.log(tail[1:] / tail[:-1])
-        lx1, lx2 = log_rel[:w], log_rel[w:]
-        mu1, mu2 = lx1.mean(axis=0), lx2.mean(axis=0)
-        sd1 = lx1.std(axis=0, ddof=1)
-        sd2 = lx2.std(axis=0, ddof=1)
-        mcov = (lx1 - mu1).T @ (lx2 - mu2) / (w - 1)
-        denom = np.outer(sd1, sd2)
-        mcor = np.zeros((n, n))
+    def run(self, prices, t_first, t_last):
+        prices = _run_prices(prices, t_first, t_last)
+        n, m = prices.shape[1], self.window
+        out = np.tile(uniform_weights(n), (t_last - t_first + 1, 1))
+        w = uniform_weights(n)
+        log_rel = np.log(prices[1:] / prices[:-1])
+        size = max(1, _STACK_FLOATS // (n * n))
+        # day t compares log_rel rows t-2m-1..t-m-2 with rows t-m-1..t-2
+        for first in range(2 * m + 1, t_last + 1, size):
+            days = range(first, min(first + size, t_last + 1))
+            claims, outgoing = self._claims(
+                log_rel[first - 2 * m - 1: days[-1] - 1])
+            for t, claim, out_sum in zip(days, claims, outgoing):
+                transfer = np.zeros((n, n))
+                src = out_sum > 0
+                if src.any():
+                    transfer[src] = w[src, None] * claim[src] / out_sum[src, None]
+                w = w - transfer.sum(axis=1) + transfer.sum(axis=0)
+                if t >= t_first:
+                    out[t - t_first] = w
+        return out
+
+    def _claims(self, log_rel: np.ndarray):
+        """Claim matrices and their row sums of the days whose window pairs
+        lie in ``log_rel``: day i pairs windows i and i + window."""
+        m, n = self.window, log_rel.shape[1]
+        windows = np.lib.stride_tricks.sliding_window_view(log_rel, (m, n))[:, 0]
+        mu = windows.mean(axis=1)
+        sd = windows.std(axis=1, ddof=1)
+        centered = windows - mu[:, None, :]
+        days = len(windows) - m
+        mcov = np.matmul(centered[:days].transpose(0, 2, 1),
+                         centered[m:]) / (m - 1)
+        denom = sd[:days, :, None] * sd[m:, None, :]
+        mcor = np.zeros((days, n, n))
         np.divide(mcov, denom, out=mcor, where=denom > 0)
 
-        penalty = np.maximum(-np.diag(mcor), 0.0)
-        claim = mcor + penalty[:, None] + penalty[None, :]
-        active = (mu2[:, None] >= mu2[None, :]) & (mcor > 0)
-        np.fill_diagonal(active, False)
+        penalty = np.maximum(-np.diagonal(mcor, axis1=1, axis2=2), 0.0)
+        claim = mcor + penalty[:, :, None] + penalty[:, None, :]
+        mu2 = mu[m:]
+        active = (mu2[:, :, None] >= mu2[:, None, :]) & (mcor > 0)
+        active[:, np.arange(n), np.arange(n)] = False
         claim = np.where(active, claim, 0.0)
-
-        outgoing = claim.sum(axis=1)
-        transfer = np.zeros((n, n))
-        src = outgoing > 0
-        if src.any():
-            transfer[src] = self._w[src, None] * claim[src] / outgoing[src, None]
-        return self._w - transfer.sum(axis=1) + transfer.sum(axis=0)
+        return claim, claim.sum(axis=2)
 
 
 class Pamr(ReplayStrategy):
     """Passive-aggressive mean reversion: bet against yesterday's move."""
 
     def __init__(self, eps: float = 0.5):
-        self.eps = eps
+        self.eps = _finite("eps", eps)
 
     def _advance(self, prefix):
         if prefix.shape[0] == 1:
@@ -253,7 +289,7 @@ class Cwmr(ReplayStrategy):
         if not 0.5 <= confidence < 1.0:
             raise ValueError("confidence must be in [0.5, 1)")
         self.phi = NormalDist().inv_cdf(confidence)
-        self.eps = eps
+        self.eps = _finite("eps", eps)
 
     def _advance(self, prefix):
         t, n = prefix.shape
@@ -310,7 +346,7 @@ class Olmar(ReplayStrategy):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.eps = eps
+        self.eps = _finite("eps", eps)
 
     def _advance(self, prefix):
         t = prefix.shape[0]
@@ -328,7 +364,7 @@ class Rmr(Strategy):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.eps = eps
+        self.eps = _finite("eps", eps)
         self.median_tol = median_tol
         self.median_max_iter = median_max_iter
 
@@ -376,7 +412,8 @@ class PatternMatcher(Strategy):
     Weights are uniform until ``min_candidates`` candidates exist, or when
     no window matches. A day's weights depend on the price prefix alone, so
     ``run`` builds the windows of the whole run once and slices them per
-    day.
+    day. BNN, whose sets all hold ``neighbors`` successors, solves its days
+    in lockstep stacks; CORN's sets vary in size, so it solves each alone.
     """
 
     def __init__(self, window: int, min_candidates: int):
@@ -393,17 +430,25 @@ class PatternMatcher(Strategy):
             return out
         windows, rels = _relative_windows(prices, self.window)
         matches = self._matcher(windows)
-        for t in range(first, t_last + 1):
-            matched = matches(t - 1 - self.window)
-            if matched.size:
-                out[t - t_first] = log_optimal_portfolio(
-                    rels[matched + self.window])
+        # each day's successor set, made as it is solved
+        matched = (matches(t - 1 - self.window) + self.window
+                   for t in range(first, t_last + 1))
+        self._solve(rels, matched, out[first - t_first:])
         return out
 
     def _matcher(self, windows: np.ndarray):
         """A function from the index c of the current window to the indices
         of the windows among windows[:c] that match it."""
         raise NotImplementedError
+
+    def _solve(self, rels: np.ndarray, matched: Iterator[np.ndarray],
+               out: np.ndarray) -> None:
+        """Writes into row i of ``out`` the log-optimal weights over the
+        relatives of the i-th index set of ``matched``, one problem at a
+        time; a row whose set is empty stays uniform."""
+        for row, successors in zip(out, matched):
+            if successors.size:
+                row[:] = log_optimal_portfolio(rels[successors])
 
 
 class Bnn(PatternMatcher):
@@ -420,6 +465,13 @@ class Bnn(PatternMatcher):
             raise ValueError("neighbors must be >= 1")
         super().__init__(window, min_candidates=neighbors)
         self.neighbors = neighbors
+
+    def _solve(self, rels, matched, out):
+        # every set holds ``neighbors`` successors: solve them in stacks
+        successors = np.array(list(matched))
+        size = max(1, _STACK_FLOATS // (self.neighbors * rels.shape[1]))
+        for s in range(0, len(successors), size):
+            out[s: s + size] = log_optimal_stack(rels[successors[s: s + size]])
 
     def _matcher(self, windows):
         def nearest(c):

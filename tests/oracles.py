@@ -5,9 +5,9 @@ different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
 rest are the program's former loop formulations (one day's returns,
-features, MLP training, log-optimal ascent, L1 median, the per-day BNN, CORN
-and RMR updates), kept as byte-for-byte references for the code that
-replaced them.
+features, MLP training, log-optimal ascent, L1 median, the per-day Anticor,
+BNN, CORN and RMR updates), kept as byte-for-byte references for the code
+that replaced them.
 """
 
 import math
@@ -460,6 +460,39 @@ def rmr_day(prefix, w_prev, window, eps, tol=1e-9, max_iter=200):
     if sq < 1e-24:
         return w_prev
     return project_to_simplex(w_prev + (gap / sq) * dev)
+
+
+def anticor_day(prefix, w_prev, window):
+    """One day of Anticor from the previous day's weights, with the day's
+    window statistics computed on their own, as Anticor's per-day update did
+    before its claims were computed in blocks of days."""
+    t, n = prefix.shape
+    w = window
+    if t - 1 < 2 * w:
+        return w_prev
+    tail = prefix[t - 2 * w - 1: t]
+    log_rel = np.log(tail[1:] / tail[:-1])
+    lx1, lx2 = log_rel[:w], log_rel[w:]
+    mu1, mu2 = lx1.mean(axis=0), lx2.mean(axis=0)
+    sd1 = lx1.std(axis=0, ddof=1)
+    sd2 = lx2.std(axis=0, ddof=1)
+    mcov = (lx1 - mu1).T @ (lx2 - mu2) / (w - 1)
+    denom = np.outer(sd1, sd2)
+    mcor = np.zeros((n, n))
+    np.divide(mcov, denom, out=mcor, where=denom > 0)
+
+    penalty = np.maximum(-np.diag(mcor), 0.0)
+    claim = mcor + penalty[:, None] + penalty[None, :]
+    active = (mu2[:, None] >= mu2[None, :]) & (mcor > 0)
+    np.fill_diagonal(active, False)
+    claim = np.where(active, claim, 0.0)
+
+    outgoing = claim.sum(axis=1)
+    transfer = np.zeros((n, n))
+    src = outgoing > 0
+    if src.any():
+        transfer[src] = w_prev[src, None] * claim[src] / outgoing[src, None]
+    return w_prev - transfer.sum(axis=1) + transfer.sum(axis=0)
 
 
 def pattern_windows(prefix, window):

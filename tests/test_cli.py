@@ -308,6 +308,20 @@ def test_compare_window_starts_on_the_benchmark_first_day(data_csv, ml_config,
         assert manifest["first_date"] == pm.dates[30].isoformat()
 
 
+def test_too_early_start_names_the_shared_first_day(data_csv, ml_config,
+                                                   tmp_path, capsys):
+    # ucrp alone could start on day 5; the knn benchmark's first day binds
+    pm = load_csv(data_csv)
+    assert run_cli("backtest", "--data", data_csv, "--config", ml_config,
+                   "--strategy", "ucrp", "--benchmark", "knn",
+                   "--start", pm.dates[4].isoformat(),
+                   "--out", tmp_path / "out") == 1
+    assert ("trading start day 5 is before day 31, the first day that every "
+            "strategy and the benchmark of the run can trade"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_rank_power_flag_takes_what_the_config_takes(data_csv, ml_config,
                                                      tmp_path, capsys):
     # the flag has no bound of its own: BacktestConfig judges the power
@@ -453,6 +467,11 @@ def test_knn_k_above_lookback_exits_2_only_for_knn(data_csv, tmp_path, capsys,
     ("eg_eta = nan", "eg_eta must be >= 0"),
     ("anticor_window = 1", "anticor_window must be >= 2"),
     ("cwmr_confidence = 0.2", "cwmr_confidence must be in [0.5, 1)"),
+    ("olmar_eps = nan", "olmar_eps must be finite"),
+    ("pamr_eps = inf", "pamr_eps must be finite"),
+    ("rmr_eps = nan", "rmr_eps must be finite"),
+    ("cwmr_eps = nan", "cwmr_eps must be finite"),
+    ("eg_eta = inf", "eg_eta must be finite"),
 ])
 def test_bad_classic_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     # compare used to warn, skip the row and exit 0

@@ -154,6 +154,14 @@ def test_knn_k_above_lookback_rejected_where_knn_is_built(kwargs):
     (dict(cwmr_confidence=0.2), r"cwmr_confidence must be in \[0.5, 1\)"),
     (dict(cwmr_confidence=1.0), r"cwmr_confidence must be in \[0.5, 1\)"),
     (dict(up_samples=0), "up_samples must be >= 1"),
+    (dict(pamr_eps=float("nan")), "pamr_eps must be finite"),
+    (dict(pamr_eps=float("inf")), "pamr_eps must be finite"),
+    (dict(olmar_eps=float("nan")), "olmar_eps must be finite"),
+    (dict(olmar_eps=float("inf")), "olmar_eps must be finite"),
+    (dict(rmr_eps=float("nan")), "rmr_eps must be finite"),
+    (dict(rmr_eps=float("-inf")), "rmr_eps must be finite"),
+    (dict(cwmr_eps=float("nan")), "cwmr_eps must be finite"),
+    (dict(eg_eta=float("inf")), "eg_eta must be finite"),
 ])
 def test_bad_classic_settings_rejected_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -275,10 +283,10 @@ def test_resolve_window_start_end_dates():
 def test_resolve_window_ml_floor_enforced():
     pm = make_prices(60, 3, seed=1)
     cfg = BacktestConfig(lookback=20, feature_window=10, start=pm.dates[5])
-    with pytest.raises(ValueError, match="start day 6 is before the "
-                       "strategy's first day 31"):
+    with pytest.raises(ValueError, match="start day 6 is before day 31, the "
+                       "first day that every strategy and the benchmark"):
         resolve_window(pm, cfg, first_day=31)
-    with pytest.raises(ValueError, match="first day 31"):
+    with pytest.raises(ValueError, match="before day 31"):
         run_backtest(pm, "mlp", replace(cfg, mlp_epochs=1))
     # the same start is fine for a classic strategy
     assert resolve_window(pm, cfg, first_day=1)[0] == 6

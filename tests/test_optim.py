@@ -3,8 +3,11 @@
 Simplex projection is checked against a bisection solver (different
 algorithm, same optimum). Log-optimal weights are checked by grid search and
 by the first-order optimality conditions. The geometric median is checked by
-direct objective comparison and known symmetric configurations.
+direct objective comparison and known symmetric configurations. The stacked
+solvers are checked byte for byte against their per-problem forms.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from rankfolio import optim
 from rankfolio.optim import (RELATIVE_FLOOR, geometric_median,
-                             log_optimal_portfolio, project_to_simplex)
+                             log_optimal_portfolio, log_optimal_stack,
+                             project_to_simplex)
 from oracles import geometric_median_loop, log_optimal_loop
 
 
@@ -228,6 +232,89 @@ def test_log_optimal_projections_per_solve(kind, monkeypatch):
     for rel in problems:
         log_optimal_portfolio(rel)
     assert len(calls) / len(problems) <= 25
+
+
+# --- log-optimal stacks against the per-problem solver -----------------------
+
+def solve_recording_warnings(solve, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = solve(*args, **kwargs)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+def assert_log_optimal_stack_matches(stack, **kwargs):
+    """Each row of the stack's solution has the bytes of its problem solved
+    alone, and the stack warns as its problems do."""
+    got, stack_warnings = solve_recording_warnings(log_optimal_stack, stack,
+                                                   **kwargs)
+    assert got.shape == (stack.shape[0], stack.shape[2])
+    loop_warnings = set()
+    for problem, row in zip(stack, got):
+        want, caught = solve_recording_warnings(log_optimal_portfolio,
+                                                problem, **kwargs)
+        assert row.tobytes() == want.tobytes()
+        loop_warnings |= caught
+    assert stack_warnings == loop_warnings
+
+
+# Problems whose ascent from uniform stalls short of a dominating corner, so
+# log_optimal_portfolio restarts from that corner.
+RESTARTS = [
+    [[1.0, 1.0, 2.0], [0.0, 2.0, 2.0], [1.0, 0.5, 0.0]],
+    [[0.5, 0.0, 0.5], [0.0, 1.5, 0.5], [2.0, 0.0, 1.0]],
+]
+
+
+def test_log_optimal_stack_matches_solver_problems():
+    # bnn's problems stacked by shape, as the strategy solves them
+    problems = solver_problems("bnn")
+    for n in (10, 50):
+        assert_log_optimal_stack_matches(
+            np.array([p for p in problems if p.shape[1] == n]))
+
+
+def test_log_optimal_stack_takes_the_corner_restart(monkeypatch):
+    stack = np.array(RESTARTS + [[[1.1, 0.9, 1.0]] * 3])
+    ascents = []
+    real = optim._ascend
+
+    def counting(*args):
+        ascents.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(optim, "_ascend", counting)
+    for problem, restarts in zip(stack, (True, True, False)):
+        ascents.clear()
+        log_optimal_portfolio(problem)
+        assert len(ascents) == 1 + restarts
+    assert_log_optimal_stack_matches(stack)
+
+
+def test_log_optimal_stack_validation():
+    with pytest.raises(ValueError):
+        log_optimal_stack(np.ones((3, 2)))  # a problem, not a stack of them
+    with pytest.raises(ValueError):
+        log_optimal_stack(np.empty((2, 0, 3)))
+    assert log_optimal_stack(np.empty((0, 4, 3))).shape == (0, 3)
+    np.testing.assert_array_equal(log_optimal_stack(np.full((2, 3, 1), 1.1)),
+                                  [[1.0], [1.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_log_optimal_stack_matches_loop(data):
+    # few levels, zero among them, make floored rows and ties common; a
+    # max_iter of 1 or 2 stops many ascents short of a dominating corner,
+    # so the corner restart runs
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)),
+             data.draw(st.integers(1, 4)))
+    levels = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.25])
+    values = data.draw(st.lists(levels, min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))
+    kwargs = {"max_iter": data.draw(st.sampled_from([0, 1, 2, 10_000])),
+              "tol": data.draw(st.sampled_from([1e-10, 1e-3]))}
+    assert_log_optimal_stack_matches(np.array(values).reshape(shape), **kwargs)
 
 
 # --- geometric median ---------------------------------------------------------

@@ -345,9 +345,9 @@ def step_row(name, config, prices, t, t_first, t_last):
 
 
 def day_rows(name, config, prices, t_first, t_last):
-    """RMR, BNN and CORN rows from the former per-day code in the oracles;
-    learner rows from a per-day loop over ``training_set`` and a learner
-    refitted afresh on the run's refit days."""
+    """Anticor, RMR, BNN and CORN rows from the former per-day code in the
+    oracles; learner rows from a per-day loop over ``training_set`` and a
+    learner refitted afresh on the run's refit days."""
     days = range(t_first, t_last + 1)
     if name == "bnn":
         return np.array([oracles.bnn_day(prices[:t], config.bnn_neighbors,
@@ -356,11 +356,14 @@ def day_rows(name, config, prices, t_first, t_last):
         return np.array([oracles.corn_day(prices[:t], config.corn_rho,
                                           config.corn_window) for t in days])
     rows = []
-    if name == "rmr":
+    if name in ("rmr", "anticor"):
         w = uniform_weights(prices.shape[1])
         for t in range(1, t_last + 1):
-            w = oracles.rmr_day(prices[:t], w, config.rmr_window,
-                                config.rmr_eps)
+            if name == "rmr":
+                w = oracles.rmr_day(prices[:t], w, config.rmr_window,
+                                    config.rmr_eps)
+            else:
+                w = oracles.anticor_day(prices[:t], w, config.anticor_window)
             rows.append(w)
         return np.array(rows[t_first - 1:])
     fw, trend = config.feature_window, config.trend_feature
@@ -377,15 +380,15 @@ def day_rows(name, config, prices, t_first, t_last):
 
 def assert_run_equals_step_loop(name, config, prices, spans, extra_days=()):
     """Each row of a run equals, byte for byte, its day computed on its own:
-    a one-day run for the classics, the per-day references for rmr, bnn,
-    corn and the learners. A run sees the prices it is given by the engine:
-    up to t_last, and one more day for bcrp."""
+    a one-day run for the classics, the per-day references for anticor,
+    rmr, bnn, corn and the learners. A run sees the prices it is given by
+    the engine: up to t_last, and one more day for bcrp."""
     for t_first, t_last in spans:
         strategy = make_strategy(name, config)
         got = strategy.run(prices[:t_last + strategy.hindsight], t_first,
                            t_last)
         assert got.shape == (t_last - t_first + 1, prices.shape[1])
-        if name in ("rmr", "bnn", "corn", "mlp", "knn"):
+        if name in ("anticor", "rmr", "bnn", "corn", "mlp", "knn"):
             want = day_rows(name, config, prices, t_first, t_last)
             assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
         if name in ("mlp", "knn"):  # their refit days anchor at t_first
@@ -415,8 +418,9 @@ def test_learner_run_equals_day_rows_across_refit_blocks(walk, name, refits):
     assert_run_equals_step_loop(name, config, walk, ((31, 30 + refits),))
 
 
-@pytest.mark.parametrize("window", [1, 2, 5, 30])
-@pytest.mark.parametrize("name", ["rmr", "corn", "bnn"])
+@pytest.mark.parametrize("name, window", [
+    (name, window) for name in ("rmr", "corn", "bnn", "anticor")
+    for window in (1, 2, 5, 30) if (name, window) != ("anticor", 1)])
 def test_run_equals_step_loop_windows(long_walk, name, window):
     config = BacktestConfig(**{f"{name}_window": window})
     # RMR's median blocks hold 256 windows: its last block ends mid-block at
@@ -424,6 +428,13 @@ def test_run_equals_step_loop_windows(long_walk, name, window):
     # spans end inside the first block, at 259 or after a single window.
     # Days window + 255 and window + 256 sit on either side of RMR's first
     # block edge, and their one-day runs end a block there.
+    # BNN's stacks hold 163 problems at 10 assets and 32 at 50, counted from
+    # the run's first solved day (t_first, or window + 11 when later).
+    # Anticor's blocks hold 163 days at 10 assets and 6 at 50, counted from
+    # day 2 * window + 1. So the (1, 299) span crosses at least one edge of
+    # each at both widths for every window. It ends mid-block, except BNN's
+    # window 1 at 50 assets, whose 288 problems fill exactly 9 stacks. At
+    # 10 assets the (100, 259) span fits in one BNN stack.
     assert_run_equals_step_loop(name, config, long_walk,
                                 ((1, 299), (100, 259), (1, window)),
                                 extra_days=(window + 255, window + 256))
