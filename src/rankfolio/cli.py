@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .data import load_csv, summary_stats
 from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
-                     config_as_dict, make_strategy, reprice, resolve_window,
-                     run_backtest)
+                     config_as_dict, make_strategy, parse_field, reprice,
+                     resolve_window, run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
 from .strategies import CLASSIC_NAMES
 
@@ -43,53 +43,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # config file handling
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_date(text: str) -> date:
-    return date.fromisoformat(text.strip())
-
-
-def _parse_rank_power(text: str):
-    lowered = text.strip().lower()
-    if lowered == "return":
-        return "return"
-    return int(lowered)
-
-
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _choice(*options: str):
-    def parse(text: str) -> str:
-        lowered = text.strip().lower()
-        if lowered not in options:
-            raise ValueError(f"expected one of {options}, got {text!r}")
-        return lowered
-    return parse
-
-
-# Config keys parse by the type of their default, except these.
-CONFIG_PARSERS = {f.name: type(f.default) for f in fields(BacktestConfig)} | {
-    "rank_power": _parse_rank_power,
-    "start": _parse_date,
-    "end": _parse_date,
-    "trend_feature": _choice("price", "return"),
-    "decay_classic": _parse_bool,
-    "benchmark": str.strip,
-    "mlp_hidden": _parse_hidden,
-}
-
-
 def read_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` file; '#' comments allowed; unknown keys error."""
+    config_fields = {f.name: f for f in fields(BacktestConfig)}
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -99,29 +55,13 @@ def read_config_file(path: str | Path) -> dict:
         key = key.strip()
         if not sep or not key:
             raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
-        if key not in CONFIG_PARSERS:
+        if key not in config_fields:
             raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = CONFIG_PARSERS[key](value.strip())
+            values[key] = parse_field(config_fields[key], value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}: line {lineno}: bad value for {key}: {exc}")
     return values
-
-
-# CLI flag dest -> config field for the runner commands.
-FLAG_FIELDS = {
-    "fee": "fee_rate",
-    "lookback": "lookback",
-    "refit": "refit_interval",
-    "decay_alpha": "decay_alpha",
-    "decay_len": "decay_len",
-    "feature_window": "feature_window",
-    "seed": "seed",
-    "start": "start",
-    "end": "end",
-    "rank_power": "rank_power",
-    "benchmark": "benchmark",
-}
 
 
 def build_config(args: argparse.Namespace) -> BacktestConfig:
@@ -129,15 +69,14 @@ def build_config(args: argparse.Namespace) -> BacktestConfig:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
-    for dest, field_name in FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    for f in fields(BacktestConfig):
+        text = getattr(args, f.name, None) if "flag" in f.metadata else None
+        if text is None:
             continue
         try:
-            overrides[field_name] = CONFIG_PARSERS[field_name](value)
+            overrides[f.name] = parse_field(f, text.strip())
         except ValueError as exc:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"bad value for {flag}: {exc}")
+            raise UsageError(f"bad value for {f.metadata['flag']}: {exc}")
     try:
         return BacktestConfig(**overrides)
     except ValueError as exc:
@@ -400,8 +339,8 @@ def cmd_fetch(args) -> int:
     from .fetch import Fetcher  # keep network machinery out of other commands
 
     try:
-        start = _parse_date(args.start)
-        end = _parse_date(args.end)
+        start = date.fromisoformat(args.start.strip())
+        end = date.fromisoformat(args.end.strip())
     except ValueError as exc:
         raise UsageError(f"bad date: {exc}")
     if end < start:
@@ -450,22 +389,10 @@ def _add_run_flags(sub: argparse.ArgumentParser, with_strategy: bool = True):
     if with_strategy:
         sub.add_argument("--strategy", default="mlp",
                          help="strategy id, e.g. mlp, mlp:return, knn:3, olmar")
-    sub.add_argument("--rank-power", dest="rank_power",
-                     help="rank target transform for ml strategies: "
-                          "an integer >= 1 or return")
-    sub.add_argument("--fee", help="proportional fee per unit turnover")
-    sub.add_argument("--lookback", help="training days per refit")
-    sub.add_argument("--refit", help="trading days between refits")
-    sub.add_argument("--decay-alpha", dest="decay_alpha",
-                     help="weight decay base in [0, 1)")
-    sub.add_argument("--decay-len", dest="decay_len",
-                     help="weight decay memory length")
-    sub.add_argument("--feature-window", dest="feature_window",
-                     help="trailing days per feature block")
-    sub.add_argument("--seed", help="seed for sampling and weight init")
-    sub.add_argument("--start", help="first trading date (ISO)")
-    sub.add_argument("--end", help="last trading date (ISO)")
-    sub.add_argument("--benchmark", help="information-ratio benchmark strategy")
+    for f in fields(BacktestConfig):
+        if "flag" in f.metadata:
+            sub.add_argument(f.metadata["flag"], dest=f.name,
+                             help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,9 @@
 """Backtest engine: the strategy catalogue, weight decay, and accounting.
 
 ``make_strategy`` is the one place a strategy id is read. An id is a classic
-name or ``mlp``/``knn`` with an optional ``:power`` suffix (an integer >= 1
-or ``return``, so ``mlp:0`` is rejected) that replaces ``rank_power``; case
-and surrounding spaces do not matter.
+name or ``mlp``/``knn`` with an optional ``:power`` suffix that replaces
+``rank_power`` and is parsed and bounded as that field is (so ``mlp:0`` is
+rejected); case and surrounding spaces do not matter.
 
 Day indices are 1-based (day t is price row t-1); the trading window starts
 no earlier than the strategy's ``first_day``. One ``Strategy.run`` call per
@@ -11,9 +11,10 @@ backtest, on a fresh strategy, gives the weights of every trading day. It
 sees prices up to the last trading day only (bcrp, the ``hindsight``
 reference, one day more), and its row for day t depends only on prices for
 days 1..t: recursions replay from day 1, while buy-and-hold and the
-learners' refit schedule anchor at the first trading day. Each row is then
-optionally smoothed by an exponential decay over the run's own recent
-outputs. Once every day's weights are known, ``account`` realizes each
+learners' refit schedule anchor at the first trading day. A row that is not
+finite fails the run. Each row is then optionally smoothed by an exponential
+decay over the run's own recent outputs (a ``decays`` strategy's by
+default). Once every day's weights are known, ``account`` realizes each
 day's return from day t to t+1 and its cost in a few array operations.
 Costs are proportional to the L1 distance between the new weights and the
 previous day's weights after drifting with the market; the first day pays
@@ -22,8 +23,10 @@ for the full move out of cash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import Field, dataclass, field, fields, replace
 from datetime import date
+from typing import Any
 
 import numpy as np
 
@@ -52,30 +55,111 @@ def check_fee_rate(fee_rate: float) -> None:
             f"fee rate must be in [0, {MAX_FEE_RATE}), got {fee_rate!r}")
 
 
+def _bound(test: Callable[[Any], bool], text: str):
+    """A field's bound: a value that fails ``test`` (as NaN fails every
+    comparison) is rejected as '<field> <text>', where ``text`` may name
+    other fields in braces."""
+    def check(config: BacktestConfig, name: str) -> None:
+        if not test(getattr(config, name)):
+            raise ValueError(f"{name} {text.format_map(vars(config))}")
+    return check
+
+
+def _at_least(low: int):
+    return _bound(lambda value: value >= low, f"must be >= {low}")
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _rank_power_from(text: str) -> RankPower:
+    return "return" if text.lower() == "return" else int(text)
+
+
+def _param(default, bound=None, *, parse=None, flag=None, help=None):
+    """A config field that declares its own bound (a check of the config
+    and the field's name, such as ``_bound`` makes), its parser of stripped
+    text where the default's type cannot parse it (``parse_field``), and
+    its run flag with that flag's help."""
+    metadata = {"bound": bound, "parse": parse, "flag": flag, "help": help}
+    return field(default=default, metadata={
+        key: value for key, value in metadata.items() if value is not None})
+
+
+def parse_field(config_field: Field, text: str):
+    """A config field's value from stripped text: the field's own parser,
+    else the type of its default."""
+    return config_field.metadata.get("parse", type(config_field.default))(text)
+
+
 @dataclass
 class BacktestConfig:
-    """Run parameters; defaults match the headline experimental setup."""
+    """Run parameters; defaults match the headline experimental setup.
 
-    lookback: int = 80            # training days per refit
-    refit_interval: int = 10      # trading days between refits
-    decay_alpha: float = 0.7      # weight-decay base
-    decay_len: int = 1            # decay memory length
-    fee_rate: float = 0.0         # proportional cost per unit turnover
-    rank_power: RankPower = 2     # target transform: 1..k or "return"
-    seed: int = 10
-    feature_window: int = 20
-    start: date | None = None     # first trading date (default: earliest feasible)
-    end: date | None = None       # last trading date (default: last usable day)
-    days_per_year: int = 250
-    trend_feature: str = "price"  # basis of the trend feature
-    decay_classic: bool = False   # smooth classic strategies too
-    benchmark: str = "ucrp"       # information-ratio benchmark strategy
+    The engine and learner fields declare their bounds, parsers and run
+    flags (see ``_param``); the classics' settings are bounded by their
+    strategies' constructors, which ``__post_init__`` builds.
+    """
 
-    mlp_hidden: tuple[int, ...] = (20, 20)
-    mlp_epochs: int = 200
-    mlp_learning_rate: float = 1e-3
-    mlp_batch_size: int = 0       # 0 = full batch
-    knn_k: int = 15
+    lookback: int = _param(80, _at_least(1), flag="--lookback",
+                           help="training days per refit")
+    refit_interval: int = _param(10, _at_least(1), flag="--refit",
+                                 help="trading days between refits")
+    decay_alpha: float = _param(
+        0.7, _bound(lambda alpha: 0.0 <= alpha < 1.0, "must be in [0, 1)"),
+        flag="--decay-alpha", help="weight decay base in [0, 1)")
+    decay_len: int = _param(1, _at_least(0), flag="--decay-len",
+                            help="weight decay memory length")
+    # the fee bound is shared with reprice and sweep-fees' --fees
+    fee_rate: float = _param(
+        0.0, lambda config, _: check_fee_rate(config.fee_rate),
+        flag="--fee", help="proportional fee per unit turnover")
+    rank_power: RankPower = _param(
+        2, _bound(lambda power: power == "return" or (
+            not isinstance(power, str) and power >= 1),
+            "must be an integer >= 1 or 'return'"),
+        parse=_rank_power_from, flag="--rank-power",
+        help="rank target transform for ml strategies: an integer >= 1 or "
+             "return")
+    seed: int = _param(10, _at_least(0), flag="--seed",
+                       help="seed for sampling and weight init")
+    feature_window: int = _param(20, _at_least(2), flag="--feature-window",
+                                 help="trailing days per feature block")
+    start: date | None = _param(   # default: earliest feasible
+        None, parse=date.fromisoformat, flag="--start",
+        help="first trading date (ISO)")
+    end: date | None = _param(     # default: last usable day
+        None, parse=date.fromisoformat, flag="--end",
+        help="last trading date (ISO)")
+    days_per_year: int = _param(250, _at_least(1))
+    trend_feature: str = _param(  # basis of the trend feature
+        "price", _bound(lambda basis: basis in ("price", "return"),
+                        "must be 'price' or 'return'"), parse=str.lower)
+    decay_classic: bool = _param(  # smooth classic strategies too
+        False, parse=_parse_bool)
+    benchmark: str = _param("ucrp", flag="--benchmark",
+                            help="information-ratio benchmark strategy")
+
+    mlp_hidden: tuple[int, ...] = _param(
+        (20, 20), _bound(lambda sizes: all(units >= 1 for units in sizes),
+                         "layer sizes must be >= 1"),
+        parse=lambda text: tuple(int(part) for part in text.split(",")
+                                 if part.strip()))
+    mlp_epochs: int = _param(200, _at_least(1))
+    mlp_learning_rate: float = _param(
+        1e-3, _bound(lambda rate: 0.0 < rate < np.inf,
+                     "must be finite and > 0"))
+    mlp_batch_size: int = _param(0, _bound(
+        lambda size: size >= 0, "must be >= 0 (0 = full batch)"))
+    # knn_k <= lookback is checked where knn is built
+    knn_k: int = _param(15, _bound(lambda k: k >= 1,
+                                   "must be in 1..lookback ({lookback})"))
 
     eg_eta: float = 0.05
     anticor_window: int = 5
@@ -93,35 +177,9 @@ class BacktestConfig:
     up_samples: int = 10_000
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ValueError("lookback must be >= 1")
-        if self.refit_interval < 1:
-            raise ValueError("refit_interval must be >= 1")
-        if not 0.0 <= self.decay_alpha < 1.0:
-            raise ValueError("decay_alpha must be in [0, 1)")
-        if self.decay_len < 0:
-            raise ValueError("decay_len must be >= 0")
-        check_fee_rate(self.fee_rate)
-        if self.feature_window < 2:
-            raise ValueError("feature_window must be >= 2")
-        if self.days_per_year < 1:
-            raise ValueError("days_per_year must be >= 1")
-        if self.trend_feature not in ("price", "return"):
-            raise ValueError("trend_feature must be 'price' or 'return'")
-        if isinstance(self.rank_power, str) and self.rank_power != "return":
-            raise ValueError("rank_power must be an integer >= 1 or 'return'")
-        if not isinstance(self.rank_power, str) and self.rank_power < 1:
-            raise ValueError("rank_power must be an integer >= 1 or 'return'")
-        if self.mlp_epochs < 1:
-            raise ValueError("mlp_epochs must be >= 1")
-        if any(units < 1 for units in self.mlp_hidden):
-            raise ValueError("mlp_hidden layer sizes must be >= 1")
-        if self.mlp_batch_size < 0:
-            raise ValueError("mlp_batch_size must be >= 0 (0 = full batch)")
-        if not 0.0 < self.mlp_learning_rate < np.inf:
-            raise ValueError("mlp_learning_rate must be finite and > 0")
-        if self.knn_k < 1:  # knn_k <= lookback is checked where knn is built
-            raise ValueError(f"knn_k must be in 1..lookback ({self.lookback})")
+        for f in fields(self):
+            if "bound" in f.metadata:
+                f.metadata["bound"](self, f.name)
         # constructor messages start with the parameter: prefixing names the key
         for name in CLASSIC_NAMES:
             try:
@@ -226,10 +284,8 @@ def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
     if name in classics:
         return classics[name]()
     if sep:
-        power = power.strip().lower()
-        try:  # the config's own check judges the power
-            config = replace(config, rank_power=(
-                power if power == "return" else int(power)))
+        try:  # the config's own parser and bound judge the power
+            config = replace(config, rank_power=_rank_power_from(power.strip()))
         except ValueError:
             raise ValueError(
                 f"bad rank power in {strategy_id!r}: "
@@ -295,9 +351,13 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
     t_first, t_last = resolve_window(matrix, config, strategy.first_day)
     prices = matrix.prices
     raw = strategy.run(prices[:t_last + strategy.hindsight], t_first, t_last)
+    finite = np.isfinite(raw).all(axis=1)
+    if not finite.all():
+        day = matrix.dates[t_first - 1 + int(np.argmin(finite))]
+        raise ValueError(f"strategy {strategy_id!r} gave non-finite weights "
+                         f"on {day.isoformat()}")
     held_weights = raw.copy()
-    if ((isinstance(strategy, RankForecastStrategy) or config.decay_classic)
-            and config.decay_len > 0):
+    if (strategy.decays or config.decay_classic) and config.decay_len > 0:
         recent: list[np.ndarray] = []  # most recent smoothed weights first
         for i, predicted in enumerate(raw):
             smoothed = apply_decay(recent, predicted, config.decay_alpha,

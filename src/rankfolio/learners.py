@@ -127,6 +127,8 @@ class RankForecastStrategy(Strategy):
     so a row depends only on the price prefix and the refit schedule.
     """
 
+    decays = True
+
     def __init__(self, learner: Learner, lookback: int = 80,
                  refit_interval: int = 10, rank_power: RankPower = 2,
                  feature_window: int = 20, trend: str = "price"):

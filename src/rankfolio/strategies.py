@@ -5,11 +5,12 @@ days, columns assets, most recent row last) to a long-only weight vector on
 the probability simplex. ``run(prices, t_first, t_last)`` is the one
 interface: the engine calls it once per backtest on a fresh strategy. It sees
 ``prices[:t_last]`` and returns one row per trading day t_first..t_last, and
-the row of day t depends only on ``prices[:t]``. Two class attributes tell
-the engine the rest: ``first_day``, the earliest day a run may start, and
-``hindsight``. BCRP is the one hindsight strategy: its run also sees the
-price after t_last, because it holds the best constant portfolio of the
-window it trades.
+the row of day t depends only on ``prices[:t]``. Three class attributes tell
+the engine the rest: ``first_day``, the earliest day a run may start,
+``hindsight`` and ``decays``. BCRP is the one hindsight strategy: its run
+also sees the price after t_last, because it holds the best constant
+portfolio of the window it trades. No classic ``decays``: the engine
+smooths a classic's weights only when the config asks for it.
 
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
 replay it from day 1 of the supplied prices, so a row does not depend on
@@ -68,6 +69,7 @@ class Strategy:
 
     first_day = 1       # earliest 1-based day a run may start on
     hindsight = False   # run also sees the price after t_last
+    decays = False      # the engine smooths its weights by default
 
     def run(self, prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
         """Weights of days t_first..t_last (1-based), one row each, from

@@ -4,14 +4,15 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from http.server import HTTPServer
 
 import numpy as np
 import pytest
 
-from rankfolio.cli import _fmt, main, read_config_file, render_table
+from rankfolio.cli import (_fmt, build_config, build_parser, main,
+                           read_config_file, render_table)
 from rankfolio.data import load_csv, write_csv
 from rankfolio.engine import BacktestConfig, run_backtest
 from rankfolio.fetch import BASE_URL_ENV
@@ -203,6 +204,66 @@ def test_exit_codes(data_csv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("backtest")  # argparse handles missing --data
     assert exc.value.code == 2
+
+
+# every config field with a run flag: (its flag, a valid value other than its
+# default, a rejected value); the dates lie inside data_csv's
+FLAG_CASES = {
+    "lookback": ("--lookback", "30", "0"),
+    "refit_interval": ("--refit", "3", "0"),
+    "decay_alpha": ("--decay-alpha", "0.5", "1"),
+    "decay_len": ("--decay-len", "2", "-1"),
+    "fee_rate": ("--fee", "0.001", "0.5"),
+    "rank_power": ("--rank-power", "return", "0"),
+    "seed": ("--seed", "3", "-1"),
+    "feature_window": ("--feature-window", "5", "1"),
+    "start": ("--start", "2023-01-11", "2023-02-30"),
+    "end": ("--end", "2023-03-01", "x"),
+    "benchmark": ("--benchmark", "eg", "nope"),
+}
+
+
+@pytest.mark.parametrize(
+    "config_field", [f for f in fields(BacktestConfig) if "flag" in f.metadata],
+    ids=lambda f: f.name)
+def test_flag_and_config_key_agree(data_csv, tmp_path, config_field):
+    assert set(FLAG_CASES) == {f.name for f in fields(BacktestConfig)
+                               if "flag" in f.metadata}
+    name = config_field.name
+    flag, good, bad = FLAG_CASES[name]
+    assert config_field.metadata["flag"] == flag
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{name} = {good}\n")
+    for command in ("backtest", "compare", "sweep-fees", "plotdata"):
+        by_flag, by_file = (
+            getattr(build_config(build_parser().parse_args(
+                [command, "--data", str(data_csv), *route])), name)
+            for route in ([flag, good], ["--config", str(conf)]))
+        assert by_flag == by_file != config_field.default, command
+    # a bad value exits 2 through both routes, before any output
+    conf.write_text(f"{name} = {bad}\n")
+    out = tmp_path / "o"
+    for route in ([flag, bad], ["--config", conf]):
+        assert run_cli("backtest", "--data", data_csv, "--strategy", "ucrp",
+                       *route, "--out", out) == 2, route
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, strategy_flags", [
+    ("backtest", ["--strategy", "up"]),
+    ("backtest", ["--strategy", "mlp"]),
+    ("compare", ["--strategies", "up,mlp"]),
+    ("sweep-fees", ["--strategy", "up"]),
+    ("plotdata", ["--strategy", "mlp"]),
+])
+def test_negative_seed_exits_2_before_any_output(data_csv, tmp_path, capsys,
+                                                 command, strategy_flags):
+    # the seed used to pass the config and fail mid-run, exit 1
+    out = tmp_path / "o"
+    assert run_cli(command, "--data", data_csv, *strategy_flags,
+                   "--seed", "-1", "--out", out) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_removed_annualization_key_exits_2(data_csv, tmp_path, capsys):
@@ -428,6 +489,7 @@ def test_fee_bound_exits_2(data_csv, tmp_path, capsys, fee):
     ("mlp_learning_rate = nan", "mlp_learning_rate must be finite and > 0"),
     ("mlp_learning_rate = -1", "mlp_learning_rate must be finite and > 0"),
     ("knn_k = 0", "knn_k must be in 1..lookback (80)"),
+    ("trend_feature = x", "trend_feature must be 'price' or 'return'"),
 ])
 def test_bad_learner_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     conf = tmp_path / "learner.cfg"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankfolio.data import PriceMatrix
 from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
                               apply_decay, config_as_dict, make_strategy,
                               reprice, resolve_window, run_backtest)
@@ -93,6 +94,15 @@ def test_config_validation():
                    dict(days_per_year=0)):
         with pytest.raises(ValueError):
             BacktestConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(knn_k=0, lookback=30), r"knn_k must be in 1\.\.lookback \(30\)"),
+])
+def test_bound_messages_name_the_key(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        BacktestConfig(**kwargs)
 
 
 @pytest.mark.parametrize("fee", [float("nan"), 0.5, 2.0, float("inf")])
@@ -181,7 +191,7 @@ def test_classic_settings_at_their_bounds_run(prices_small):
 
 def test_learner_settings_at_their_bounds_run(prices_small):
     BacktestConfig(mlp_hidden=(1,), mlp_learning_rate=1e-300, lookback=1,
-                   knn_k=1)
+                   knn_k=1, seed=0)
     # k equal to lookback uses every training row; a linear net (no hidden
     # layer) with one epoch and minibatches of one row still trains
     cfg = BacktestConfig(**{**FAST_ML, "knn_k": FAST_ML["lookback"],
@@ -427,11 +437,43 @@ def test_decay_on_for_ml_by_default():
     np.testing.assert_allclose(result.weights, expected, atol=1e-15)
 
 
+def test_decays_attribute_picks_the_smoothed_strategies(monkeypatch):
+    cfg = BacktestConfig(**FAST_ML)
+    assert [make_strategy(name, cfg).decays for name in ML_NAMES] == [True] * 2
+    assert not any(make_strategy(name, cfg).decays for name in CLASSIC_NAMES)
+
+    # the engine reads the attribute, not the strategy's class
+    class DecayedOlmar(Olmar):
+        decays = True
+
+    monkeypatch.setattr("rankfolio.engine.make_strategy",
+                        lambda strategy_id, config: DecayedOlmar())
+    result = run_backtest(make_prices(50, 3, seed=27), "olmar", cfg)
+    expected = np.empty_like(result.raw_weights)
+    expected[0] = result.raw_weights[0]
+    for i in range(1, expected.shape[0]):
+        expected[i] = (result.raw_weights[i] + 0.7 * expected[i - 1]) / 1.7
+    np.testing.assert_allclose(result.weights, expected, atol=1e-15)
+
+
 def test_decay_len_zero_disables_decay():
     pm = make_prices(70, 3, seed=28)
     cfg = BacktestConfig(decay_len=0, **FAST_ML)
     result = run_backtest(pm, "knn", cfg)
     np.testing.assert_array_equal(result.weights, result.raw_weights)
+
+
+def test_non_finite_weights_raise_naming_strategy_and_day():
+    # on day 2 eta * x overflows, so EG's weights of days 2 and 3 are NaN;
+    # the run used to return wealth [1.5, nan, nan] without an error
+    pm = PriceMatrix(dates=tuple(date(2024, 1, d) for d in range(1, 5)),
+                     assets=("A", "B"),
+                     prices=np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0],
+                                      [1.0, 1.0]]))
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            ValueError, match="strategy 'eg' gave non-finite weights "
+                              "on 2024-01-02"):
+        run_backtest(pm, "eg", BacktestConfig(eg_eta=1e308))
 
 
 # --- bcrp, the hindsight strategy ------------------------------------------------
