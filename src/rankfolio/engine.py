@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import Field, dataclass, field, fields, replace
 from datetime import date
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -65,8 +66,13 @@ def _bound(test: Callable[[Any], bool], text: str):
     return check
 
 
+def _integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _at_least(low: int):
-    return _bound(lambda value: value >= low, f"must be >= {low}")
+    return _bound(lambda value: _integer(value) and value >= low,
+                  f"must be >= {low} and an integer")
 
 
 def _parse_bool(text: str) -> bool:
@@ -122,7 +128,7 @@ class BacktestConfig:
         flag="--fee", help="proportional fee per unit turnover")
     rank_power: RankPower = _param(
         2, _bound(lambda power: power == "return" or (
-            not isinstance(power, str) and power >= 1),
+            _integer(power) and power >= 1),
             "must be an integer >= 1 or 'return'"),
         parse=_rank_power_from, flag="--rank-power",
         help="rank target transform for ml strategies: an integer >= 1 or "
@@ -147,18 +153,18 @@ class BacktestConfig:
                             help="information-ratio benchmark strategy")
 
     mlp_hidden: tuple[int, ...] = _param(
-        (20, 20), _bound(lambda sizes: all(units >= 1 for units in sizes),
-                         "layer sizes must be >= 1"),
+        (20, 20), _bound(lambda sizes: all(_integer(units) and units >= 1
+                                           for units in sizes),
+                         "layer sizes must be >= 1 and integers"),
         parse=lambda text: tuple(int(part) for part in text.split(",")
                                  if part.strip()))
     mlp_epochs: int = _param(200, _at_least(1))
     mlp_learning_rate: float = _param(
         1e-3, _bound(lambda rate: 0.0 < rate < np.inf,
                      "must be finite and > 0"))
-    mlp_batch_size: int = _param(0, _bound(
-        lambda size: size >= 0, "must be >= 0 (0 = full batch)"))
+    mlp_batch_size: int = _param(0, _at_least(0))  # 0 = full batch
     # knn_k <= lookback is checked where knn is built
-    knn_k: int = _param(15, _bound(lambda k: k >= 1,
+    knn_k: int = _param(15, _bound(lambda k: _integer(k) and k >= 1,
                                    "must be in 1..lookback ({lookback})"))
 
     eg_eta: float = 0.05

@@ -27,81 +27,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _ascend(relatives: np.ndarray, w: np.ndarray, tol: float,
-            max_iter: int) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent with backtracking from start point ``w``;
-    any step moving ``w`` less than ``tol``, even a rejected one, ends it."""
-    port = np.maximum(relatives @ w, RELATIVE_FLOOR)
-    fw = float(np.log(port).sum())
-    step = 1.0
-    for _ in range(max_iter):
-        grad = (relatives / port[:, None]).sum(axis=0)
-        # halve the step until it improves the objective or moves w < tol
-        while step >= 1e-18:
-            cand = project_to_simplex(w + step * grad)
-            cand_port = np.maximum(relatives @ cand, RELATIVE_FLOOR)
-            fc = float(np.log(cand_port).sum())
-            moved = float(np.linalg.norm(cand - w))
-            if fc > fw:
-                break
-            if moved < tol:
-                return w, fw
-            step *= 0.5
-        else:
-            break
-        w, fw, port = cand, fc, cand_port
-        step *= 2.0
-        if moved < tol:
-            break
-    return w, fw
-
-
-def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
-                          max_iter: int = 10_000) -> np.ndarray:
-    """Weights maximizing sum(log(relatives @ w)) over the simplex.
-
-    ``relatives`` is an m x n matrix of per-day price relatives (gross
-    returns, strictly positive under valid data). Deterministic: projected
-    gradient ascent with a halving line search from the uniform start,
-    stopping once a step, accepted or rejected, moves the weights by less
-    than ``tol`` or after ``max_iter`` iterations. Single-asset corners
-    are checked explicitly so the result never trails a pure asset.
-    """
-    relatives = np.asarray(relatives, dtype=np.float64)
-    if relatives.ndim != 2:
-        raise ValueError("relatives must be a 2-d matrix")
-    m, n = relatives.shape
-    if m < 1:
-        raise ValueError("need at least one row of relatives")
-    if n == 1:
-        return np.ones(1)
-
-    w, fw = _ascend(relatives, np.full(n, 1.0 / n), tol, max_iter)
-
-    corner_f = np.log(np.maximum(relatives, RELATIVE_FLOOR)).sum(axis=0)
-    best = int(np.argmax(corner_f))
-    if corner_f[best] > fw:
-        # the ascent stalled short of a dominating corner; restart there
-        corner = np.zeros(n)
-        corner[best] = 1.0
-        w2, fw2 = _ascend(relatives, corner, tol, max_iter)
-        if fw2 > fw:
-            w, fw = w2, fw2
-
-    if (np.maximum(relatives @ w, RELATIVE_FLOOR) <= RELATIVE_FLOOR).any():
-        _warn_floor()
-    return w
-
-
-def _warn_floor() -> None:
-    warnings.warn(
-        "log-optimal solution sits on the relative floor; "
-        "input rows contain non-positive entries",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def _project_rows(v: np.ndarray) -> np.ndarray:
     """``project_to_simplex`` of each row of ``v``, with its bytes."""
     n = v.shape[1]
@@ -113,81 +38,131 @@ def _project_rows(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta[:, None], 0.0)
 
 
-def _port_stack(relatives: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # one BLAS gemv per problem, the bytes of relatives[b] @ w[b]
-    return np.maximum(np.matmul(relatives, w[:, :, None])[:, :, 0],
-                      RELATIVE_FLOOR)
+def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
+                          max_iter: int = 10_000) -> np.ndarray:
+    """Weights maximizing sum(log(relatives @ w)) over the simplex, for an
+    m x n matrix of per-day price relatives (gross returns, strictly
+    positive under valid data): ``log_optimal_stack`` of one problem."""
+    return log_optimal_stack([relatives], tol, max_iter)[0]
 
 
-def _ascend_stack(relatives: np.ndarray, w: np.ndarray, tol: float,
+class _Block:
+    """A lockstep block's problems and the evaluations that depend on their
+    shapes: stacked matmuls for a (B, m, n) array, one problem at a time
+    for a list of (m_b, n) matrices; both give each problem's own bytes."""
+
+    def __init__(self, relatives):
+        self.relatives = relatives
+        self.stacked = isinstance(relatives, np.ndarray)
+
+    def take(self, rows: np.ndarray) -> _Block:
+        rel = self.relatives
+        return _Block(rel[rows] if self.stacked else [rel[i] for i in rows])
+
+    def at(self, w: np.ndarray):
+        """Each problem's floored portfolio relatives and objective."""
+        if self.stacked:  # one BLAS gemv per problem
+            port = np.maximum(np.matmul(self.relatives, w[:, :, None])[:, :, 0],
+                              RELATIVE_FLOOR)
+            return port, np.log(port).sum(axis=1)
+        port = [np.maximum(rel @ row, RELATIVE_FLOOR)
+                for rel, row in zip(self.relatives, w)]
+        return port, np.array([np.log(p).sum() for p in port])
+
+    def gradient(self, port, rows: np.ndarray) -> np.ndarray:
+        """The objective's gradient of problems ``rows`` at their ``port``."""
+        if self.stacked:  # divides a copy of the rows in place
+            scaled = self.relatives[rows]
+            scaled /= port[rows][:, :, None]
+            return scaled.sum(axis=1)
+        return np.array([(self.relatives[i] / port[i][:, None]).sum(axis=0)
+                         for i in rows])
+
+    def corners(self) -> np.ndarray:
+        """Each problem's objective at every single-asset corner."""
+        if self.stacked:
+            return np.log(np.maximum(self.relatives, RELATIVE_FLOOR)).sum(axis=1)
+        return np.array([np.log(np.maximum(rel, RELATIVE_FLOOR)).sum(axis=0)
+                         for rel in self.relatives])
+
+
+def _ascend_block(block: _Block, w: np.ndarray, tol: float,
                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_ascend`` on each problem of a (B, m, n) stack from the rows of
-    ``w``, in lockstep: one line-search trial per live problem at a time.
-    Each problem keeps its own step, acceptance, ``tol`` stop and
-    iteration count, and leaves the stack when it stops."""
-    port = _port_stack(relatives, w)
-    fw = np.log(port).sum(axis=1)
+    """Projected gradient ascent with a halving line search on each problem
+    of ``block`` from its row of ``w``, one trial per live problem at a
+    time. A problem leaves after ``max_iter`` iterations or once a step,
+    even a rejected one, moves it less than ``tol``."""
+    port, fw = block.at(w)
     w_out, f_out = w.copy(), fw.copy()
     if max_iter < 1:
         return w_out, f_out
-    live, rel, w = np.arange(len(w)), relatives, w.copy()
-    grad = (rel / port[:, :, None]).sum(axis=1)
+    live, w = np.arange(len(w)), w.copy()
+    grad = block.gradient(port, live)
     step = np.ones(live.size)
     iters = np.ones(live.size, dtype=np.int64)  # iterations begun
     while live.size:
         cand = _project_rows(w + step[:, None] * grad)
-        cand_port = _port_stack(rel, cand)
-        fc = np.log(cand_port).sum(axis=1)
+        cand_port, fc = block.at(cand)
         d = cand - w
         # per problem sqrt(d @ d), the bytes of np.linalg.norm(d)
         moved = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
         up = fc > fw
-        w[up], fw[up], port[up] = cand[up], fc[up], cand_port[up]
+        w[up], fw[up] = cand[up], fc[up]
         step[up] *= 2.0
         step[~up] *= 0.5
         done = (moved < tol) | np.where(up, iters == max_iter, step < 1e-18)
         more = up & ~done  # accepted and going on: a new iteration begins
-        grad[more] = (rel[more] / port[more][:, :, None]).sum(axis=1)
+        if more.any():
+            grad[more] = block.gradient(cand_port, np.flatnonzero(more))
         iters[more] += 1
         if done.any():
             w_out[live[done]], f_out[live[done]] = w[done], fw[done]
-            keep = ~done
-            live, rel, w, fw, port = (live[keep], rel[keep], w[keep],
-                                      fw[keep], port[keep])
+            keep = np.flatnonzero(~done)
+            live, w, fw, block = live[keep], w[keep], fw[keep], block.take(keep)
             grad, step, iters = grad[keep], step[keep], iters[keep]
     return w_out, f_out
 
 
-def log_optimal_stack(relatives: np.ndarray, tol: float = 1e-10,
+def log_optimal_stack(relatives, tol: float = 1e-10,
                       max_iter: int = 10_000) -> np.ndarray:
-    """``log_optimal_portfolio`` of each matrix of a (B, m, n) stack, which
-    gives (B, n) weights; each row has the bytes of solving its problem
-    alone. The problems ascend in lockstep, each with its own step, stop,
-    corner restart and floor check (one warning for the stack)."""
-    relatives = np.asarray(relatives, dtype=np.float64)
-    if relatives.ndim != 3:
-        raise ValueError("relatives must be a 3-d stack of matrices")
-    count, m, n = relatives.shape
-    if m < 1:
-        raise ValueError("need at least one row of relatives")
-    if n == 1:
-        return np.ones((count, 1))
+    """``log_optimal_portfolio`` of each problem of a block, a (B, m, n)
+    array or a sequence of (m_b, n) matrices, as (B, n) weights: projected
+    gradient ascent from the uniform start until a step moves the weights
+    less than ``tol`` or after ``max_iter`` iterations, restarted from the
+    best single-asset corner when that beats it. The problems ascend in
+    lockstep, and each row has the bytes of its problem solved alone; one
+    warning for the block when a solution sits on ``RELATIVE_FLOOR``."""
+    if isinstance(relatives, np.ndarray) and relatives.ndim == 3:
+        relatives = relatives.astype(np.float64, copy=False)
+    else:
+        relatives = [np.asarray(rel, dtype=np.float64) for rel in relatives]
+    if any(rel.ndim != 2 or len(rel) < 1 for rel in relatives) or len(
+            {rel.shape[1] for rel in relatives}) > 1:
+        raise ValueError("relatives must be a (B, m, n) stack or a sequence "
+                         "of (m_b, n) matrices, each with a row")
+    count = len(relatives)
+    n = np.shape(relatives[0] if count else relatives)[-1]
+    if n == 1 or count == 0:
+        return np.ones((count, n))
 
-    w, fw = _ascend_stack(relatives, np.full((count, n), 1.0 / n), tol,
-                          max_iter)
+    block = _Block(relatives)
+    w, fw = _ascend_block(block, np.full((count, n), 1.0 / n), tol, max_iter)
 
-    corner_f = np.log(np.maximum(relatives, RELATIVE_FLOOR)).sum(axis=1)
+    corner_f = block.corners()
     best = np.argmax(corner_f, axis=1)
-    stalled = np.nonzero(corner_f[np.arange(count), best] > fw)[0]
+    stalled = np.flatnonzero(corner_f[np.arange(count), best] > fw)
     if stalled.size:
+        # the ascent stalled short of a dominating corner; restart there
         corners = np.zeros((stalled.size, n))
         corners[np.arange(stalled.size), best[stalled]] = 1.0
-        w2, fw2 = _ascend_stack(relatives[stalled], corners, tol, max_iter)
+        w2, fw2 = _ascend_block(block.take(stalled), corners, tol, max_iter)
         wins = fw2 > fw[stalled]
         w[stalled[wins]] = w2[wins]
 
-    if (_port_stack(relatives, w) <= RELATIVE_FLOOR).any():
-        _warn_floor()
+    if any((port <= RELATIVE_FLOOR).any() for port in block.at(w)[0]):
+        warnings.warn("log-optimal solution sits on the relative floor; "
+                      "input rows contain non-positive entries",
+                      RuntimeWarning, stacklevel=2)
     return w
 
 

@@ -17,15 +17,14 @@ replay it from day 1 of the supplied prices, so a row does not depend on
 where the trading window begins. Buy-and-hold is the one exception: it buys
 at day t_first, the start of the trading period. RMR, BNN, CORN and Anticor
 do their price-only work (L1 medians, relative windows, window statistics
-and claims) once per run. RMR solves its medians and BNN its log-optimal
-problems in lockstep stacks; CORN's problems differ in size, so it solves
-each alone.
+and claims) once per run. RMR solves its medians in lockstep stacks, and
+BNN and CORN their log-optimal problems in lockstep blocks: BNN's problems
+share one shape, CORN's differ in row count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from statistics import NormalDist
 
 import numpy as np
@@ -46,11 +45,14 @@ _NULL_DIRECTION = 1e-24
 # first window, so memory stays bounded whatever the run length.
 _MEDIAN_BLOCK = 256
 
-# BNN solves its log-optimal problems, and Anticor computes its claims, in
-# blocks sized so that a stacked array (BNN's relatives, Anticor's n x n
-# claims of each day) holds at most this many floats: memory stays bounded
-# whatever the asset count.
+# Anticor computes its claims in blocks of days sized so that their n x n
+# claims hold at most this many floats: memory stays bounded whatever the
+# asset count.
 _STACK_FLOATS = 16_384
+
+# CORN solves its log-optimal problems in lockstep blocks of days whose
+# relatives hold at most this many floats (1 MB), BNN in half that.
+_BLOCK_FLOATS = 131_072
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -414,9 +416,12 @@ class PatternMatcher(Strategy):
     Weights are uniform until ``min_candidates`` candidates exist, or when
     no window matches. A day's weights depend on the price prefix alone, so
     ``run`` builds the windows of the whole run once and slices them per
-    day. BNN, whose sets all hold ``neighbors`` successors, solves its days
-    in lockstep stacks; CORN's sets vary in size, so it solves each alone.
+    day, and solves the days' log-optimal problems in lockstep blocks: one
+    (B, m, n) stack when every set has one size (``stacked``: BNN's sets
+    all hold ``neighbors`` successors), else a ragged list (CORN's).
     """
+
+    stacked = False
 
     def __init__(self, window: int, min_candidates: int):
         if window < 1:
@@ -432,10 +437,15 @@ class PatternMatcher(Strategy):
             return out
         windows, rels = _relative_windows(prices, self.window)
         matches = self._matcher(windows)
-        # each day's successor set, made as it is solved
-        matched = (matches(t - 1 - self.window) + self.window
+        # each day's row and successor set, made as it is solved
+        matched = ((t - t_first, matches(t - 1 - self.window) + self.window)
                    for t in range(first, t_last + 1))
-        self._solve(rels, matched, out[first - t_first:])
+        # a stacked solve holds a few copies of its block, so half the
+        # budget keeps BNN's peak memory under CORN's
+        budget = _BLOCK_FLOATS // 2 if self.stacked else _BLOCK_FLOATS
+        for rows, sets in _blocks(matched, rels.shape[1], budget):
+            out[rows] = log_optimal_stack(rels[np.array(sets)] if self.stacked
+                                          else [rels[s] for s in sets])
         return out
 
     def _matcher(self, windows: np.ndarray):
@@ -443,14 +453,24 @@ class PatternMatcher(Strategy):
         of the windows among windows[:c] that match it."""
         raise NotImplementedError
 
-    def _solve(self, rels: np.ndarray, matched: Iterator[np.ndarray],
-               out: np.ndarray) -> None:
-        """Writes into row i of ``out`` the log-optimal weights over the
-        relatives of the i-th index set of ``matched``, one problem at a
-        time; a row whose set is empty stays uniform."""
-        for row, successors in zip(out, matched):
-            if successors.size:
-                row[:] = log_optimal_portfolio(rels[successors])
+
+def _blocks(matched, width: int, budget: int):
+    """Blocks (rows, sets) of the consecutive (row, index set) pairs of
+    ``matched`` with non-empty sets, of at most ``budget`` floats of
+    relatives (``width`` a row) unless one set alone exceeds it."""
+    rows, sets, floats = [], [], 0
+    for row, successors in matched:
+        size = successors.size * width
+        if not size:
+            continue
+        if sets and floats + size > budget:
+            yield rows, sets
+            rows, sets, floats = [], [], 0
+        rows.append(row)
+        sets.append(successors)
+        floats += size
+    if sets:
+        yield rows, sets
 
 
 class Bnn(PatternMatcher):
@@ -462,24 +482,23 @@ class Bnn(PatternMatcher):
     them. Uniform until neighbors + window + 1 days of history exist.
     """
 
+    stacked = True
+
     def __init__(self, neighbors: int = 10, window: int = 5):
         if neighbors < 1:
             raise ValueError("neighbors must be >= 1")
         super().__init__(window, min_candidates=neighbors)
         self.neighbors = neighbors
 
-    def _solve(self, rels, matched, out):
-        # every set holds ``neighbors`` successors: solve them in stacks
-        successors = np.array(list(matched))
-        size = max(1, _STACK_FLOATS // (self.neighbors * rels.shape[1]))
-        for s in range(0, len(successors), size):
-            out[s: s + size] = log_optimal_stack(rels[successors[s: s + size]])
-
     def _matcher(self, windows):
-        def nearest(c):
+        k = self.neighbors
+
+        def nearest(c):  # c >= k: a run starts with k candidates
             d2 = ((windows[:c] - windows[c]) ** 2).sum(axis=1)
-            # stable sort keeps the earliest window first among exact ties
-            return np.argsort(d2, kind="stable")[: self.neighbors]
+            # sort only the windows at or below the k-th distance; a stable
+            # sort keeps the earliest window first among exact ties
+            near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+            return near[np.argsort(d2[near], kind="stable")[:k]]
         return nearest
 
 

@@ -5,17 +5,18 @@ different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
 rest are the program's former loop formulations (one day's returns,
-features, MLP training, log-optimal ascent, L1 median, the per-day Anticor,
-BNN, CORN and RMR updates), kept as byte-for-byte references for the code
-that replaced them.
+features, MLP training, the one-problem log-optimal solver and its full
+line search, L1 median, the per-day Anticor, BNN, CORN and RMR updates),
+kept as byte-for-byte references for the code that replaced them.
 """
 
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
 
-from rankfolio.optim import log_optimal_portfolio, project_to_simplex
+from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
 
 
 def project_simplex_bisect(v):
@@ -352,14 +353,66 @@ def mlp_train_loop(features, targets, hidden=(20, 20), epochs=200,
     return model
 
 
+def scalar_ascent(relatives, w, tol, max_iter):
+    """Projected gradient ascent with backtracking from start point ``w``
+    on one problem; any step moving ``w`` less than ``tol``, even a
+    rejected one, ends it. Returns (w, objective)."""
+    port = np.maximum(relatives @ w, RELATIVE_FLOOR)
+    fw = float(np.log(port).sum())
+    step = 1.0
+    for _ in range(max_iter):
+        grad = (relatives / port[:, None]).sum(axis=0)
+        # halve the step until it improves the objective or moves w < tol
+        while step >= 1e-18:
+            cand = project_to_simplex(w + step * grad)
+            cand_port = np.maximum(relatives @ cand, RELATIVE_FLOOR)
+            fc = float(np.log(cand_port).sum())
+            moved = float(np.linalg.norm(cand - w))
+            if fc > fw:
+                break
+            if moved < tol:
+                return w, fw
+            step *= 0.5
+        else:
+            break
+        w, fw, port = cand, fc, cand_port
+        step *= 2.0
+        if moved < tol:
+            break
+    return w, fw
+
+
+def log_optimal_scalar(relatives, tol=1e-10, max_iter=10_000):
+    """The one-problem formulation of ``log_optimal_stack``: the same
+    ascent from the uniform start, corner restart and floor warning, solved
+    with scalar objectives and one projection per trial. Each row of a
+    block's solution must match it byte for byte."""
+    relatives = np.asarray(relatives, dtype=np.float64)
+    n = relatives.shape[1]
+    if n == 1:
+        return np.ones(1)
+    w, fw = scalar_ascent(relatives, np.full(n, 1.0 / n), tol, max_iter)
+    corner_f = np.log(np.maximum(relatives, RELATIVE_FLOOR)).sum(axis=0)
+    best = int(np.argmax(corner_f))
+    if corner_f[best] > fw:
+        corner = np.zeros(n)
+        corner[best] = 1.0
+        w2, fw2 = scalar_ascent(relatives, corner, tol, max_iter)
+        if fw2 > fw:
+            w = w2
+    if (np.maximum(relatives @ w, RELATIVE_FLOOR) <= RELATIVE_FLOOR).any():
+        warnings.warn("log-optimal solution sits on the relative floor; "
+                      "input rows contain non-positive entries",
+                      RuntimeWarning, stacklevel=2)
+    return w
+
+
 def log_optimal_loop(relatives, tol=1e-10, max_iter=10_000):
     """The full-length line-search formulation of ``log_optimal_portfolio``:
     the same projected-gradient ascent, uniform start and corner restart, but
     each line search halves the step down to 1e-18 before the ascent gives
     up, and the objective is recomputed from the weights at every step.
     Reference for the solver's early stop on a rejected sub-``tol`` step."""
-    from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
-
     relatives = np.asarray(relatives, dtype=np.float64)
     n = relatives.shape[1]
     if n == 1:
@@ -513,7 +566,7 @@ def bnn_day(prefix, neighbors, window):
     windows, rels = pattern_windows(prefix, window)
     d2 = ((windows[:candidates] - windows[-1]) ** 2).sum(axis=1)
     order = np.argsort(d2, kind="stable")[:neighbors]
-    return log_optimal_portfolio(rels[order + window])
+    return log_optimal_scalar(rels[order + window])
 
 
 def corn_day(prefix, rho, window):
@@ -535,4 +588,4 @@ def corn_day(prefix, rho, window):
     matched = np.nonzero(corr >= rho)[0]
     if matched.size == 0:
         return np.full(n, 1.0 / n)
-    return log_optimal_portfolio(rels[matched + window])
+    return log_optimal_scalar(rels[matched + window])

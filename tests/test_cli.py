@@ -403,6 +403,24 @@ def test_rank_power_flag_takes_what_the_config_takes(data_csv, ml_config,
     assert not bad.exists()
 
 
+@pytest.mark.parametrize("flag, key, value", [
+    ("--lookback", "lookback", "20.5"),
+    ("--seed", "seed", "1.0"),
+    ("--rank-power", "rank_power", "1.5"),
+])
+def test_non_integer_setting_exits_2(data_csv, tmp_path, capsys, flag, key,
+                                     value):
+    # the flag and the config key both reject it before any output
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"{key} = {value}\n")
+    for route in ([flag, value], ["--config", conf]):
+        out = tmp_path / "o"
+        assert run_cli("backtest", "--data", data_csv, "--strategy", "knn",
+                       *route, "--out", out) == 2
+        assert value in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, strategy_id", [
     ("backtest", "--strategy", "mlp:0"),
     ("sweep-fees", "--strategy", "knn:x"),

@@ -105,6 +105,27 @@ def test_bound_messages_name_the_key(kwargs, message):
         BacktestConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(lookback=20.5), "lookback must be >= 1 and an integer"),
+    (dict(seed=1.0), "seed must be >= 0 and an integer"),
+    (dict(refit_interval=True), "refit_interval must be >= 1 and an integer"),
+    (dict(mlp_batch_size=2.5), "mlp_batch_size must be >= 0 and an integer"),
+    (dict(rank_power=1.5), "rank_power must be an integer >= 1 or 'return'"),
+    (dict(rank_power=True), "rank_power must be an integer >= 1 or 'return'"),
+    (dict(knn_k=2.5), r"knn_k must be in 1\.\.lookback \(80\)"),
+    (dict(mlp_hidden=(4.5,)), "mlp_hidden layer sizes must be >= 1"),
+])
+def test_integer_fields_reject_non_integers(kwargs, message):
+    # they used to build and then fail mid-run (or, for rank_power, run)
+    with pytest.raises(ValueError, match=message):
+        BacktestConfig(**kwargs)
+
+
+def test_integer_fields_take_numpy_integers():
+    config = BacktestConfig(lookback=np.int64(30), rank_power=np.int32(3))
+    assert config.lookback == 30 and config.rank_power == 3
+
+
 @pytest.mark.parametrize("fee", [float("nan"), 0.5, 2.0, float("inf")])
 def test_fee_rate_that_can_exhaust_wealth_rejected(fee):
     # turnover reaches 2, so a fee of 1/2 can cost a whole day's wealth

@@ -4,7 +4,8 @@ Simplex projection is checked against a bisection solver (different
 algorithm, same optimum). Log-optimal weights are checked by grid search and
 by the first-order optimality conditions. The geometric median is checked by
 direct objective comparison and known symmetric configurations. The stacked
-solvers are checked byte for byte against their per-problem forms.
+solvers are checked byte for byte against their per-problem forms in the
+oracles.
 """
 
 import warnings
@@ -18,7 +19,7 @@ from rankfolio import optim
 from rankfolio.optim import (RELATIVE_FLOOR, geometric_median,
                              log_optimal_portfolio, log_optimal_stack,
                              project_to_simplex)
-from oracles import geometric_median_loop, log_optimal_loop
+from oracles import geometric_median_loop, log_optimal_loop, log_optimal_scalar
 
 
 # --- independent oracles ----------------------------------------------------
@@ -219,18 +220,20 @@ def test_log_optimal_matches_full_line_search(kind):
 @pytest.mark.parametrize("kind", ["bnn", "corn"])
 def test_log_optimal_projections_per_solve(kind, monkeypatch):
     # the full line search spends about 70 projections per solve, most of
-    # them halving the step of the last, converged iteration
+    # them halving the step of the last, converged iteration; a problem
+    # solved alone projects one row per line-search trial
     problems = solver_problems(kind)
     calls = []
-    real = optim.project_to_simplex
+    real = optim._project_rows
 
     def counting(v):
-        calls.append(1)
+        calls.append(len(v))
         return real(v)
 
-    monkeypatch.setattr(optim, "project_to_simplex", counting)
+    monkeypatch.setattr(optim, "_project_rows", counting)
     for rel in problems:
         log_optimal_portfolio(rel)
+    assert set(calls) == {1}
     assert len(calls) / len(problems) <= 25
 
 
@@ -240,26 +243,27 @@ def solve_recording_warnings(solve, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = solve(*args, **kwargs)
-    return result, {(w.category, str(w.message)) for w in caught}
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
-def assert_log_optimal_stack_matches(stack, **kwargs):
-    """Each row of the stack's solution has the bytes of its problem solved
-    alone, and the stack warns as its problems do."""
-    got, stack_warnings = solve_recording_warnings(log_optimal_stack, stack,
-                                                   **kwargs)
-    assert got.shape == (stack.shape[0], stack.shape[2])
+def assert_log_optimal_stack_matches(block, **kwargs):
+    """Each row of a block's solution has the bytes of its problem solved
+    by the one-problem oracle, and the block warns once when any of its
+    problems does."""
+    got, caught = solve_recording_warnings(log_optimal_stack, block, **kwargs)
+    assert got.shape == (len(block), np.shape(block[0])[1])
     loop_warnings = set()
-    for problem, row in zip(stack, got):
-        want, caught = solve_recording_warnings(log_optimal_portfolio,
-                                                problem, **kwargs)
+    for problem, row in zip(block, got):
+        want, warned = solve_recording_warnings(log_optimal_scalar, problem,
+                                                **kwargs)
         assert row.tobytes() == want.tobytes()
-        loop_warnings |= caught
-    assert stack_warnings == loop_warnings
+        loop_warnings |= set(warned)
+    assert set(caught) == loop_warnings and len(caught) == len(loop_warnings)
+    assert len(loop_warnings) <= 1
 
 
 # Problems whose ascent from uniform stalls short of a dominating corner, so
-# log_optimal_portfolio restarts from that corner.
+# the solver restarts from that corner.
 RESTARTS = [
     [[1.0, 1.0, 2.0], [0.0, 2.0, 2.0], [1.0, 0.5, 0.0]],
     [[0.5, 0.0, 0.5], [0.0, 1.5, 0.5], [2.0, 0.0, 1.0]],
@@ -274,21 +278,39 @@ def test_log_optimal_stack_matches_solver_problems():
             np.array([p for p in problems if p.shape[1] == n]))
 
 
+def test_log_optimal_ragged_stack_matches_corn_problems():
+    # corn's problems of 1 to 350 rows in one ragged block, in both orders
+    problems = solver_problems("corn")
+    assert_log_optimal_stack_matches(problems)
+    assert_log_optimal_stack_matches(problems[::-1])
+
+
 def test_log_optimal_stack_takes_the_corner_restart(monkeypatch):
-    stack = np.array(RESTARTS + [[[1.1, 0.9, 1.0]] * 3])
+    # the two RESTARTS problems, and only they, ascend again from a corner,
+    # whether the block is one array or a ragged list with a taller problem
+    taller = [[1.1, 0.9, 1.0]] * 4
+    blocks = (np.array(RESTARTS + [taller[:3]]), RESTARTS + [taller],
+              [taller] + RESTARTS)
+    real = optim._ascend_block
     ascents = []
-    real = optim._ascend
 
-    def counting(*args):
-        ascents.append(1)
-        return real(*args)
+    def counting(block, w, *args):
+        ascents.append((w == 1.0).any(axis=1).tolist())
+        return real(block, w, *args)
 
-    monkeypatch.setattr(optim, "_ascend", counting)
-    for problem, restarts in zip(stack, (True, True, False)):
+    monkeypatch.setattr(optim, "_ascend_block", counting)
+    for block in blocks:
+        ascents.clear()
+        log_optimal_stack(block)
+        # a uniform start for every problem, then a corner start for two
+        assert ascents == [[False] * 3, [True, True]]
+    for problem in RESTARTS:
         ascents.clear()
         log_optimal_portfolio(problem)
-        assert len(ascents) == 1 + restarts
-    assert_log_optimal_stack_matches(stack)
+        assert ascents == [[False], [True]]
+    monkeypatch.undo()
+    for block in blocks:
+        assert_log_optimal_stack_matches(block)
 
 
 def test_log_optimal_stack_validation():
@@ -299,22 +321,44 @@ def test_log_optimal_stack_validation():
     assert log_optimal_stack(np.empty((0, 4, 3))).shape == (0, 3)
     np.testing.assert_array_equal(log_optimal_stack(np.full((2, 3, 1), 1.1)),
                                   [[1.0], [1.0]])
+    # a ragged block: matrices of one asset count, each with a row
+    for bad in ([np.ones((2, 3)), np.ones((2, 2))],
+                [np.ones((2, 3)), np.empty((0, 3))],
+                [np.ones(3)], [np.ones((1, 2, 3))]):
+        with pytest.raises(ValueError):
+            log_optimal_stack(bad)
+    assert log_optimal_stack([]).shape == (0, 0)
+    np.testing.assert_array_equal(
+        log_optimal_stack([np.full((2, 1), 1.1), np.full((5, 1), 0.9)]),
+        [[1.0], [1.0]])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_property_log_optimal_stack_matches_loop(data):
-    # few levels, zero among them, make floored rows and ties common; a
-    # max_iter of 1 or 2 stops many ascents short of a dominating corner,
-    # so the corner restart runs
-    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)),
-             data.draw(st.integers(1, 4)))
-    levels = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.25])
-    values = data.draw(st.lists(levels, min_size=int(np.prod(shape)),
-                                max_size=int(np.prod(shape))))
+    # few levels, zero and the floor among them, make floored rows and ties
+    # common; a max_iter of 1 or 2 stops many ascents short of a dominating
+    # corner, so the corner restart runs. A block is one (B, m, n) array or
+    # a ragged list of (m_b, n) matrices, and an equal-shape block gives the
+    # same bytes in both forms.
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        rows = [rows[0]] * len(rows)
+    levels = st.sampled_from([0.0, RELATIVE_FLOOR, 0.5, 1.0, 1.5, 2.0, 3.25])
+    block = [np.array(data.draw(st.lists(levels, min_size=m * n,
+                                         max_size=m * n))).reshape(m, n)
+             for m in rows]
     kwargs = {"max_iter": data.draw(st.sampled_from([0, 1, 2, 10_000])),
               "tol": data.draw(st.sampled_from([1e-10, 1e-3]))}
-    assert_log_optimal_stack_matches(np.array(values).reshape(shape), **kwargs)
+    assert_log_optimal_stack_matches(block, **kwargs)
+    if len(set(rows)) == 1:
+        stacked = np.array(block)
+        assert_log_optimal_stack_matches(stacked, **kwargs)
+        as_array, as_list = (
+            solve_recording_warnings(log_optimal_stack, b, **kwargs)[0]
+            for b in (stacked, block))
+        assert as_array.tobytes() == as_list.tobytes()
 
 
 # --- geometric median ---------------------------------------------------------

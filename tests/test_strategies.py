@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankfolio import strategies
 from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
 from rankfolio.features import (features_from_window, scores_to_weights,
                                 training_set)
@@ -428,16 +429,45 @@ def test_run_equals_step_loop_windows(long_walk, name, window):
     # spans end inside the first block, at 259 or after a single window.
     # Days window + 255 and window + 256 sit on either side of RMR's first
     # block edge, and their one-day runs end a block there.
-    # BNN's stacks hold 163 problems at 10 assets and 32 at 50, counted from
-    # the run's first solved day (t_first, or window + 11 when later).
     # Anticor's blocks hold 163 days at 10 assets and 6 at 50, counted from
-    # day 2 * window + 1. So the (1, 299) span crosses at least one edge of
-    # each at both widths for every window. It ends mid-block, except BNN's
-    # window 1 at 50 assets, whose 288 problems fill exactly 9 stacks. At
-    # 10 assets the (100, 259) span fits in one BNN stack.
+    # day 2 * window + 1, so the (1, 299) span crosses at least one edge at
+    # both widths for every window. BNN's and CORN's solve blocks hold most
+    # of a 300-day run or all of it; the test below puts edges inside it.
     assert_run_equals_step_loop(name, config, long_walk,
                                 ((1, 299), (100, 259), (1, window)),
                                 extra_days=(window + 255, window + 256))
+
+
+@pytest.mark.parametrize("budget", [500, 4_096, 16_384])
+@pytest.mark.parametrize("name", ["bnn", "corn"])
+def test_run_equals_step_loop_across_solve_blocks(long_walk, name, budget,
+                                                  monkeypatch):
+    # BNN and CORN solve their days in blocks of at most _BLOCK_FLOATS
+    # floats of relatives, which holds most of a 300-day run or all of it;
+    # smaller budgets put block edges inside the run, and at 500 floats
+    # some of CORN's days fill a block alone. The days on either side of
+    # each edge match the per-day references.
+    blocks = []
+    real = strategies._blocks
+
+    def recording(matched, width, budget):
+        for rows, sets in real(matched, width, budget):
+            blocks.append((rows, sum(s.size for s in sets) * width))
+            yield rows, sets
+
+    monkeypatch.setattr(strategies, "_BLOCK_FLOATS", budget)
+    monkeypatch.setattr(strategies, "_blocks", recording)
+    config = BacktestConfig()
+    got = make_strategy(name, config).run(long_walk, 1, 299)
+    assert len(blocks) >= 2
+    assert all(floats <= budget or len(rows) == 1 for rows, floats in blocks)
+    if name == "corn" and budget == 500:
+        assert any(floats > budget for _, floats in blocks)
+    edges = {row for rows, _ in blocks for row in (rows[0], rows[-1])}
+    days = {row + 1 + step for row in edges for step in (-1, 0, 1)}
+    for t in sorted(days & set(range(1, 300))):
+        want = day_rows(name, config, long_walk, t, t)[0]
+        assert got[t - 1].tobytes() == want.tobytes(), (name, budget, t)
 
 
 def test_run_only_sees_prices_up_to_t_last(walk):
