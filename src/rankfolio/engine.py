@@ -75,6 +75,9 @@ def _at_least(low: int):
                   f"must be >= {low} and an integer")
 
 
+_FINITE = _bound(lambda value: -np.inf < value < np.inf, "must be finite")
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -108,9 +111,11 @@ def parse_field(config_field: Field, text: str):
 class BacktestConfig:
     """Run parameters; defaults match the headline experimental setup.
 
-    The engine and learner fields declare their bounds, parsers and run
-    flags (see ``_param``); the classics' settings are bounded by their
-    strategies' constructors, which ``__post_init__`` builds.
+    Every field but ``start``, ``end`` and ``benchmark`` declares its bound,
+    and some a parser and a run flag (see ``_param``); ``__post_init__``
+    checks the bounds, so the strategies and learners built from a config
+    do not check their settings again. ``knn_k <= lookback`` ties two
+    fields and is checked where knn is built (``make_strategy``).
     """
 
     lookback: int = _param(80, _at_least(1), flag="--lookback",
@@ -148,7 +153,8 @@ class BacktestConfig:
         "price", _bound(lambda basis: basis in ("price", "return"),
                         "must be 'price' or 'return'"), parse=str.lower)
     decay_classic: bool = _param(  # smooth classic strategies too
-        False, parse=_parse_bool)
+        False, _bound(lambda flag: isinstance(flag, (bool, np.bool_)),
+                      "must be a boolean"), parse=_parse_bool)
     benchmark: str = _param("ucrp", flag="--benchmark",
                             help="information-ratio benchmark strategy")
 
@@ -167,31 +173,30 @@ class BacktestConfig:
     knn_k: int = _param(15, _bound(lambda k: _integer(k) and k >= 1,
                                    "must be in 1..lookback ({lookback})"))
 
-    eg_eta: float = 0.05
-    anticor_window: int = 5
-    pamr_eps: float = 0.5
-    cwmr_confidence: float = 0.95
-    cwmr_eps: float = 0.5
-    olmar_window: int = 5
-    olmar_eps: float = 10.0
-    rmr_window: int = 5
-    rmr_eps: float = 5.0
-    bnn_neighbors: int = 10
-    bnn_window: int = 5
-    corn_rho: float = 0.1
-    corn_window: int = 5
-    up_samples: int = 10_000
+    eg_eta: float = _param(
+        0.05, _bound(lambda eta: 0.0 <= eta < np.inf,
+                     "must be >= 0 and finite"))
+    anticor_window: int = _param(5, _at_least(2))
+    pamr_eps: float = _param(0.5, _FINITE)
+    cwmr_confidence: float = _param(
+        0.95, _bound(lambda confidence: 0.5 <= confidence < 1.0,
+                     "must be in [0.5, 1)"))
+    cwmr_eps: float = _param(0.5, _FINITE)
+    olmar_window: int = _param(5, _at_least(1))
+    olmar_eps: float = _param(10.0, _FINITE)
+    rmr_window: int = _param(5, _at_least(1))
+    rmr_eps: float = _param(5.0, _FINITE)
+    bnn_neighbors: int = _param(10, _at_least(1))
+    bnn_window: int = _param(5, _at_least(1))
+    corn_rho: float = _param(
+        0.1, _bound(lambda rho: -1.0 <= rho <= 1.0, "must be in [-1, 1]"))
+    corn_window: int = _param(5, _at_least(1))
+    up_samples: int = _param(10_000, _at_least(1))
 
     def __post_init__(self):
         for f in fields(self):
             if "bound" in f.metadata:
                 f.metadata["bound"](self, f.name)
-        # constructor messages start with the parameter: prefixing names the key
-        for name in CLASSIC_NAMES:
-            try:
-                make_strategy(name, self)
-            except ValueError as exc:
-                raise ValueError(f"{name}_{exc}") from None
 
 
 def apply_decay(previous: list[np.ndarray], predicted: np.ndarray,

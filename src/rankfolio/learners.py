@@ -93,8 +93,6 @@ class KnnLearner(Learner):
     """Stores each standardized training block; predicts by neighbor average."""
 
     def __init__(self, k: int = 15):
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.k = k
         self.normalizers: list[Normalizer] = []
         self._features: list[np.ndarray] = []
@@ -132,10 +130,6 @@ class RankForecastStrategy(Strategy):
     def __init__(self, learner: Learner, lookback: int = 80,
                  refit_interval: int = 10, rank_power: RankPower = 2,
                  feature_window: int = 20, trend: str = "price"):
-        if lookback < 1:
-            raise ValueError("lookback must be >= 1")
-        if refit_interval < 1:
-            raise ValueError("refit_interval must be >= 1")
         self.learner = learner
         self.lookback = lookback
         self.refit_interval = refit_interval

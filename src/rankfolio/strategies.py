@@ -10,7 +10,8 @@ the engine the rest: ``first_day``, the earliest day a run may start,
 ``hindsight`` and ``decays``. BCRP is the one hindsight strategy: its run
 also sees the price after t_last, because it holds the best constant
 portfolio of the window it trades. No classic ``decays``: the engine
-smooths a classic's weights only when the config asks for it.
+smooths a classic's weights only when the config asks for it. Constructors
+take their settings as given: ``BacktestConfig`` bounds each one.
 
 Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
 replay it from day 1 of the supplied prices, so a row does not depend on
@@ -57,13 +58,6 @@ _BLOCK_FLOATS = 131_072
 
 def uniform_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
-
-
-def _finite(name: str, value: float) -> float:
-    """``value``, or ValueError when it is NaN or infinite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 class Strategy:
@@ -138,7 +132,8 @@ class BestCRP(Strategy):
         if t_first > t_last:
             raise ValueError("run needs t_first <= t_last")
         prices = _run_prices(prices, t_first, t_last + 1)
-        target = bcrp_hindsight(prices[t_first:] / prices[t_first - 1: t_last])
+        target = log_optimal_portfolio(prices[t_first:]
+                                       / prices[t_first - 1: t_last])
         return np.tile(target, (t_last - t_first + 1, 1))
 
 
@@ -151,8 +146,6 @@ class UniversalSampler(ReplayStrategy):
     """
 
     def __init__(self, samples: int = 10_000, seed: int = 10):
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
         self.samples = samples
         self.seed = seed
 
@@ -177,9 +170,7 @@ class ExponentiatedGradient(ReplayStrategy):
     """Multiplicative update toward yesterday's winners."""
 
     def __init__(self, eta: float = 0.05):
-        if not eta >= 0:  # also rejects NaN
-            raise ValueError("eta must be >= 0")
-        self.eta = _finite("eta", eta)
+        self.eta = eta
 
     def _advance(self, prefix):
         n = prefix.shape[1]
@@ -206,8 +197,6 @@ class Anticor(Strategy):
     """
 
     def __init__(self, window: int = 5):
-        if window < 2:
-            raise ValueError("window must be >= 2")
         self.window = window
 
     def run(self, prices, t_first, t_last):
@@ -260,7 +249,7 @@ class Pamr(ReplayStrategy):
     """Passive-aggressive mean reversion: bet against yesterday's move."""
 
     def __init__(self, eps: float = 0.5):
-        self.eps = _finite("eps", eps)
+        self.eps = eps
 
     def _advance(self, prefix):
         if prefix.shape[0] == 1:
@@ -290,10 +279,8 @@ class Cwmr(ReplayStrategy):
     """
 
     def __init__(self, confidence: float = 0.95, eps: float = 0.5):
-        if not 0.5 <= confidence < 1.0:
-            raise ValueError("confidence must be in [0.5, 1)")
         self.phi = NormalDist().inv_cdf(confidence)
-        self.eps = _finite("eps", eps)
+        self.eps = eps
 
     def _advance(self, prefix):
         t, n = prefix.shape
@@ -347,10 +334,8 @@ class Olmar(ReplayStrategy):
     """Moving-average reversion: chase the MA(window)-to-price ratio."""
 
     def __init__(self, window: int = 5, eps: float = 10.0):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self.window = window
-        self.eps = _finite("eps", eps)
+        self.eps = eps
 
     def _advance(self, prefix):
         t = prefix.shape[0]
@@ -363,14 +348,9 @@ class Olmar(ReplayStrategy):
 class Rmr(Strategy):
     """Robust median reversion: like OLMAR with an L1-median price target."""
 
-    def __init__(self, window: int = 5, eps: float = 5.0,
-                 median_tol: float = 1e-9, median_max_iter: int = 200):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+    def __init__(self, window: int = 5, eps: float = 5.0):
         self.window = window
-        self.eps = _finite("eps", eps)
-        self.median_tol = median_tol
-        self.median_max_iter = median_max_iter
+        self.eps = eps
 
     def run(self, prices, t_first, t_last):
         prices = _run_prices(prices, t_first, t_last)
@@ -379,9 +359,7 @@ class Rmr(Strategy):
             # window j holds days j+1..j+m; its median drives day j+m
             windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
             medians = np.concatenate([
-                geometric_median(windows[s: s + _MEDIAN_BLOCK],
-                                 tol=self.median_tol,
-                                 max_iter=self.median_max_iter)
+                geometric_median(windows[s: s + _MEDIAN_BLOCK])
                 for s in range(0, len(windows), _MEDIAN_BLOCK)])
         out = np.empty((t_last - t_first + 1, n))
         w = uniform_weights(n)
@@ -424,8 +402,6 @@ class PatternMatcher(Strategy):
     stacked = False
 
     def __init__(self, window: int, min_candidates: int):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self.window = window
         self.min_candidates = min_candidates
 
@@ -485,8 +461,6 @@ class Bnn(PatternMatcher):
     stacked = True
 
     def __init__(self, neighbors: int = 10, window: int = 5):
-        if neighbors < 1:
-            raise ValueError("neighbors must be >= 1")
         super().__init__(window, min_candidates=neighbors)
         self.neighbors = neighbors
 
@@ -512,8 +486,6 @@ class Corn(PatternMatcher):
     """
 
     def __init__(self, rho: float = 0.1, window: int = 5):
-        if not -1.0 <= rho <= 1.0:
-            raise ValueError("rho must be in [-1, 1]")
         super().__init__(window, min_candidates=1)
         self.rho = rho
 
@@ -529,12 +501,3 @@ class Corn(PatternMatcher):
             np.divide(centered[:c] @ cur_c, denom, out=corr, where=denom > 0)
             return np.nonzero(corr >= self.rho)[0]
         return correlated
-
-
-def bcrp_hindsight(relatives: np.ndarray) -> np.ndarray:
-    """Best constant-rebalanced portfolio in hindsight over ``relatives``.
-
-    Explicitly look-ahead: intended as a reference bound, not a tradable
-    strategy. ``relatives`` holds the gross daily returns the run realizes.
-    """
-    return log_optimal_portfolio(relatives)

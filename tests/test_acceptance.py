@@ -20,7 +20,7 @@ from rankfolio.learners import knn_predict
 from rankfolio.metrics import CSV_COLUMNS
 from rankfolio.mlp import MlpModel, loss_and_gradients
 from rankfolio.optim import log_optimal_portfolio
-from rankfolio.strategies import CLASSIC_NAMES, bcrp_hindsight
+from rankfolio.strategies import CLASSIC_NAMES
 
 import oracles
 from conftest import make_prices
@@ -88,7 +88,7 @@ def test_c04_bcrp_dominates_every_asset():
     started = time.monotonic()
     for _ in range(50):
         relatives = np.exp(rng.normal(0.0, 0.03, size=(100, 5)))
-        w = bcrp_hindsight(relatives)
+        w = log_optimal_portfolio(relatives)
         achieved = oracles.log_wealth(relatives, w)
         best_single = np.log(relatives).sum(axis=0).max()
         assert achieved >= best_single - 1e-6

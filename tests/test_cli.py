@@ -551,7 +551,7 @@ def test_knn_k_above_lookback_exits_2_only_for_knn(data_csv, tmp_path, capsys,
     ("pamr_eps = inf", "pamr_eps must be finite"),
     ("rmr_eps = nan", "rmr_eps must be finite"),
     ("cwmr_eps = nan", "cwmr_eps must be finite"),
-    ("eg_eta = inf", "eg_eta must be finite"),
+    ("eg_eta = inf", "eg_eta must be >= 0 and finite"),
 ])
 def test_bad_classic_setting_exits_2(data_csv, tmp_path, capsys, line, message):
     # compare used to warn, skip the row and exit 0

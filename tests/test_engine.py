@@ -1,6 +1,6 @@
 """Engine accounting, decay, windows, repricing, and no-lookahead."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
@@ -13,8 +13,8 @@ from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
                               apply_decay, config_as_dict, make_strategy,
                               reprice, resolve_window, run_backtest)
 from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
-from rankfolio.strategies import (CLASSIC_NAMES, BestCRP, Olmar,
-                                  bcrp_hindsight)
+from rankfolio.optim import log_optimal_portfolio
+from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
 
 from conftest import make_prices
 
@@ -99,6 +99,8 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs, message", [
     (dict(seed=-1), "seed must be >= 0"),
     (dict(knn_k=0, lookback=30), r"knn_k must be in 1\.\.lookback \(30\)"),
+    # "false" is truthy: it used to build and smooth the classics
+    (dict(decay_classic="false"), "decay_classic must be a boolean"),
 ])
 def test_bound_messages_name_the_key(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -114,6 +116,13 @@ def test_bound_messages_name_the_key(kwargs, message):
     (dict(rank_power=True), "rank_power must be an integer >= 1 or 'return'"),
     (dict(knn_k=2.5), r"knn_k must be in 1\.\.lookback \(80\)"),
     (dict(mlp_hidden=(4.5,)), "mlp_hidden layer sizes must be >= 1"),
+    (dict(anticor_window=2.5), "anticor_window must be >= 2 and an integer"),
+    (dict(olmar_window=2.5), "olmar_window must be >= 1 and an integer"),
+    (dict(rmr_window=2.5), "rmr_window must be >= 1 and an integer"),
+    (dict(bnn_neighbors=2.5), "bnn_neighbors must be >= 1 and an integer"),
+    (dict(bnn_window=2.5), "bnn_window must be >= 1 and an integer"),
+    (dict(corn_window=2.5), "corn_window must be >= 1 and an integer"),
+    (dict(up_samples=10.5), "up_samples must be >= 1 and an integer"),
 ])
 def test_integer_fields_reject_non_integers(kwargs, message):
     # they used to build and then fail mid-run (or, for rank_power, run)
@@ -122,8 +131,18 @@ def test_integer_fields_reject_non_integers(kwargs, message):
 
 
 def test_integer_fields_take_numpy_integers():
-    config = BacktestConfig(lookback=np.int64(30), rank_power=np.int32(3))
+    config = BacktestConfig(lookback=np.int64(30), rank_power=np.int32(3),
+                            decay_classic=np.True_)
     assert config.lookback == 30 and config.rank_power == 3
+    assert config.decay_classic
+
+
+def test_every_setting_declares_its_bound():
+    # dates are parsed to dates, and the benchmark is an id that
+    # make_strategy reads; every other field is bounded where it is declared
+    unbounded = {f.name for f in fields(BacktestConfig)
+                 if "bound" not in f.metadata}
+    assert unbounded == {"start", "end", "benchmark"}
 
 
 @pytest.mark.parametrize("fee", [float("nan"), 0.5, 2.0, float("inf")])
@@ -192,7 +211,7 @@ def test_knn_k_above_lookback_rejected_where_knn_is_built(kwargs):
     (dict(rmr_eps=float("nan")), "rmr_eps must be finite"),
     (dict(rmr_eps=float("-inf")), "rmr_eps must be finite"),
     (dict(cwmr_eps=float("nan")), "cwmr_eps must be finite"),
-    (dict(eg_eta=float("inf")), "eg_eta must be finite"),
+    (dict(eg_eta=float("inf")), "eg_eta must be >= 0 and finite"),
 ])
 def test_bad_classic_settings_rejected_at_construction(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -504,7 +523,7 @@ def test_bcrp_constant_weights_solved_on_window():
     cfg = BacktestConfig(start=pm.dates[19], end=pm.dates[49])
     result = run_backtest(pm, "bcrp", cfg)
     rels = pm.prices[20:51] / pm.prices[19:50]
-    target = bcrp_hindsight(rels)
+    target = log_optimal_portfolio(rels)
     for row in result.weights:
         np.testing.assert_array_equal(row, target)
     # moving the window moves the solution

@@ -51,11 +51,6 @@ def test_knn_learner_copies_targets():
     np.testing.assert_array_equal(learner.predict(0, feats[0]), [1.0, 1.0])
 
 
-def test_knn_learner_validates_k():
-    with pytest.raises(ValueError):
-        KnnLearner(k=0)
-
-
 def test_mlp_learner_deterministic_and_standardized():
     rng = np.random.default_rng(42)
     feats = rng.normal(10.0, 4.0, size=(2, 25, 8))
@@ -168,11 +163,6 @@ def test_rank_forecast_prediction_uses_current_window():
     strat.run(pm.prices[:50], 50, 50)
     np.testing.assert_array_equal(
         learner.seen, features_from_window(pm.prices[38:50]))
-
-
-def test_rank_forecast_validates_interval():
-    with pytest.raises(ValueError):
-        RankForecastStrategy(CountingLearner(2), refit_interval=0)
 
 
 class RecordingLearner(CountingLearner):

@@ -12,8 +12,7 @@ from rankfolio.strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn,
                                   BuyAndHold, Corn, Cwmr,
                                   ExponentiatedGradient, Olmar, Pamr, Rmr,
                                   UniformCRP, UniversalSampler,
-                                  _relative_windows, bcrp_hindsight,
-                                  uniform_weights)
+                                  _relative_windows, uniform_weights)
 
 import oracles
 from conftest import make_prices
@@ -136,11 +135,6 @@ def test_eg_large_eta_stays_on_simplex():
         assert w.sum() == pytest.approx(1.0)
 
 
-def test_eg_rejects_negative_eta():
-    with pytest.raises(ValueError):
-        ExponentiatedGradient(-0.1)
-
-
 def test_pamr_matches_oracle(walk):
     w = last_day(Pamr(0.5), walk)
     np.testing.assert_allclose(w, oracles.pamr_oracle(walk, 0.5), atol=1e-9)
@@ -159,8 +153,7 @@ def test_olmar_matches_oracle(walk):
 
 
 def test_rmr_matches_oracle(walk):
-    strat = Rmr(5, 5.0, median_tol=1e-12, median_max_iter=2000)
-    w = last_day(strat, walk)
+    w = last_day(Rmr(5, 5.0), walk)
     np.testing.assert_allclose(w, oracles.rmr_oracle(walk, 5, 5.0), atol=1e-7)
 
 
@@ -168,13 +161,6 @@ def test_cwmr_matches_oracle(walk):
     w = last_day(Cwmr(0.95, 0.5), walk)
     np.testing.assert_allclose(w, oracles.cwmr_oracle(walk, 0.95, 0.5),
                                atol=1e-9)
-
-
-def test_cwmr_confidence_bounds():
-    with pytest.raises(ValueError):
-        Cwmr(0.4, 0.5)
-    with pytest.raises(ValueError):
-        Cwmr(1.0, 0.5)
 
 
 def test_anticor_matches_oracle(walk):
@@ -290,18 +276,9 @@ def test_corn_constant_window_correlates_zero():
         np.testing.assert_array_equal(last_day(Corn(rho, 2), prices), expected)
 
 
-def test_parameter_validation():
-    for bad in (lambda: Anticor(1), lambda: Olmar(0), lambda: Rmr(0),
-                lambda: Bnn(0, 5), lambda: Bnn(5, 0), lambda: Corn(1.5, 5),
-                lambda: Corn(0.1, 0), lambda: UniversalSampler(0),
-                lambda: ExponentiatedGradient(float("nan"))):
-        with pytest.raises(ValueError):
-            bad()
-
-
 def test_bcrp_hindsight_beats_every_asset(walk):
     rels = walk[1:] / walk[:-1]
-    w = bcrp_hindsight(rels)
+    w = log_optimal_portfolio(rels)
     best = oracles.log_wealth(rels, w)
     for j in range(rels.shape[1]):
         corner = np.zeros(rels.shape[1])
@@ -337,8 +314,8 @@ def step_row(name, config, prices, t, t_first, t_last):
     t_first, so its run is cut at day t instead, and bcrp holds the
     hindsight solution of the whole span every day."""
     if name == "bcrp":
-        return bcrp_hindsight(prices[t_first: t_last + 1]
-                              / prices[t_first - 1: t_last])
+        return log_optimal_portfolio(prices[t_first: t_last + 1]
+                                     / prices[t_first - 1: t_last])
     strategy = make_strategy(name, config)
     if name == "bah":
         return strategy.run(prices[:t], t_first, t)[-1]
