@@ -49,19 +49,29 @@ FEE_GRID = (0.0, 0.00025, 0.0005, 0.00075, 0.001, 0.00125, 0.0015)
 MAX_FEE_RATE = 0.5
 
 
+def _passes(test: Callable[[Any], bool], value) -> bool:
+    """Whether ``value`` passes ``test``; a comparison that a non-number
+    cannot make (``TypeError``) fails it."""
+    try:
+        return bool(test(value))
+    except TypeError:
+        return False
+
+
 def check_fee_rate(fee_rate: float) -> None:
-    """Reject a fee rate outside [0, MAX_FEE_RATE), including NaN."""
-    if not 0.0 <= fee_rate < MAX_FEE_RATE:
+    """Reject a fee rate outside [0, MAX_FEE_RATE), including NaN and
+    non-numbers."""
+    if not _passes(lambda rate: 0.0 <= rate < MAX_FEE_RATE, fee_rate):
         raise ValueError(
             f"fee rate must be in [0, {MAX_FEE_RATE}), got {fee_rate!r}")
 
 
 def _bound(test: Callable[[Any], bool], text: str):
     """A field's bound: a value that fails ``test`` (as NaN fails every
-    comparison) is rejected as '<field> <text>', where ``text`` may name
-    other fields in braces."""
+    comparison, and a non-number any comparison it cannot make) is rejected
+    as '<field> <text>', where ``text`` may name other fields in braces."""
     def check(config: BacktestConfig, name: str) -> None:
-        if not test(getattr(config, name)):
+        if not _passes(test, getattr(config, name)):
             raise ValueError(f"{name} {text.format_map(vars(config))}")
     return check
 

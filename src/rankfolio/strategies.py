@@ -20,7 +20,9 @@ at day t_first, the start of the trading period. RMR, BNN, CORN and Anticor
 do their price-only work (L1 medians, relative windows, window statistics
 and claims) once per run. RMR solves its medians in lockstep stacks, and
 BNN and CORN their log-optimal problems in lockstep blocks: BNN's problems
-share one shape, CORN's differ in row count.
+share one shape, CORN's differ in row count. BNN narrows each day's
+neighbour search with Gram-form distances, one matrix product per block of
+days, and ranks the windows that pass by their exact distances.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ _NULL_DIRECTION = 1e-24
 # first window, so memory stays bounded whatever the run length.
 _MEDIAN_BLOCK = 256
 
-# Anticor computes its claims in blocks of days sized so that their n x n
-# claims hold at most this many floats: memory stays bounded whatever the
-# asset count.
+# Anticor computes its claims, and BNN its Gram-form distances, in blocks
+# of days sized so that the block (n x n claims a day, or one distance per
+# window a day) holds at most this many floats: memory stays bounded
+# whatever the asset count and run length.
 _STACK_FLOATS = 16_384
 
 # CORN solves its log-optimal problems in lockstep blocks of days whose
@@ -456,6 +459,15 @@ class Bnn(PatternMatcher):
     flattened price-relative windows of length ``window``) to the current
     window and plays the log-optimal portfolio over the days that followed
     them. Uniform until neighbors + window + 1 days of history exist.
+
+    The search filters, then ranks exactly. Gram-form squared distances
+    ``sq[c] + sq[i] - 2 windows[c] . windows[i]`` come from one matrix
+    product per block of days of at most ``_STACK_FLOATS`` floats; a day
+    keeps every window within a rounding bound of its k-th Gram-form
+    distance. Only those windows get the exact distance
+    ``((windows[i] - windows[c]) ** 2).sum()``, and the nearest are picked
+    from them, earliest first among ties: the windows, and their order,
+    of a scan of every window.
     """
 
     stacked = True
@@ -465,14 +477,47 @@ class Bnn(PatternMatcher):
         self.neighbors = neighbors
 
     def _matcher(self, windows):
-        k = self.neighbors
+        k, (count, width) = self.neighbors, windows.shape
+        dense = np.ascontiguousarray(windows)
+        with np.errstate(over="ignore"):  # norms that overflow scan all
+            sq = np.einsum("ij,ij->i", dense, dense)
+        top = np.maximum.accumulate(sq)  # top[c - 1] = max(sq[:c])
+        # Gram-form distances sq[c] + sq[i] - 2 windows[c] . windows[i]
+        # differ from the exact ones by at most about
+        # (4 gamma_width + 10 u)(sq[c] + sq[i]) for any summation order, so
+        # for any BLAS kernel (u = eps / 2, gamma_L = L u / (1 - L u)), plus
+        # a subnormal step per product for underflow. ``slack`` bounds that
+        # about four times over. Without overflow (every intermediate stays
+        # below 8 max(sq)), every window at or below the exact k-th distance
+        # is within 2 slack of the Gram-form k-th; else every day scans all.
+        filtered = np.isfinite(8 * top[-1])
+        scale, tiny = 8 * (width + 4) * np.finfo(float).eps, np.finfo(float).tiny
+        rows = max(1, _STACK_FLOATS // count)  # days per Gram block
+        first, gram = -1, None  # the cached block's first day, distances
+
+        def candidates(c):
+            """Ascending indices among windows[:c] that hold every window
+            at or below the exact k-th distance to windows[c]."""
+            nonlocal first, gram
+            if not filtered:
+                return np.arange(c)
+            if first != c - c % rows:
+                first = c - c % rows
+                hi = min(first + rows, count)
+                gram = (sq[first:hi, None] + sq[:hi]
+                        - 2 * (dense[first:hi] @ dense[:hi].T))
+            approx = gram[c - first, :c]
+            slack = scale * (sq[c] + top[c - 1] + tiny)
+            return np.flatnonzero(
+                approx <= np.partition(approx, k - 1)[k - 1] + 2 * slack)
 
         def nearest(c):  # c >= k: a run starts with k candidates
-            d2 = ((windows[:c] - windows[c]) ** 2).sum(axis=1)
+            found = candidates(c)
+            d2 = ((windows[found] - windows[c]) ** 2).sum(axis=1)
             # sort only the windows at or below the k-th distance; a stable
             # sort keeps the earliest window first among exact ties
             near = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
-            return near[np.argsort(d2[near], kind="stable")[:k]]
+            return found[near[np.argsort(d2[near], kind="stable")[:k]]]
         return nearest
 
 

@@ -101,6 +101,12 @@ def test_config_validation():
     (dict(knn_k=0, lookback=30), r"knn_k must be in 1\.\.lookback \(30\)"),
     # "false" is truthy: it used to build and smooth the classics
     (dict(decay_classic="false"), "decay_classic must be a boolean"),
+    # non-numbers from library callers used to raise TypeError from the
+    # bound's comparison
+    (dict(decay_alpha="x"), r"decay_alpha must be in \[0, 1\)"),
+    (dict(pamr_eps="x"), "pamr_eps must be finite"),
+    (dict(fee_rate=None), r"fee rate must be in \[0, 0\.5\), got None"),
+    (dict(corn_rho=[1]), r"corn_rho must be in \[-1, 1\]"),
 ])
 def test_bound_messages_name_the_key(kwargs, message):
     with pytest.raises(ValueError, match=message):

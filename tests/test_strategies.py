@@ -1,7 +1,11 @@
 """Classic strategies against independent scalar-loop oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfolio import strategies
 from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
@@ -242,6 +246,64 @@ def test_bnn_tie_break_prefers_earliest_window():
         prices, neighbors=5, window=2)
 
 
+def full_scan_neighbors(windows, c, k):
+    """The k windows among windows[:c] nearest windows[c], earliest first
+    among ties: every distance computed, as the per-day update did."""
+    d2 = ((windows[:c] - windows[c]) ** 2).sum(axis=1)
+    return np.argsort(d2, kind="stable")[:k].tolist()
+
+
+@st.composite
+def neighbor_windows(draw):
+    """Flattened windows of relatives near 1 with exact duplicates, near
+    duplicates one ulp apart, constant windows and windows scaled by powers
+    of ten from 1e-170 (squares underflow) to 1e140; and a neighbour count
+    k in 1..count - 1, so that day c = k keeps every window."""
+    count = draw(st.integers(2, 40))
+    width = draw(st.integers(1, 12))
+    values = draw(st.lists(st.floats(0.5, 2.0), min_size=count * width,
+                           max_size=count * width))
+    windows = np.array(values).reshape(count, width)
+    rows = st.integers(0, count - 1)
+    for i in draw(st.sets(rows)):
+        windows[i] = windows[i, 0]
+    for i, power in draw(st.dictionaries(rows, st.integers(-170, 140),
+                                         max_size=3)).items():
+        windows[i] *= 10.0 ** power
+    for dst, src, ulp in draw(st.lists(st.tuples(rows, rows, st.booleans()),
+                                       max_size=count)):
+        windows[dst] = np.nextafter(windows[src], np.inf) if ulp else windows[src]
+    return windows, draw(st.integers(1, count - 1))
+
+
+@given(neighbor_windows(), st.sampled_from([1, 64, 16_384]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_bnn_neighbors_match_a_full_scan(drawn, budget, random):
+    # the Gram-form filter only narrows the windows the exact distances are
+    # computed for, so every day picks the full scan's windows in its order,
+    # whatever the Gram block size and the order the days are asked in
+    windows, k = drawn
+    days = list(range(k, len(windows)))
+    random.shuffle(days)
+    with mock.patch.object(strategies, "_STACK_FLOATS", budget):
+        nearest = Bnn(k, 1)._matcher(windows)
+    for c in days:
+        assert nearest(c).tolist() == full_scan_neighbors(windows, c, k), c
+
+
+def test_bnn_neighbors_fall_back_to_a_full_scan_on_overflowing_norms():
+    # squared norms of 1e160-sized windows overflow, so the Gram form would
+    # read inf - inf; their differences, and the exact distances, are
+    # finite, and every day scans all windows instead
+    rng = np.random.default_rng(4)
+    windows = 1e160 * (1.0 + 1e-9 * rng.random((40, 6)))
+    windows[25] = windows[3]
+    nearest = Bnn(4, 1)._matcher(windows)
+    for c in range(4, 40):
+        assert nearest(c).tolist() == full_scan_neighbors(windows, c, 4), c
+
+
 def test_corn_match_set_matches_oracle(walk):
     matched = oracles.corn_matched_indices(walk, rho=0.1, window=3)
     rels = walk[1:] / walk[:-1]
@@ -445,6 +507,20 @@ def test_run_equals_step_loop_across_solve_blocks(long_walk, name, budget,
     for t in sorted(days & set(range(1, 300))):
         want = day_rows(name, config, long_walk, t, t)[0]
         assert got[t - 1].tobytes() == want.tobytes(), (name, budget, t)
+
+
+@pytest.mark.parametrize("budget", [1, 4_096])
+def test_bnn_neighbors_run_equals_day_rows_across_gram_blocks(
+        long_walk, budget, monkeypatch):
+    # BNN computes its Gram-form distances in blocks of days of at most
+    # _STACK_FLOATS floats: the 294 windows of a 300-day run in blocks of
+    # 55 days, of 13 at 4,096 floats and of one at 1 float. Every day's
+    # row matches the per-day reference, which scans every window.
+    monkeypatch.setattr(strategies, "_STACK_FLOATS", budget)
+    config = BacktestConfig()
+    got = make_strategy("bnn", config).run(long_walk, 1, 299)
+    want = day_rows("bnn", config, long_walk, 1, 299)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_run_only_sees_prices_up_to_t_last(walk):
