@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import load_csv, summary_stats
+from .data import load_csv, summary_stats, write_csv_rows, write_text_atomic
 from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
                      config_as_dict, make_strategy, parse_field, reprice,
                      resolve_window, run_backtest)
@@ -105,13 +105,6 @@ def metrics_table(rows: list[tuple[str, MetricsReport]], label_header: str,
     return header, body
 
 
-def write_csv_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def render_table(header: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -171,9 +164,8 @@ def write_manifest(out_dir: Path, command: str, data_path: str,
         "config": config_as_dict(config),
         **extra,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(out_dir / "manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:

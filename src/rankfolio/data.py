@@ -140,21 +140,31 @@ def load_csv(path: str | Path) -> PriceMatrix:
     return PriceMatrix(dates=dates, assets=tuple(assets), prices=prices)
 
 
-def write_csv(matrix: PriceMatrix, path: str | Path) -> None:
-    """Write ``matrix`` to ``path`` in the load_csv format (12 significant
-    digits) via a temporary file renamed over ``path``: a failed write leaves
-    an earlier file intact."""
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over
+    ``path``: a failed write leaves the old file and no temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write("date," + ",".join(matrix.assets) + "\n")
-            for i, d in enumerate(matrix.dates):
-                cells = [PRICE_FORMAT % p for p in matrix.prices[i]]
-                fh.write(d.isoformat() + "," + ",".join(cells) + "\n")
+        tmp.write_text(text, newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone after a successful replace
+
+
+def write_csv_rows(path: str | Path, header: list[str],
+                   rows: list[list[str]]) -> None:
+    """Write ``header`` and ``rows`` of cells as a CSV, atomically."""
+    write_text_atomic(path, "".join(",".join(row) + "\n"
+                                    for row in [header, *rows]))
+
+
+def write_csv(matrix: PriceMatrix, path: str | Path) -> None:
+    """Write ``matrix`` to ``path`` in the load_csv format (12 significant
+    digits)."""
+    write_csv_rows(path, ["date", *matrix.assets],
+                   [[d.isoformat(), *(PRICE_FORMAT % p for p in row)]
+                    for d, row in zip(matrix.dates, matrix.prices)])
 
 
 def all_returns(matrix: PriceMatrix) -> np.ndarray:

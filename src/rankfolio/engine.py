@@ -209,13 +209,13 @@ class BacktestConfig:
                 f.metadata["bound"](self, f.name)
 
 
-def apply_decay(previous: list[np.ndarray], predicted: np.ndarray,
+def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,
                 alpha: float, length: int) -> np.ndarray:
     """Exponentially decayed blend of the prediction with recent outputs.
 
-    ``previous`` holds earlier smoothed weights, most recent first; during
-    warm-up fewer than ``length`` entries exist and the divisor shrinks to
-    match, keeping the result a convex combination.
+    ``previous`` holds earlier smoothed weights, most recent first (a list,
+    or a run's rows); during warm-up fewer than ``length`` entries exist and
+    the divisor shrinks to match, keeping the result a convex combination.
     """
     smoothed = np.asarray(predicted, dtype=np.float64).copy()
     denom = 1.0
@@ -234,7 +234,7 @@ def account(weights: np.ndarray, prices: np.ndarray,
     has one row more than ``weights``. Before its trade a day holds the
     previous day's weights drifted with the market, w (1 + r) renormalized,
     and the first day holds cash (zeros). Raises ValueError when a day's
-    drifted holdings are worth nothing.
+    drifted holdings are worth nothing or its net return is <= -100%.
     """
     returns = prices[1:] / prices[:-1] - 1.0
     # one BLAS dot per row, the same bytes as weights[i] @ returns[i]
@@ -245,7 +245,11 @@ def account(weights: np.ndarray, prices: np.ndarray,
         raise ValueError("portfolio wiped out, cannot drift weights")
     held = np.zeros_like(weights)
     held[1:] = drifted[:-1] / totals[:-1, None]
-    return gross, fee_rate * np.abs(weights - held).sum(axis=1)
+    cost = fee_rate * np.abs(weights - held).sum(axis=1)
+    ruined = np.flatnonzero(gross - cost <= -1.0)  # wealth would reach <= 0
+    if ruined.size:
+        raise ValueError(f"net return <= -100% on day {ruined[0] + 1} of the run")
+    return gross, cost
 
 
 @dataclass
@@ -379,13 +383,10 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
                          f"on {day.isoformat()}")
     held_weights = raw.copy()
     if (strategy.decays or config.decay_classic) and config.decay_len > 0:
-        recent: list[np.ndarray] = []  # most recent smoothed weights first
-        for i, predicted in enumerate(raw):
-            smoothed = apply_decay(recent, predicted, config.decay_alpha,
-                                   config.decay_len)
-            recent.insert(0, smoothed)
-            del recent[config.decay_len:]
-            held_weights[i] = smoothed
+        for i, predicted in enumerate(raw):  # recent rows, most recent first
+            recent = held_weights[max(0, i - config.decay_len):i][::-1]
+            held_weights[i] = apply_decay(recent, predicted, config.decay_alpha,
+                                          config.decay_len)
 
     gross, cost = account(held_weights, prices[t_first - 1: t_last + 1],
                           config.fee_rate)

@@ -49,16 +49,12 @@ def _trend_correlations(basis: np.ndarray) -> np.ndarray:
 
 
 def features_from_window(window: np.ndarray, trend: str = "price") -> np.ndarray:
-    """Length-4n feature vector from a (window_days, n) price block.
+    """Length-4n feature vector from a (window_days >= 2, n) price block.
 
     ``trend`` selects the series for the rank-correlation block: the raw
     price level (default) or the daily returns within the window.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[0] < 2:
-        raise ValueError("need a 2-d window of at least 2 days")
-    if trend not in ("price", "return"):
-        raise ValueError(f"unknown trend mode {trend!r}")
     rets = window[1:] / window[:-1] - 1.0
     n = window.shape[1]
 
@@ -81,14 +77,8 @@ def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
     ``power = "return"`` skips ranking and returns the raw returns.
     """
     r = np.asarray(returns, dtype=np.float64)
-    if r.ndim != 1 or r.size == 0:
-        raise ValueError("returns must be a non-empty vector")
-    if isinstance(power, str):
-        if power == "return":
-            return r.copy()
-        raise ValueError(f"unknown rank power {power!r}")
-    if power < 1:
-        raise ValueError("rank power must be >= 1")
+    if isinstance(power, str):  # "return"
+        return r.copy()
     order = np.argsort(r, kind="stable")
     ranks = np.empty(r.size, dtype=np.float64)
     ranks[order] = np.arange(1.0, r.size + 1.0)
@@ -98,8 +88,6 @@ def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
 def check_history(t: int, lookback: int, feature_window: int) -> None:
     """Raise unless a t-day history prefix holds a ``lookback``-row
     training set over ``feature_window``-day feature windows."""
-    if lookback < 1:
-        raise ValueError("lookback must be >= 1")
     needed = lookback + feature_window + 1
     if t < needed:
         raise ValueError(
@@ -138,8 +126,6 @@ class Normalizer:
     @classmethod
     def fit(cls, features: np.ndarray) -> "Normalizer":
         f = np.asarray(features, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] < 1:
-            raise ValueError("need a non-empty 2-d feature matrix")
         return cls(mean=f.mean(axis=0), std=np.maximum(f.std(axis=0), EPS))
 
     def transform(self, features: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .features import (Normalizer, RankPower, check_history,
                        features_from_window, scores_to_weights, training_set)
-from .mlp import MlpModel, mlp_predict, mlp_train
+from .mlp import mlp_train
 from .strategies import Strategy, _run_prices
 
 # The learners fit their refits in stacks of up to this many consecutive
@@ -47,8 +47,6 @@ class MlpLearner(Learner):
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.seed = seed
-        self.normalizers: list[Normalizer] = []
-        self.models: list[MlpModel] = []
 
     def fit(self, features, targets):
         self.normalizers = [Normalizer.fit(f) for f in features]
@@ -60,10 +58,8 @@ class MlpLearner(Learner):
         ).unstack()
 
     def predict(self, block, feature_vec):
-        if not self.models:
-            raise ValueError("predict before fit")
-        return mlp_predict(self.models[block], feature_vec,
-                           self.normalizers[block])
+        return self.models[block].forward(
+            self.normalizers[block].transform(feature_vec))
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
@@ -73,20 +69,9 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
     Distance ties resolve to the earliest training row. Features are expected
     to be standardized consistently by the caller.
     """
-    feats = np.asarray(train_features, dtype=np.float64)
-    targets = np.asarray(train_targets, dtype=np.float64)
-    q = np.asarray(query, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ValueError("need a non-empty 2-d training feature matrix")
-    if targets.shape[0] != feats.shape[0]:
-        raise ValueError("feature and target row counts differ")
-    if q.shape != (feats.shape[1],):
-        raise ValueError("query shape does not match training features")
-    if not 1 <= k <= feats.shape[0]:
-        raise ValueError(f"k={k} out of range 1..{feats.shape[0]}")
-    d2 = ((feats - q) ** 2).sum(axis=1)
+    d2 = ((train_features - query) ** 2).sum(axis=1)
     order = np.argsort(d2, kind="stable")
-    return targets[order[:k]].mean(axis=0)
+    return train_targets[order[:k]].mean(axis=0)
 
 
 class KnnLearner(Learner):
@@ -94,9 +79,6 @@ class KnnLearner(Learner):
 
     def __init__(self, k: int = 15):
         self.k = k
-        self.normalizers: list[Normalizer] = []
-        self._features: list[np.ndarray] = []
-        self._targets: np.ndarray | None = None
 
     def fit(self, features, targets):
         self.normalizers = [Normalizer.fit(f) for f in features]
@@ -104,8 +86,6 @@ class KnnLearner(Learner):
         self._targets = np.array(targets, dtype=np.float64)
 
     def predict(self, block, feature_vec):
-        if not self._features:
-            raise ValueError("predict before fit")
         return knn_predict(self._features[block], self._targets[block],
                            self.normalizers[block].transform(feature_vec), self.k)
 

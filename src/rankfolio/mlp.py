@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Normalizer
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -38,8 +36,6 @@ class MlpModel:
         """Uniform init in +-sqrt(6 / (fan_in + fan_out)), weights then bias
         per layer, all drawn from one generator seeded with ``seed``."""
         sizes = tuple(int(s) for s in layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("layer_sizes needs >= 2 positive entries")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -138,15 +134,6 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim < 2 or x.ndim != y.ndim:
-        raise ValueError("features and targets must be 2-d, or stacks of equal rank")
-    if x.shape[:-1] != y.shape[:-1] or x.shape[-2] < 1:
-        raise ValueError("features and targets need matching row counts >= 1")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if batch_size < 0:
-        raise ValueError("batch_size must be >= 0 (0 = full batch)")
-
     init = MlpModel.initialize((x.shape[-1], *hidden, y.shape[-1]), seed)
     sizes, lead = init.layer_sizes, x.shape[:-2]
     flat = np.concatenate([np.append(w, b) for w, b in zip(init.weights, init.biases)])
@@ -196,9 +183,3 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
         curves[epoch] = epoch_losses.mean(axis=-1)
     model.loss_curve = np.moveaxis(curves, 0, -1).tolist()
     return model
-
-
-def mlp_predict(model: MlpModel, feature_vec: np.ndarray,
-                normalizer: Normalizer) -> np.ndarray:
-    """Score vector for one raw feature vector (standardized internally)."""
-    return model.forward(normalizer.transform(feature_vec))

@@ -136,10 +136,6 @@ def log_optimal_stack(relatives, tol: float = 1e-10,
         relatives = relatives.astype(np.float64, copy=False)
     else:
         relatives = [np.asarray(rel, dtype=np.float64) for rel in relatives]
-    if any(rel.ndim != 2 or len(rel) < 1 for rel in relatives) or len(
-            {rel.shape[1] for rel in relatives}) > 1:
-        raise ValueError("relatives must be a (B, m, n) stack or a sequence "
-                         "of (m_b, n) matrices, each with a row")
     count = len(relatives)
     n = np.shape(relatives[0] if count else relatives)[-1]
     if n == 1 or count == 0:
@@ -180,8 +176,6 @@ def geometric_median(points: np.ndarray, tol: float = 1e-9,
     does not depend on the other windows of the stack.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 3 or pts.shape[1] < 1:
-        raise ValueError("points must be a 3-d stack of non-empty windows")
     result = pts.mean(axis=1)
     live = np.arange(pts.shape[0])  # windows still iterating
     y = result.copy()

@@ -6,8 +6,9 @@ sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
 rest are the program's former loop formulations (one day's returns,
 features, MLP training, the one-problem log-optimal solver and its full
-line search, L1 median, the per-day Anticor, BNN, CORN and RMR updates),
-kept as byte-for-byte references for the code that replaced them.
+line search, L1 median, the per-day Anticor, BNN, CORN and RMR updates,
+the weight decay over a list of recent rows), kept as byte-for-byte
+references for the code that replaced them.
 """
 
 import math
@@ -16,6 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from rankfolio.engine import apply_decay
 from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
 
 
@@ -589,3 +591,17 @@ def corn_day(prefix, rho, window):
     if matched.size == 0:
         return np.full(n, 1.0 / n)
     return log_optimal_scalar(rels[matched + window])
+
+
+def decay_loop(raw, alpha, length):
+    """The weights a run holds: each raw row blended by ``apply_decay`` with
+    the run's recent held rows, kept in a list, most recent first."""
+    held = raw.copy()
+    if length > 0:
+        recent = []
+        for i, predicted in enumerate(raw):
+            smoothed = apply_decay(recent, predicted, alpha, length)
+            recent.insert(0, smoothed)
+            del recent[length:]
+            held[i] = smoothed
+    return held

@@ -7,6 +7,7 @@ import threading
 from dataclasses import fields, replace
 from datetime import date
 from http.server import HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rankfolio.metrics import CSV_COLUMNS
 from rankfolio.strategies import CLASSIC_NAMES
 
 from conftest import make_prices
+from test_engine import RUIN
 from test_fetch import ApiHandler, ts_ms
 
 HEADER = "strategy," + ",".join(CSV_COLUMNS)
@@ -582,6 +584,59 @@ def test_compare_failing_strategy_fails_the_command(data_csv, ml_config,
     assert "skipping" not in err
     # every row runs before the output directory is made
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command, fee_flags", [
+    ("backtest", ["--fee", "0.45"]),
+    ("sweep-fees", ["--fees", "0.001,0.45"]),
+])
+def test_run_that_loses_all_wealth_exits_1_before_any_output(
+        tmp_path, capsys, command, fee_flags):
+    ruin_csv = tmp_path / "ruin.csv"
+    write_csv(RUIN, ruin_csv)
+    assert run_cli(command, "--data", ruin_csv, "--strategy", "ucrp",
+                   *fee_flags, "--out", tmp_path / "o") == 1
+    assert "net return <= -100% on day 1 " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3, 4, 5])
+def test_failed_write_leaves_the_earlier_run_intact(data_csv, tmp_path,
+                                                    monkeypatch, failing):
+    # backtest writes 5 files, manifest.json last; the failing-th write
+    # stops half way, as on a full disk
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    out = tmp_path / "out"
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "eg",
+                   "--out", out) == 0
+    earlier = files(out)
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "olmar",
+                   "--out", tmp_path / "ref") == 0
+    later = files(tmp_path / "ref")
+    written = []
+    write_text = Path.write_text
+
+    def fail_one_write(path, text, *args, **kwargs):
+        written.append(path.name)
+        if len(written) == failing:
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_one_write)
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "olmar",
+                   "--out", out) == 1
+    monkeypatch.undo()
+    assert len(written) == failing
+    # temporary files are named .<target>.<pid>.tmp
+    replaced = {name[1:].rsplit(".", 2)[0] for name in written[:-1]}
+    got = files(out)
+    assert sorted(got) == sorted(earlier)  # no temporary file is left
+    for name, content in got.items():
+        assert content == (later[name] if name in replaced else earlier[name])
+    assert "manifest.json" not in replaced
 
 
 @pytest.mark.parametrize("command", ["backtest", "plotdata", "sweep-fees"])

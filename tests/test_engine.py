@@ -16,6 +16,7 @@ from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
 
+import oracles
 from conftest import make_prices
 
 FAST_ML = dict(lookback=20, feature_window=10, mlp_epochs=5, mlp_hidden=(6,),
@@ -422,10 +423,32 @@ def held_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_property_account_matches_oracle(run):
     weights, prices, fee = run
+    want_gross, want_cost, want_net, _ = accounting_oracle(prices, weights, 1,
+                                                           fee)
+    ruined = np.flatnonzero(want_net <= -1.0)
+    if ruined.size:  # a fee on top of a fall can take all the wealth
+        with pytest.raises(ValueError, match=f"on day {ruined[0] + 1} of"):
+            account(weights, prices, fee)
+        return
     gross, cost = account(weights, prices, fee)
-    want_gross, want_cost, _, _ = accounting_oracle(prices, weights, 1, fee)
     assert gross.tobytes() == want_gross.tobytes()
     assert cost.tobytes() == want_cost.tobytes()
+
+
+# a fall to 1e-7 of the price plus the first day's fee costs over 100%
+RUIN = PriceMatrix(dates=(date(2024, 1, 1), date(2024, 1, 2), date(2024, 1, 3)),
+                   assets=("A", "B"),
+                   prices=np.array([[1.0, 1.0], [1e-7, 1e-7], [1e-7, 1e-7]]))
+
+
+def test_run_that_loses_all_wealth_raises():
+    # it used to return net [-1.45, 0] and wealth [-0.45, -0.45]
+    with pytest.raises(ValueError, match="net return <= -100% on day 1 "):
+        run_backtest(RUIN, "ucrp", BacktestConfig(fee_rate=0.45))
+    base = run_backtest(RUIN, "ucrp")
+    assert (base.wealth > 0).all()
+    with pytest.raises(ValueError, match="net return <= -100% on day 1 "):
+        reprice(RUIN, base, 0.45)
 
 
 def test_first_day_pays_full_move_from_cash():
@@ -500,6 +523,21 @@ def test_decays_attribute_picks_the_smoothed_strategies(monkeypatch):
     for i in range(1, expected.shape[0]):
         expected[i] = (result.raw_weights[i] + 0.7 * expected[i - 1]) / 1.7
     np.testing.assert_allclose(result.weights, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("strategy, decay_classic", [("knn", False),
+                                                     ("olmar", True)])
+@pytest.mark.parametrize("decay_len", [0, 1, 3, 500])
+def test_decay_matches_list_reference(strategy, decay_classic, decay_len):
+    # decay_len 500 outlasts the run, so every day blends all earlier rows
+    pm = make_prices(70, 3, seed=28)
+    for alpha in (0.0, *np.random.default_rng(decay_len).uniform(0, 1, 3)):
+        cfg = BacktestConfig(decay_alpha=alpha, decay_len=decay_len,
+                             decay_classic=decay_classic, **FAST_ML)
+        result = run_backtest(pm, strategy, cfg)
+        assert result.num_days < 500
+        want = oracles.decay_loop(result.raw_weights, alpha, decay_len)
+        assert result.weights.tobytes() == want.tobytes()
 
 
 def test_decay_len_zero_disables_decay():

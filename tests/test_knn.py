@@ -1,7 +1,6 @@
 """Nearest-neighbor regression against an exhaustive oracle."""
 
 import numpy as np
-import pytest
 
 from rankfolio.learners import knn_predict
 
@@ -44,19 +43,3 @@ def test_k_equals_all_rows_is_global_mean():
     targets = rng.normal(size=(10, 2))
     got = knn_predict(feats, targets, rng.normal(size=3), 10)
     np.testing.assert_allclose(got, targets.mean(axis=0), atol=1e-15)
-
-
-def test_validation():
-    feats = np.zeros((5, 3))
-    targets = np.zeros((5, 2))
-    q = np.zeros(3)
-    with pytest.raises(ValueError, match="k="):
-        knn_predict(feats, targets, q, 0)
-    with pytest.raises(ValueError, match="k="):
-        knn_predict(feats, targets, q, 6)
-    with pytest.raises(ValueError, match="query"):
-        knn_predict(feats, targets, np.zeros(4), 2)
-    with pytest.raises(ValueError, match="row counts"):
-        knn_predict(feats, np.zeros((4, 2)), q, 2)
-    with pytest.raises(ValueError):
-        knn_predict(np.zeros((0, 3)), np.zeros((0, 2)), q, 1)

@@ -19,13 +19,6 @@ def test_base_learner_is_abstract():
         learner.predict(0, np.zeros(2))
 
 
-def test_predict_before_fit_raises():
-    with pytest.raises(ValueError, match="before fit"):
-        MlpLearner().predict(0, np.zeros(4))
-    with pytest.raises(ValueError, match="before fit"):
-        KnnLearner().predict(0, np.zeros(4))
-
-
 def test_knn_learner_standardizes_then_averages():
     rng = np.random.default_rng(41)
     # two blocks: each is standardized and searched on its own
