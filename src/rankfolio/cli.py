@@ -169,8 +169,10 @@ def write_manifest(out_dir: Path, command: str, data_path: str,
 
 
 def _out_dir(args) -> Path:
+    """A runner's output directory, without an earlier run's manifest."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     return out
 
 
@@ -344,7 +346,8 @@ def cmd_fetch(args) -> int:
         fetcher = Fetcher(delay=args.delay_ms / 1000.0)
     except ValueError as exc:
         raise UsageError(f"bad --delay-ms: {exc}")
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for token in assets:
         asset_id, _, symbol = token.partition(":")
         path = out / f"{(symbol or asset_id)}.csv"

@@ -1,11 +1,12 @@
 """Per-asset features, rank targets, and training-set assembly for the
 learner-driven strategies.
 
-A feature vector for day t stacks four blocks of length n (feature-major,
-asset-minor): the last daily return, trailing return volatility, trailing
-Sharpe, and the rank correlation of price against time over the trailing
-window. Targets are the next day's cross-sectional return ranks (ascending,
-1 = worst) raised to a power, or the raw returns in ``return`` mode.
+A feature row for day t stacks four blocks of length n (feature-major,
+asset-minor) over the window of days before t: the last daily return,
+trailing return volatility, trailing Sharpe, and the rank correlation of
+price against time. Targets are the next day's cross-sectional return ranks
+(ascending, 1 = worst) to a power, or the raw returns in ``return`` mode.
+Both come for all of a run's days from stacked passes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FEATURES_PER_ASSET = 4
 
@@ -20,68 +22,64 @@ FEATURES_PER_ASSET = 4
 # back to uniform; also the floor for standardization divisors.
 EPS = 1e-12
 
+# Cells in the largest temporary of a stacked pass: the features' (rows, m,
+# m, n) rank comparison, a knn prediction's (rows, lookback, d) differences.
+_STACK_CELLS = 1 << 18
+
 RankPower = int | str
 
 
-def _trend_correlations(basis: np.ndarray) -> np.ndarray:
-    """Spearman correlation of each column of ``basis`` against the time
-    index; 0 for a flat column or a single row.
+def window_features(prices: np.ndarray, window: int,
+                    trend: str = "price") -> np.ndarray:
+    """(count, 4n) feature rows of the ``window``-day blocks (window >= 2) of
+    a (days, n) price array: row i from ``prices[i: i + window]``. ``trend``
+    selects the series of the rank-correlation block: prices or returns.
 
-    Average ranks come from one (m, m, n) comparison over the window:
-    #less + (#equal + 1) / 2 = (#less + #less-or-equal + 1) / 2. They are
-    half-integers, so every sum and dot product below is exact and the
-    result does not depend on summation order.
+    Each chunk of rows is reduced as a contiguous (rows, window - 1, n) stack
+    that adds each row in a lone window's order, so a row has its window's
+    own bytes. Centred on their mean, average ranks are (#less - #greater) / 2
+    from one (rows, m, m, n) comparison: exact half-integers, so the trend
+    block's sums are exact.
     """
-    m, n = basis.shape
-    if m < 2:
-        return np.zeros(n)
-    # below[i, k, j]: column j is lower on day k than on day i
-    below = basis[None, :, :] < basis[:, None, :]
-    at_or_below = basis[None, :, :] <= basis[:, None, :]
-    ranks = 0.5 * (below.sum(axis=1) + at_or_below.sum(axis=1) + 1)
-    rc = ranks - ranks.mean(axis=0)
-    idx = np.arange(1.0, m + 1.0)
-    ic = idx - idx.mean()
-    denom = np.sqrt((rc * rc).sum(axis=0) * float(ic @ ic))
-    corr = np.zeros(n)
-    np.divide(ic @ rc, denom, out=corr, where=denom != 0.0)
-    return corr
-
-
-def features_from_window(window: np.ndarray, trend: str = "price") -> np.ndarray:
-    """Length-4n feature vector from a (window_days >= 2, n) price block.
-
-    ``trend`` selects the series for the rank-correlation block: the raw
-    price level (default) or the daily returns within the window.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    rets = window[1:] / window[:-1] - 1.0
-    n = window.shape[1]
-
-    last = rets[-1]
-    mean = rets.mean(axis=0)
-    if rets.shape[0] >= 2:
-        vol = np.sqrt(((rets - mean) ** 2).sum(axis=0) / (rets.shape[0] - 1))
-    else:
-        vol = np.zeros(n)
-    sharpe = np.zeros(n)
-    np.divide(mean, vol, out=sharpe, where=vol > 0)
-
-    trend_corr = _trend_correlations(window if trend == "price" else rets)
-    return np.concatenate([last, vol, sharpe, trend_corr])
+    n = prices.shape[1]
+    rets = sliding_window_view(prices[1:] / prices[:-1] - 1.0,
+                               (window - 1, n))[:, 0]
+    basis = (rets if trend == "return"
+             else sliding_window_view(prices, (window, n))[:, 0])
+    m = basis.shape[1]
+    ic = np.arange(m) - 0.5 * (m - 1)  # the centred time index
+    out = np.zeros((rets.shape[0], FEATURES_PER_ASSET * n))
+    last, vol, sharpe, corr = np.split(out, FEATURES_PER_ASSET, axis=1)
+    step = max(1, _STACK_CELLS // (m * m * n))
+    for a in range(0, out.shape[0], step):
+        rows = slice(a, a + step)
+        r = np.ascontiguousarray(rets[rows])
+        mean = r.mean(axis=1)
+        last[rows] = r[:, -1]
+        if window > 2:
+            vol[rows] = np.sqrt(((r - mean[:, None]) ** 2).sum(axis=1)
+                                / (window - 2))
+        np.divide(mean, vol[rows], out=sharpe[rows], where=vol[rows] > 0)
+        # below[r, i, k, j]: column j is lower on day k than on day i
+        below = basis[rows, None] < basis[rows, :, None]
+        rc = 0.5 * (below.sum(axis=2) - below.sum(axis=1))
+        denom = np.sqrt((rc * rc).sum(axis=1) * float(ic @ ic))
+        np.divide(ic @ rc, denom, out=corr[rows], where=denom != 0.0)
+    return out
 
 
 def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
-    """Cross-sectional return ranks (ascending, ties by asset index) to a power.
+    """Cross-sectional return ranks (ascending, ties by asset index) to a
+    power, along the last axis: one vector, or one row per day.
 
     ``power = "return"`` skips ranking and returns the raw returns.
     """
     r = np.asarray(returns, dtype=np.float64)
     if isinstance(power, str):  # "return"
         return r.copy()
-    order = np.argsort(r, kind="stable")
-    ranks = np.empty(r.size, dtype=np.float64)
-    ranks[order] = np.arange(1.0, r.size + 1.0)
+    ranks = np.empty_like(r)
+    np.put_along_axis(ranks, np.argsort(r, axis=-1, kind="stable"),
+                      np.arange(1.0, r.shape[-1] + 1.0), axis=-1)
     return ranks ** power
 
 
@@ -90,9 +88,8 @@ def check_history(t: int, lookback: int, feature_window: int) -> None:
     training set over ``feature_window``-day feature windows."""
     needed = lookback + feature_window + 1
     if t < needed:
-        raise ValueError(
-            f"insufficient history: day {t} < lookback + feature_window + 1 = {needed}"
-        )
+        raise ValueError(f"insufficient history: day {t} < lookback + "
+                         f"feature_window + 1 = {needed}")
 
 
 def training_set(prices: np.ndarray, lookback: int, power: RankPower,
@@ -104,16 +101,12 @@ def training_set(prices: np.ndarray, lookback: int, power: RankPower,
     rank-transformed returns realized from day s to s + 1, so every quantity
     is observable by day t.
     """
-    prices = np.asarray(prices, dtype=np.float64)
-    t, n = prices.shape
+    t = prices.shape[0]
     check_history(t, lookback, feature_window)
-    feats = np.empty((lookback, FEATURES_PER_ASSET * n))
-    targets = np.empty((lookback, n))
-    for i, s in enumerate(range(t - lookback, t)):
-        feats[i] = features_from_window(prices[s - feature_window: s], trend)
-        next_ret = prices[s] / prices[s - 1] - 1.0
-        targets[i] = rank_transform(next_ret, power)
-    return feats, targets
+    s = t - lookback
+    return (window_features(prices[s - feature_window: t - 1], feature_window,
+                            trend),
+            rank_transform(prices[s:] / prices[s - 1: t - 1] - 1.0, power))
 
 
 @dataclass(frozen=True)
@@ -133,14 +126,12 @@ class Normalizer:
 
 
 def scores_to_weights(scores: np.ndarray) -> np.ndarray:
-    """Clip negatives to zero and normalize; uniform if everything clips away."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a non-empty vector")
-    if not np.isfinite(s).all():
-        raise ValueError("scores contain non-finite values")
-    clipped = np.maximum(s, 0.0)
-    total = clipped.sum()
-    if total < EPS:
-        return np.full(s.size, 1.0 / s.size)
-    return clipped / total
+    """Clip negatives to zero and normalize each row (the last axis); a row
+    whose scores all clip away gets uniform weights."""
+    if scores.size == 0 or not np.isfinite(scores).all():
+        raise ValueError("scores must be non-empty and finite")
+    clipped = np.maximum(scores, 0.0)
+    total = clipped.sum(axis=-1, keepdims=True)
+    weights = np.full(scores.shape, 1.0 / scores.shape[-1])
+    np.divide(clipped, total, out=weights, where=total >= EPS)
+    return weights

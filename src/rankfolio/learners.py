@@ -3,17 +3,16 @@ trading strategy they drive.
 
 A learner owns its feature standardization: ``fit`` receives a stack of raw
 training blocks (features and targets), ``predict`` the index of a block and
-one raw feature vector, which it scores with that block's model. The
-interface is deliberately minimal so other regressors (forests, boosted
-trees) can slot in later.
+a stack of raw feature rows, which it scores with that block's model. The
+interface is deliberately minimal so other regressors can slot in later.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .features import (Normalizer, RankPower, check_history,
-                       features_from_window, scores_to_weights, training_set)
+from .features import (_STACK_CELLS, Normalizer, RankPower, check_history,
+                       rank_transform, scores_to_weights, window_features)
 from .mlp import mlp_train
 from .strategies import Strategy, _run_prices
 
@@ -25,19 +24,20 @@ _REFIT_BLOCK = 8
 
 class Learner:
     """fit(features, targets) on a (B, rows, d) / (B, rows, k) stack of
-    training blocks, then predict(block, feature_vec) -> the score vector of
-    the model fitted on that block."""
+    training blocks, then predict(block, rows) -> the (r, k) scores of an
+    (r, d) stack of feature rows under the model fitted on that block."""
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> None:
         raise NotImplementedError
 
-    def predict(self, block: int, feature_vec: np.ndarray) -> np.ndarray:
+    def predict(self, block: int, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class MlpLearner(Learner):
     """Fresh fully connected network per block, seeded for reproducibility;
-    the blocks of one fit train in lockstep as one stack."""
+    the blocks of one fit train in lockstep as one stack. ``predict`` runs
+    one forward pass per row: a batched pass differs in the last bits."""
 
     def __init__(self, hidden: tuple[int, ...] = (20, 20), epochs: int = 200,
                  learning_rate: float = 1e-3, batch_size: int = 0,
@@ -57,21 +57,23 @@ class MlpLearner(Learner):
             seed=self.seed,
         ).unstack()
 
-    def predict(self, block, feature_vec):
-        return self.models[block].forward(
-            self.normalizers[block].transform(feature_vec))
+    def predict(self, block, rows):
+        model = self.models[block]
+        return np.array([model.forward(z) for z in
+                         self.normalizers[block].transform(rows)])
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
-                query: np.ndarray, k: int) -> np.ndarray:
-    """Mean target over the k training rows nearest the query (Euclidean).
+                queries: np.ndarray, k: int) -> np.ndarray:
+    """Mean target over the k training rows nearest each query (Euclidean):
+    an (r, d) stack of queries gives (r, targets) rows, one query one row.
 
     Distance ties resolve to the earliest training row. Features are expected
     to be standardized consistently by the caller.
     """
-    d2 = ((train_features - query) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    return train_targets[order[:k]].mean(axis=0)
+    d2 = ((train_features - queries[..., None, :]) ** 2).sum(axis=-1)
+    order = np.argsort(d2, axis=-1, kind="stable")[..., :k]
+    return train_targets[order].mean(axis=-2)
 
 
 class KnnLearner(Learner):
@@ -85,9 +87,12 @@ class KnnLearner(Learner):
         self._features = [n.transform(f) for n, f in zip(self.normalizers, features)]
         self._targets = np.array(targets, dtype=np.float64)
 
-    def predict(self, block, feature_vec):
-        return knn_predict(self._features[block], self._targets[block],
-                           self.normalizers[block].transform(feature_vec), self.k)
+    def predict(self, block, rows):
+        x, y = self._features[block], self._targets[block]
+        z = self.normalizers[block].transform(rows)
+        step = max(1, _STACK_CELLS // x.size)  # query rows per stack
+        return np.concatenate([knn_predict(x, y, z[a: a + step], self.k)
+                               for a in range(0, len(z), step)])
 
 
 class RankForecastStrategy(Strategy):
@@ -99,10 +104,10 @@ class RankForecastStrategy(Strategy):
     blocks of up to ``_REFIT_BLOCK`` (8) consecutive refits, one ``fit`` call
     per block, so the MLP trains each block's networks in lockstep.
 
-    ``run`` featurizes each day once: one ``training_set`` call covers the
-    feature rows and targets of every day the run trains on. The block a
-    refit on day t sees equals ``training_set(prices[:t], lookback, ...)``,
-    so a row depends only on the price prefix and the refit schedule.
+    ``run`` featurizes and ranks every day once, in one stacked pass each.
+    The block a refit on day t sees equals ``training_set(prices[:t], ...)``,
+    so a row depends only on the price prefix and the refit schedule. Each
+    refit scores the days it serves in one ``predict`` call.
     """
 
     decays = True
@@ -123,11 +128,12 @@ class RankForecastStrategy(Strategy):
         lookback, fw = self.lookback, self.feature_window
         check_history(t_first, lookback, fw)
         days = t_last - t_first + 1
-        # row j holds day t_first - lookback + j; day t_last's features
-        # have no target yet, so they are appended on their own
-        feats, targets = training_set(prices, lookback + days - 1,
-                                      self.rank_power, fw, self.trend)
-        feats = np.vstack([feats, features_from_window(prices[-fw:], self.trend)])
+        # row j holds day t_first - lookback + j, the last row day t_last;
+        # day t_last has no target yet
+        first = t_first - lookback
+        feats = window_features(prices[first - fw:], fw, self.trend)
+        targets = rank_transform(prices[first:] / prices[first - 1: -1] - 1.0,
+                                 self.rank_power)
         out = np.empty((days, prices.shape[1]))
         refits = range(0, days, self.refit_interval)
         for s in range(0, len(refits), _REFIT_BLOCK):
@@ -135,7 +141,7 @@ class RankForecastStrategy(Strategy):
             self.learner.fit(np.stack([feats[i: i + lookback] for i in block]),
                              np.stack([targets[i: i + lookback] for i in block]))
             for b, i in enumerate(block):
-                for t in range(i, min(i + self.refit_interval, days)):
-                    out[t] = scores_to_weights(
-                        self.learner.predict(b, feats[t + lookback]))
+                j = min(i + self.refit_interval, days)
+                out[i: j] = scores_to_weights(
+                    self.learner.predict(b, feats[i + lookback: j + lookback]))
         return out

@@ -293,9 +293,10 @@ def spearman_vs_time_loop(series):
 
 
 def features_loop(window, trend="price"):
-    """The per-asset loop formulation of ``features_from_window``: the same
-    last/vol/sharpe reductions, then one scalar Spearman pass per asset.
-    Byte-for-byte reference for the vectorized trend block."""
+    """One window's feature row in the per-asset loop formulation: the
+    last/vol/sharpe reductions of the window alone, then one scalar Spearman
+    pass per asset. Byte-for-byte reference for every row of
+    ``window_features``."""
     window = np.asarray(window, dtype=np.float64)
     rets = window[1:] / window[:-1] - 1.0
     n = window.shape[1]

@@ -633,10 +633,38 @@ def test_failed_write_leaves_the_earlier_run_intact(data_csv, tmp_path,
     # temporary files are named .<target>.<pid>.tmp
     replaced = {name[1:].rsplit(".", 2)[0] for name in written[:-1]}
     got = files(out)
-    assert sorted(got) == sorted(earlier)  # no temporary file is left
+    # no temporary file is left, and no manifest: the earlier run's went
+    # before the first write
+    assert sorted(got) == sorted(set(earlier) - {"manifest.json"})
     for name, content in got.items():
         assert content == (later[name] if name in replaced else earlier[name])
     assert "manifest.json" not in replaced
+
+
+@pytest.mark.parametrize("command, args", [
+    ("backtest", ("--strategy", "eg")),
+    ("compare", ("--strategies", "eg,olmar")),
+    ("sweep-fees", ("--strategy", "eg")),
+    ("plotdata", ("--strategy", "eg")),
+])
+def test_failed_second_write_leaves_no_manifest(data_csv, tmp_path,
+                                                monkeypatch, command, args):
+    out = tmp_path / "out"
+    assert run_cli(command, "--data", data_csv, *args, "--out", out) == 0
+    assert (out / "manifest.json").exists()
+    written = []
+    write_text = Path.write_text
+
+    def fail_second_write(path, text, *args, **kwargs):
+        written.append(path.name)
+        if len(written) == 2:
+            raise OSError("no space left on device")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_second_write)
+    assert run_cli(command, "--data", data_csv, *args, "--out", out) == 1
+    assert len(written) == 2
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["backtest", "plotdata", "sweep-fees"])

@@ -1,24 +1,35 @@
 """Feature blocks, rank targets, and training-set assembly."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from rankfolio import features
 from rankfolio.features import (EPS, FEATURES_PER_ASSET, Normalizer,
-                                features_from_window, rank_transform,
-                                scores_to_weights, training_set)
+                                rank_transform, scores_to_weights,
+                                training_set, window_features)
 
 from conftest import make_prices
 from oracles import features_loop
+
+
+def window_row(window, trend="price"):
+    """The feature row of one window: the stacked pass on a one-window
+    stack."""
+    rows = window_features(window, window.shape[0], trend)
+    assert rows.shape[0] == 1
+    return rows[0]
 
 
 def test_features_hand_computed():
     window = np.array([[100.0, 50.0],
                        [110.0, 45.0],
                        [99.0, 54.0]])
-    f = features_from_window(window)
+    f = window_row(window)
     rets = np.array([[0.10, -0.10], [-0.10, 0.20]])
     last = rets[-1]
     vol = rets.std(axis=0, ddof=1)
@@ -33,7 +44,7 @@ def test_features_hand_computed():
 def test_features_layout_is_feature_major():
     # blocks of n per feature, assets in column order inside each block
     window = make_prices(10, 3, seed=1).prices
-    f = features_from_window(window)
+    f = window_row(window)
     assert f.shape == (FEATURES_PER_ASSET * 3,)
     rets = window[1:] / window[:-1] - 1.0
     np.testing.assert_array_equal(f[:3], rets[-1])
@@ -42,14 +53,14 @@ def test_features_layout_is_feature_major():
 
 def test_features_two_day_window_zero_vol_zero_sharpe():
     window = np.array([[100.0, 50.0], [110.0, 45.0]])
-    f = features_from_window(window)
+    f = window_row(window)
     np.testing.assert_array_equal(f[2:4], [0.0, 0.0])  # vol block
     np.testing.assert_array_equal(f[4:6], [0.0, 0.0])  # sharpe block
 
 
 def test_features_flat_asset_zero_sharpe_zero_trend():
     window = np.tile([[100.0]], (6, 1))
-    f = features_from_window(window)
+    f = window_row(window)
     np.testing.assert_array_equal(f, [0.0, 0.0, 0.0, 0.0])
 
 
@@ -60,7 +71,7 @@ def test_trend_feature_against_scipy():
         if rng.random() < 0.5:
             series[3] = series[7]  # inject a tie
         window = np.exp(series)[:, None]
-        got = features_from_window(window)[3]
+        got = window_row(window)[3]
         want = stats.spearmanr(window[:, 0], np.arange(12)).statistic
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -68,14 +79,14 @@ def test_trend_feature_against_scipy():
 def test_trend_feature_monotone_extremes():
     up = np.arange(1.0, 7.0)[:, None]
     down = up[::-1]
-    assert features_from_window(up)[3] == pytest.approx(1.0)
-    assert features_from_window(down)[3] == pytest.approx(-1.0)
+    assert window_row(up)[3] == pytest.approx(1.0)
+    assert window_row(down)[3] == pytest.approx(-1.0)
 
 
 def test_trend_return_mode_differs_only_in_trend_block():
     window = make_prices(15, 2, seed=9).prices
-    f_price = features_from_window(window, trend="price")
-    f_ret = features_from_window(window, trend="return")
+    f_price = window_row(window, trend="price")
+    f_ret = window_row(window, trend="return")
     np.testing.assert_array_equal(f_price[:6], f_ret[:6])
     rets = window[1:] / window[:-1] - 1.0
     want = stats.spearmanr(rets[:, 0], np.arange(rets.shape[0])).statistic
@@ -87,7 +98,7 @@ def test_features_from_window_is_training_set_row_and_bounds():
     # training_set pairs with day 20
     pm = make_prices(30, 3, seed=2)
     feats, _ = training_set(pm.prices[:21], 1, 2, 10)
-    np.testing.assert_array_equal(feats[0], features_from_window(pm.prices[10:20]))
+    np.testing.assert_array_equal(feats[0], window_row(pm.prices[10:20]))
     with pytest.raises(ValueError, match="insufficient history"):
         training_set(pm.prices[:5], 1, 2, 10)       # day 5 < a 10-day window
 
@@ -97,7 +108,7 @@ def test_features_match_loop_reference_on_random_walks():
     for trend in ("price", "return"):
         for t in range(20, prices.shape[0] + 1):
             window = prices[t - 20: t]
-            assert (features_from_window(window, trend).tobytes()
+            assert (window_row(window, trend).tobytes()
                     == features_loop(window, trend).tobytes())
 
 
@@ -123,8 +134,54 @@ def tie_heavy_windows(draw):
 @given(tie_heavy_windows(), st.sampled_from(["price", "return"]))
 @settings(max_examples=300, deadline=None)
 def test_property_features_bit_exact_vs_loop_reference(window, trend):
-    assert (features_from_window(window, trend).tobytes()
+    assert (window_row(window, trend).tobytes()
             == features_loop(window, trend).tobytes())
+
+
+@pytest.mark.parametrize("cells", [1, 20_000, None])
+@pytest.mark.parametrize("trend", ["price", "return"])
+def test_stacked_features_match_loop_reference_across_chunks(monkeypatch,
+                                                             trend, cells):
+    # the 281 windows of a 300-day run at 10 assets, in chunks of one row,
+    # of 5 rows (20,000 cells at 3,610-4,000 per row) and of the default
+    # budget's; each chunk edge sits between two exact rows
+    if cells is not None:
+        monkeypatch.setattr(features, "_STACK_CELLS", cells)
+    m = 20 if trend == "price" else 19
+    assert 281 > 2 * max(1, features._STACK_CELLS // (m * m * 10))
+    prices = make_prices(300, 10, seed=112).prices
+    rows = window_features(prices, 20, trend)
+    assert rows.shape == (281, FEATURES_PER_ASSET * 10)
+    for i, row in enumerate(rows):
+        assert row.tobytes() == features_loop(prices[i: i + 20], trend).tobytes()
+
+
+@given(tie_heavy_windows(), st.data(), st.sampled_from(["price", "return"]),
+       st.sampled_from([1, 60, None]))
+@settings(max_examples=300, deadline=None)
+def test_property_stacked_features_bit_exact_vs_loop_reference(
+        prices, data, trend, cells):
+    # the windows of a tie-heavy price block, stacked in one pass
+    window = data.draw(st.integers(2, prices.shape[0]))
+    with mock.patch.object(features, "_STACK_CELLS",
+                           cells or features._STACK_CELLS):
+        rows = window_features(prices, window, trend)
+    assert rows.shape[0] == prices.shape[0] - window + 1
+    for i, row in enumerate(rows):
+        assert (row.tobytes()
+                == features_loop(prices[i: i + window], trend).tobytes())
+
+
+def test_rank_transform_stack_ranks_each_row():
+    # 40 assets on 3 return levels: ties everywhere, broken by asset index
+    rets = np.random.default_rng(4).integers(-1, 2, size=(6, 40)) / 100.0
+    for power in (1, 3, "return"):
+        got = rank_transform(rets, power)
+        for row, want in zip(got, rets):
+            assert row.tobytes() == rank_transform(want, power).tobytes()
+    for row, want in zip(rank_transform(rets, 1), rets):
+        order = sorted(range(40), key=lambda j: (want[j], j))
+        np.testing.assert_array_equal(row[order], np.arange(1.0, 41.0))
 
 
 def test_rank_transform_ascending_with_powers():
@@ -152,7 +209,7 @@ def brute_training_set(prices, lookback, power, feature_window):
     t = prices.shape[0]
     feats, targets = [], []
     for s in range(t - lookback, t):
-        feats.append(features_from_window(prices[s - feature_window: s]))
+        feats.append(features_loop(prices[s - feature_window: s]))
         targets.append(rank_transform(prices[s] / prices[s - 1] - 1.0, power))
     return np.array(feats), np.array(targets)
 
@@ -231,3 +288,17 @@ def test_scores_to_weights():
         scores_to_weights(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError):
         scores_to_weights(np.array([]))
+
+
+def test_scores_to_weights_stack_falls_back_per_row():
+    # the all-clipped middle row falls back to uniform; its neighbours do not
+    scores = np.array([[1.0, 3.0, 0.0], [-1.0, -2.0, 0.0], [-1.0, 2.0, 2.0]])
+    weights = scores_to_weights(scores)
+    np.testing.assert_array_equal(weights, [[0.25, 0.75, 0.0],
+                                            [1 / 3, 1 / 3, 1 / 3],
+                                            [0.0, 0.5, 0.5]])
+    for row, score in zip(weights, scores):
+        assert row.tobytes() == scores_to_weights(score).tobytes()
+    scores[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        scores_to_weights(scores)

@@ -1,6 +1,7 @@
 """Nearest-neighbor regression against an exhaustive oracle."""
 
 import numpy as np
+import pytest
 
 from rankfolio.learners import knn_predict
 
@@ -43,3 +44,19 @@ def test_k_equals_all_rows_is_global_mean():
     targets = rng.normal(size=(10, 2))
     got = knn_predict(feats, targets, rng.normal(size=3), 10)
     np.testing.assert_allclose(got, targets.mean(axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 8, 40])
+def test_stacked_queries_match_oracle_with_duplicate_rows(k):
+    # lookback 40, every training row duplicated at a later index, and some
+    # queries on a training row: ties must resolve to the earliest row
+    rng = np.random.default_rng(23)
+    feats = rng.normal(size=(20, 6))
+    feats = np.concatenate([feats, feats[::-1]])
+    targets = rng.normal(size=(40, 3))
+    queries = np.concatenate([rng.normal(size=(25, 6)), feats[[0, 5, 39]]])
+    got = knn_predict(feats, targets, queries, k)
+    assert got.shape == (28, 3)
+    for row, q in zip(got, queries):
+        assert row.tobytes() == oracles.knn_oracle(feats, targets, q, k).tobytes()
+        assert row.tobytes() == knn_predict(feats, targets, q, k).tobytes()

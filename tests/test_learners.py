@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from rankfolio.features import (Normalizer, features_from_window,
-                                scores_to_weights, training_set)
+from rankfolio import learners
+from rankfolio.features import Normalizer, scores_to_weights, training_set
 from rankfolio.learners import (KnnLearner, Learner, MlpLearner,
                                 RankForecastStrategy, knn_predict)
 
 from conftest import make_prices
+from oracles import features_loop
 
 
 def test_base_learner_is_abstract():
@@ -16,7 +17,7 @@ def test_base_learner_is_abstract():
     with pytest.raises(NotImplementedError):
         learner.fit(np.zeros((1, 2, 2)), np.zeros((1, 2, 1)))
     with pytest.raises(NotImplementedError):
-        learner.predict(0, np.zeros(2))
+        learner.predict(0, np.zeros((1, 2)))
 
 
 def test_knn_learner_standardizes_then_averages():
@@ -27,12 +28,30 @@ def test_knn_learner_standardizes_then_averages():
     targets = rng.normal(size=(2, 30, 3))
     learner = KnnLearner(k=4)
     learner.fit(feats, targets)
-    q = rng.normal(3.0, 5.0, size=6)
+    q = rng.normal(3.0, 5.0, size=(3, 6))
     for block in range(2):
         norm = Normalizer.fit(feats[block])
         expected = knn_predict(norm.transform(feats[block]), targets[block],
                                norm.transform(q), 4)
         np.testing.assert_array_equal(learner.predict(block, q), expected)
+
+
+@pytest.mark.parametrize("cells", [1, 500, None])
+def test_knn_learner_stacks_rows_in_bounded_chunks(monkeypatch, cells):
+    # 30 training rows of 6 features: chunks of one row, of 2 rows, and the
+    # default budget's single chunk give the rows of one-query predictions
+    if cells is not None:
+        monkeypatch.setattr(learners, "_STACK_CELLS", cells)
+    rng = np.random.default_rng(43)
+    learner = KnnLearner(k=5)
+    learner.fit(rng.normal(size=(1, 30, 6)), rng.normal(size=(1, 30, 3)))
+    rows = rng.normal(size=(7, 6))
+    got = learner.predict(0, rows)
+    assert got.shape == (7, 3)
+    z = learner.normalizers[0].transform(rows)
+    for row, q in zip(got, z):
+        want = knn_predict(learner._features[0], learner._targets[0], q, 5)
+        assert row.tobytes() == want.tobytes()
 
 
 def test_knn_learner_copies_targets():
@@ -41,7 +60,7 @@ def test_knn_learner_copies_targets():
     learner = KnnLearner(k=5)
     learner.fit(feats[None], targets[None])
     targets[:] = 99.0
-    np.testing.assert_array_equal(learner.predict(0, feats[0]), [1.0, 1.0])
+    np.testing.assert_array_equal(learner.predict(0, feats[:1]), [[1.0, 1.0]])
 
 
 def test_mlp_learner_deterministic_and_standardized():
@@ -52,13 +71,14 @@ def test_mlp_learner_deterministic_and_standardized():
     b = MlpLearner(hidden=(5,), epochs=10, seed=3)
     a.fit(feats, targets)
     b.fit(feats, targets)
-    q = rng.normal(10.0, 4.0, size=8)
+    q = rng.normal(10.0, 4.0, size=(3, 8))
     for block in range(2):
         np.testing.assert_array_equal(a.predict(block, q), b.predict(block, q))
-        # each block's network sees features z-scored by that block
+        # each block's network sees features z-scored by that block, one
+        # row at a time
         z = a.normalizers[block].transform(q)
-        np.testing.assert_array_equal(a.predict(block, q),
-                                      a.models[block].forward(z))
+        for row, want in zip(a.predict(block, q), z):
+            assert row.tobytes() == a.models[block].forward(want).tobytes()
     assert not np.array_equal(a.predict(0, q), a.predict(1, q))
 
 
@@ -76,8 +96,8 @@ class CountingLearner(Learner):
         self.fit_rows.extend(f.shape[0] for f in features)
         self.block_sizes.append(len(features))
 
-    def predict(self, block, feature_vec):
-        return np.arange(1.0, self.n + 1.0)
+    def predict(self, block, rows):
+        return np.tile(np.arange(1.0, self.n + 1.0), (len(rows), 1))
 
 
 def test_rank_forecast_refit_cadence():
@@ -146,21 +166,21 @@ def test_rank_forecast_prediction_uses_current_window():
     pm = make_prices(70, 3, seed=19)
 
     class Echo(CountingLearner):
-        def predict(self, block, feature_vec):
-            self.seen = feature_vec.copy()
-            return np.ones(self.n)
+        def predict(self, block, rows):
+            self.seen = rows.copy()
+            return np.ones((len(rows), self.n))
 
     learner = Echo(3)
     strat = RankForecastStrategy(learner, lookback=25, refit_interval=10,
                                  feature_window=12)
     strat.run(pm.prices[:50], 50, 50)
-    np.testing.assert_array_equal(
-        learner.seen, features_from_window(pm.prices[38:50]))
+    np.testing.assert_array_equal(learner.seen,
+                                  [features_loop(pm.prices[38:50])])
 
 
 class RecordingLearner(CountingLearner):
-    """Keeps the bytes of every refit's training block and of every predict
-    input, in call order, with the refit each prediction uses."""
+    """Keeps the bytes of every refit's training block and of every predicted
+    row, in call order, with the refit each row is scored by."""
 
     def __init__(self, n):
         super().__init__(n)
@@ -173,10 +193,10 @@ class RecordingLearner(CountingLearner):
         self.fit_inputs.extend((f.tobytes(), t.tobytes())
                                for f, t in zip(features, targets))
 
-    def predict(self, block, feature_vec):
-        self.predict_inputs.append((self.first_refit + block,
-                                    feature_vec.tobytes()))
-        return super().predict(block, feature_vec)
+    def predict(self, block, rows):
+        self.predict_inputs.extend((self.first_refit + block, row.tobytes())
+                                   for row in rows)
+        return super().predict(block, rows)
 
 
 @pytest.mark.parametrize("trend,power", [("price", 2), ("return", "return")])
@@ -186,7 +206,7 @@ def test_rank_forecast_cache_matches_stateless_functions(trend, power):
     RankForecastStrategy(learner, lookback=20, refit_interval=3,
                          feature_window=12, trend=trend,
                          rank_power=power).run(prices, 37, 100)
-    # refits on days 37, 40, ..., 100 in blocks of 8; one prediction per
+    # refits on days 37, 40, ..., 100 in blocks of 8; one predicted row per
     # day, from the day's latest refit
     fit_days = range(37, 101, 3)
     assert learner.block_sizes == [8, 8, 6]
@@ -198,5 +218,5 @@ def test_rank_forecast_cache_matches_stateless_functions(trend, power):
     assert len(learner.predict_inputs) == 64
     for t, (refit, seen) in zip(range(37, 101), learner.predict_inputs):
         assert refit == (t - 37) // 3
-        want = features_from_window(prices[t - 12: t], trend)
+        want = features_loop(prices[t - 12: t], trend)
         assert seen == want.tobytes()

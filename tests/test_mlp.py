@@ -308,7 +308,7 @@ def test_predict_standardizes_input():
     feats = rng.normal(5.0, 2.0, size=(1, 50, 3))
     learner = MlpLearner(hidden=(4,), epochs=2, seed=2)
     learner.fit(feats, rng.normal(size=(1, 50, 2)))
-    vec = feats[0, 7]
-    z = (vec - feats[0].mean(axis=0)) / feats[0].std(axis=0)
-    np.testing.assert_array_equal(learner.predict(0, vec),
-                                  learner.models[0].forward(z))
+    rows = feats[0, 7:9]
+    z = (rows - feats[0].mean(axis=0)) / feats[0].std(axis=0)
+    np.testing.assert_array_equal(learner.predict(0, rows),
+                                  [learner.models[0].forward(row) for row in z])

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from rankfolio import strategies
 from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
-from rankfolio.features import (features_from_window, scores_to_weights,
-                                training_set)
+from rankfolio.features import scores_to_weights, training_set
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn,
                                   BuyAndHold, Corn, Cwmr,
@@ -387,7 +386,8 @@ def step_row(name, config, prices, t, t_first, t_last):
 def day_rows(name, config, prices, t_first, t_last):
     """Anticor, RMR, BNN and CORN rows from the former per-day code in the
     oracles; learner rows from a per-day loop over ``training_set`` and a
-    learner refitted afresh on the run's refit days."""
+    learner refitted afresh on the run's refit days, which scores each day's
+    ``features_loop`` row as a stack of one."""
     days = range(t_first, t_last + 1)
     if name == "bnn":
         return np.array([oracles.bnn_day(prices[:t], config.bnn_neighbors,
@@ -413,8 +413,9 @@ def day_rows(name, config, prices, t_first, t_last):
             feats, targets = training_set(prices[:t], config.lookback,
                                           config.rank_power, fw, trend)
             learner.fit(feats[None], targets[None])
-        scores = learner.predict(0, features_from_window(prices[t - fw: t], trend))
-        rows.append(scores_to_weights(scores))
+        scores = learner.predict(0, oracles.features_loop(prices[t - fw: t],
+                                                          trend)[None])
+        rows.append(scores_to_weights(scores[0]))
     return np.array(rows)
 
 
