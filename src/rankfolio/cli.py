@@ -22,7 +22,6 @@ import json
 import sys
 from dataclasses import fields, replace
 from datetime import date, datetime, timezone
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -125,30 +124,20 @@ def write_metrics_outputs(out_dir: Path, stem: str, label_header: str,
     return render_table(header, pretty_rows)
 
 
-def _raw(value: float) -> str:
-    return repr(float(value))
-
-
 # the series of a returns CSV, one column each
-_returns_series = attrgetter("dates", "gross", "cost", "net", "wealth")
+_RETURN_SERIES = ("gross", "cost", "net", "wealth")
 
 
-def write_returns_csv(path: Path, dates, gross, cost, net, wealth) -> None:
-    header = ["date", "gross", "cost", "net", "wealth"]
-    rows = [
-        [d.isoformat(), _raw(g), _raw(c), _raw(n), _raw(w)]
-        for d, g, c, n, w in zip(dates, gross, cost, net, wealth)
-    ]
-    write_csv_rows(path, header, rows)
+def write_dated_csv(path: Path, dates, names, rows) -> None:
+    """A CSV headed ``date`` and ``names``: one line per date, its ISO form
+    and then the full-precision repr of each value of its row of ``rows``."""
+    write_csv_rows(path, ["date", *names],
+                   [[d.isoformat(), *map(repr, row)]
+                    for d, row in zip(dates, np.asarray(rows, float).tolist())])
 
 
-def write_weights_csv(path: Path, result: BacktestResult) -> None:
-    header = ["date", *result.assets]
-    rows = [
-        [d.isoformat(), *(_raw(w) for w in row)]
-        for d, row in zip(result.dates, result.weights)
-    ]
-    write_csv_rows(path, header, rows)
+def _returns_rows(result: BacktestResult) -> np.ndarray:
+    return np.column_stack([getattr(result, s) for s in _RETURN_SERIES])
 
 
 def write_manifest(out_dir: Path, command: str, data_path: str,
@@ -212,8 +201,10 @@ def cmd_backtest(args) -> int:
     report = result.report("net", bench.net)
 
     out = _out_dir(args)
-    write_weights_csv(out / "weights.csv", result)
-    write_returns_csv(out / "returns.csv", *_returns_series(result))
+    write_dated_csv(out / "weights.csv", result.dates, result.assets,
+                    result.weights)
+    write_dated_csv(out / "returns.csv", result.dates, _RETURN_SERIES,
+                    _returns_rows(result))
     table = write_metrics_outputs(out, "metrics", "strategy",
                                   [(strategy_id, report)])
     write_manifest(out, "backtest", args.data, config,
@@ -250,11 +241,11 @@ def cmd_compare(args) -> int:
         result = run_backtest(matrix, strategy_id, window)
         rows.append((strategy_id, result.report("net", bench.net)))
         label = _file_label(strategy_id)
-        returns[f"returns_{label}.csv"] = _returns_series(result)
+        returns[f"returns_{label}.csv"] = result.dates, _returns_rows(result)
 
     out = _out_dir(args)
-    for name, series in returns.items():
-        write_returns_csv(out / name, *series)
+    for name, (dates, series) in returns.items():
+        write_dated_csv(out / name, dates, _RETURN_SERIES, series)
     table = write_metrics_outputs(out, "compare", "strategy", rows)
     write_manifest(out, "compare", args.data, config,
                    {"strategies": [r[0] for r in rows],
@@ -309,20 +300,12 @@ def cmd_plotdata(args) -> int:
     result = run_backtest(matrix, strategy_id, window)
 
     out = _out_dir(args)
-    normalized = matrix.prices / matrix.prices[0]
-    write_csv_rows(
-        out / "plot_prices.csv",
-        ["date", *matrix.assets],
-        [[d.isoformat(), *(_raw(v) for v in row)]
-         for d, row in zip(matrix.dates, normalized)],
-    )
+    write_dated_csv(out / "plot_prices.csv", matrix.dates, matrix.assets,
+                    matrix.prices / matrix.prices[0])
     excess = np.cumsum(result.net - bench.net)
-    write_csv_rows(
-        out / "plot_wealth.csv",
-        ["date", "strategy_wealth", "benchmark_wealth", "cumulative_excess"],
-        [[d.isoformat(), _raw(w), _raw(bw), _raw(e)]
-         for d, w, bw, e in zip(result.dates, result.wealth, bench.wealth, excess)],
-    )
+    write_dated_csv(out / "plot_wealth.csv", result.dates,
+                    ["strategy_wealth", "benchmark_wealth", "cumulative_excess"],
+                    np.column_stack([result.wealth, bench.wealth, excess]))
     write_manifest(out, "plotdata", args.data, config,
                    {"strategy": strategy_id, "benchmark": config.benchmark})
     print(f"wrote plot_prices.csv and plot_wealth.csv to {out}")

@@ -10,15 +10,16 @@ no earlier than the strategy's ``first_day``. One ``Strategy.run`` call per
 backtest, on a fresh strategy, gives the weights of every trading day. It
 sees prices up to the last trading day only (bcrp, the ``hindsight``
 reference, one day more), and its row for day t depends only on prices for
-days 1..t: recursions replay from day 1, while buy-and-hold and the
-learners' refit schedule anchor at the first trading day. A row that is not
-finite fails the run. Each row is then optionally smoothed by an exponential
-decay over the run's own recent outputs (a ``decays`` strategy's by
-default). Once every day's weights are known, ``account`` realizes each
-day's return from day t to t+1 and its cost in a few array operations.
-Costs are proportional to the L1 distance between the new weights and the
-previous day's weights after drifting with the market; the first day pays
-for the full move out of cash.
+days 1..t: ``Strategy.run`` replays a recursion's ``_replay`` generator
+from day 1 (OLMAR's and RMR's targets come in blocks of windows), while
+buy-and-hold and the learners' refit schedule anchor at the first trading
+day. A row that is not finite fails the run. Each row is then optionally
+smoothed by an exponential decay over the run's own recent outputs (a
+``decays`` strategy's by default). Once every day's weights are known,
+``account`` realizes each day's return from day t to t+1 and its cost in a
+few array operations. Costs are proportional to the L1 distance between the
+new weights and the previous day's weights after drifting with the market;
+the first day pays for the full move out of cash.
 """
 
 from __future__ import annotations

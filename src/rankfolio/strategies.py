@@ -13,21 +13,22 @@ portfolio of the window it trades. No classic ``decays``: the engine
 smooths a classic's weights only when the config asks for it. Constructors
 take their settings as given: ``BacktestConfig`` bounds each one.
 
-Strategies defined by a recursion (EG, PAMR, CWMR, OLMAR, RMR, Anticor, UP)
-replay it from day 1 of the supplied prices, so a row does not depend on
-where the trading window begins. Buy-and-hold is the one exception: it buys
-at day t_first, the start of the trading period. RMR, BNN, CORN and Anticor
-do their price-only work (L1 medians, relative windows, window statistics
-and claims) once per run. RMR solves its medians in lockstep stacks, and
-BNN and CORN their log-optimal problems in lockstep blocks: BNN's problems
-share one shape, CORN's differ in row count. BNN narrows each day's
-neighbour search with Gram-form distances, one matrix product per block of
-days, and ranks the windows that pass by their exact distances.
+Strategies defined by a recursion (UCRP, UP, EG, Anticor, PAMR, CWMR, OLMAR,
+RMR) are a ``_replay`` generator, its state in its locals, that yields the
+weights of day 1, 2, ...; ``Strategy.run`` replays it from day 1 and keeps
+days t_first..t_last, so a row does not depend on where the trading window
+begins. Buy-and-hold buys at t_first instead. OLMAR and RMR share one
+``_replay``: a window's target is its mean, or L1 median, over its last
+price, solved for stacks of windows at once. BNN, CORN and Anticor do their
+price-only work once per run or block of days, and BNN and CORN solve their
+log-optimal problems in lockstep blocks. BNN narrows each day's neighbour
+search with Gram-form distances and ranks the survivors exactly.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice, repeat
 from statistics import NormalDist
 
 import numpy as np
@@ -44,8 +45,9 @@ CLASSIC_NAMES = (
 # Directions with squared norm below this are treated as null updates.
 _NULL_DIRECTION = 1e-24
 
-# RMR solves its L1 medians in stacks of this many windows, counted from the
-# first window, so memory stays bounded whatever the run length.
+# OLMAR and RMR compute the price targets (RMR's L1 medians) of this many
+# windows at a time, counted from the first window, so memory stays bounded
+# whatever the run length.
 _MEDIAN_BLOCK = 256
 
 # Anticor computes its claims, and BNN its Gram-form distances, in blocks
@@ -72,7 +74,18 @@ class Strategy:
 
     def run(self, prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
         """Weights of days t_first..t_last (1-based), one row each, from
-        ``prices[:t_last]``; each call starts afresh."""
+        ``prices[:t_last]``; each call starts afresh. A recursion replays
+        ``_replay`` from day 1 and keeps the rows from t_first."""
+        prices = _run_prices(prices, t_first, t_last)
+        out = np.empty((t_last - t_first + 1, prices.shape[1]))
+        # zip stops at the last row of ``out``, so day t_last is the last
+        # day the recursion computes
+        for row, w in zip(out, islice(self._replay(prices), t_first - 1, None)):
+            row[:] = w
+        return out
+
+    def _replay(self, prices: np.ndarray):
+        """The weights of day 1, 2, ... of ``prices``, one row at a time."""
         raise NotImplementedError
 
 
@@ -85,26 +98,6 @@ def _run_prices(prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
     return prices[:t_last]
 
 
-class ReplayStrategy(Strategy):
-    """Replays a daily recursion from day 1, keeping the rows from t_first."""
-
-    _w: np.ndarray  # the previous day's weights while ``_advance`` runs
-
-    def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
-        out = np.empty((t_last - t_first + 1, prices.shape[1]))
-        self._w = uniform_weights(prices.shape[1])
-        for t in range(1, t_last + 1):
-            self._w = self._advance(prices[:t])
-            if t >= t_first:
-                out[t - t_first] = self._w
-        return out
-
-    def _advance(self, prefix: np.ndarray) -> np.ndarray:
-        """Weights for day len(prefix), given prices for days 1..len(prefix)."""
-        raise NotImplementedError
-
-
 class BuyAndHold(Strategy):
     """Uniform buy at the first trading day, then drift with prices."""
 
@@ -114,11 +107,11 @@ class BuyAndHold(Strategy):
         return growth / growth.sum(axis=1, keepdims=True)
 
 
-class UniformCRP(ReplayStrategy):
+class UniformCRP(Strategy):
     """Rebalance to equal weights every day."""
 
-    def _advance(self, prefix):
-        return uniform_weights(prefix.shape[1])
+    def _replay(self, prices):
+        return repeat(uniform_weights(prices.shape[1]))
 
 
 class BestCRP(Strategy):
@@ -140,7 +133,7 @@ class BestCRP(Strategy):
         return np.tile(target, (t_last - t_first + 1, 1))
 
 
-class UniversalSampler(ReplayStrategy):
+class UniversalSampler(Strategy):
     """Wealth-weighted average over Monte-Carlo sampled constant portfolios.
 
     Samples CRPs uniformly from the simplex (Dirichlet with unit
@@ -152,39 +145,37 @@ class UniversalSampler(ReplayStrategy):
         self.samples = samples
         self.seed = seed
 
-    def _advance(self, prefix):
-        if prefix.shape[0] == 1:  # a run starts here, so state resets
-            rng = np.random.default_rng(self.seed)
-            self._crps = rng.dirichlet(np.ones(prefix.shape[1]),
-                                       size=self.samples)
-            self._wealth = np.ones(self.samples)
-        else:
-            x = prefix[-1] / prefix[-2]
-            self._wealth *= self._crps @ x
-            peak = float(self._wealth.max())
+    def _replay(self, prices):
+        rng = np.random.default_rng(self.seed)
+        crps = rng.dirichlet(np.ones(prices.shape[1]), size=self.samples)
+        wealth = np.ones(self.samples)
+        yield (wealth @ crps) / wealth.sum()
+        for x in prices[1:] / prices[:-1]:
+            wealth *= crps @ x
+            peak = float(wealth.max())
             # rescale only when compounding approaches float range limits;
             # the weighted average below is scale invariant
             if peak > 1e150 or (peak > 0 and peak < 1e-150):
-                self._wealth /= peak
-        return (self._wealth @ self._crps) / self._wealth.sum()
+                wealth /= peak
+            yield (wealth @ crps) / wealth.sum()
 
 
-class ExponentiatedGradient(ReplayStrategy):
+class ExponentiatedGradient(Strategy):
     """Multiplicative update toward yesterday's winners."""
 
     def __init__(self, eta: float = 0.05):
         self.eta = eta
 
-    def _advance(self, prefix):
-        n = prefix.shape[1]
-        if prefix.shape[0] == 1:
-            return uniform_weights(n)
-        x = prefix[-1] / prefix[-2]
-        w = self._w
-        # the update is scale invariant: shift the exponents so exp cannot overflow
-        exponent = self.eta * x / float(w @ x)
-        w_new = w * np.exp(exponent - exponent.max())
-        return w_new / w_new.sum()
+    def _replay(self, prices):
+        w = uniform_weights(prices.shape[1])
+        yield w
+        for x in prices[1:] / prices[:-1]:
+            # the update is scale invariant: shift the exponents so exp
+            # cannot overflow
+            exponent = self.eta * x / float(w @ x)
+            w = w * np.exp(exponent - exponent.max())
+            w = w / w.sum()
+            yield w
 
 
 class Anticor(Strategy):
@@ -195,34 +186,30 @@ class Anticor(Strategy):
     window and the cross-window correlation claim holds, with negative
     autocorrelation penalties added per the standard formulation. Uniform
     until 2 * window return observations exist. The claims depend on prices
-    only, so ``run`` computes them for blocks of days at once; only the
+    only, so ``_replay`` computes them for blocks of days at once; only the
     transfer, which needs the previous day's weights, runs per day.
     """
 
     def __init__(self, window: int = 5):
         self.window = window
 
-    def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
-        n, m = prices.shape[1], self.window
-        out = np.tile(uniform_weights(n), (t_last - t_first + 1, 1))
+    def _replay(self, prices):
+        (days, n), m = prices.shape, self.window
         w = uniform_weights(n)
+        yield from repeat(w, 2 * m)
         log_rel = np.log(prices[1:] / prices[:-1])
         size = max(1, _STACK_FLOATS // (n * n))
         # day t compares log_rel rows t-2m-1..t-m-2 with rows t-m-1..t-2
-        for first in range(2 * m + 1, t_last + 1, size):
-            days = range(first, min(first + size, t_last + 1))
+        for first in range(2 * m + 1, days + 1, size):
             claims, outgoing = self._claims(
-                log_rel[first - 2 * m - 1: days[-1] - 1])
-            for t, claim, out_sum in zip(days, claims, outgoing):
+                log_rel[first - 2 * m - 1: first + size - 2])
+            for claim, out_sum in zip(claims, outgoing):
                 transfer = np.zeros((n, n))
                 src = out_sum > 0
                 if src.any():
                     transfer[src] = w[src, None] * claim[src] / out_sum[src, None]
                 w = w - transfer.sum(axis=1) + transfer.sum(axis=0)
-                if t >= t_first:
-                    out[t - t_first] = w
-        return out
+                yield w
 
     def _claims(self, log_rel: np.ndarray):
         """Claim matrices and their row sums of the days whose window pairs
@@ -248,28 +235,23 @@ class Anticor(Strategy):
         return claim, claim.sum(axis=2)
 
 
-class Pamr(ReplayStrategy):
+class Pamr(Strategy):
     """Passive-aggressive mean reversion: bet against yesterday's move."""
 
     def __init__(self, eps: float = 0.5):
         self.eps = eps
 
-    def _advance(self, prefix):
-        if prefix.shape[0] == 1:
-            return self._w
-        x = prefix[-1] / prefix[-2]
-        ret = float(self._w @ x)
-        if ret <= self.eps:
-            return self._w
-        dev = x - x.mean()
-        sq = float(dev @ dev)
-        if sq < _NULL_DIRECTION:
-            return self._w
-        tau = (ret - self.eps) / sq
-        return project_to_simplex(self._w - tau * dev)
+    def _replay(self, prices):
+        w = uniform_weights(prices.shape[1])
+        yield w
+        # a step that pushes w @ x down to eps is the reversion step that
+        # pushes w @ -x up to -eps, with every sign flipped exactly
+        for x in prices[1:] / prices[:-1]:
+            w = _reversion_update(w, -x, -self.eps)
+            yield w
 
 
-class Cwmr(ReplayStrategy):
+class Cwmr(Strategy):
     """Confidence-weighted mean reversion, deterministic diagonal variant.
 
     Keeps a Gaussian belief (mean, diagonal covariance) over the weight
@@ -285,39 +267,39 @@ class Cwmr(ReplayStrategy):
         self.phi = NormalDist().inv_cdf(confidence)
         self.eps = eps
 
-    def _advance(self, prefix):
-        t, n = prefix.shape
-        if t == 1:  # a run starts here, so state resets
-            self._mu = uniform_weights(n)
-            self._s2 = np.full(n, 1.0 / (n * n))
-            return self._mu.copy()
-        x = prefix[-1] / prefix[-2]
-        mu, s2, phi = self._mu, self._s2, self.phi
+    def _replay(self, prices):
+        n = prices.shape[1]
+        mu, s2 = uniform_weights(n), np.full(n, 1.0 / (n * n))
+        yield mu
+        for x in prices[1:] / prices[:-1]:
+            mu, s2 = self._update(mu, s2, x)
+            yield mu
 
+    def _update(self, mu, s2, x):
+        """The belief (mean, variances) after a day of relatives ``x``."""
+        phi = self.phi
         m_val = float(mu @ x)
         v_val = float(s2 @ (x * x))
         w_val = float(s2 @ x)
         xbar = w_val / float(s2.sum())
         c = self.eps - m_val - phi * v_val
         if c >= 0:
-            return mu.copy()
+            return mu, s2
 
         a = 2.0 * phi * v_val * v_val - 2.0 * phi * xbar * v_val * w_val
         b = 2.0 * phi * self.eps * v_val - 2.0 * phi * v_val * m_val \
             + v_val - xbar * w_val
         if a <= _NULL_DIRECTION:
             # x is constant across assets; no informative direction
-            return mu.copy()
+            return mu, s2
         lam = max(0.0, (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a))
         if lam == 0.0:
-            return mu.copy()
+            return mu, s2
 
         mu = mu - lam * s2 * (x - xbar)
         s2 = 1.0 / (1.0 / s2 + 2.0 * lam * phi * x * x)
-        s2 *= (1.0 / n) / s2.sum()
-        self._mu = project_to_simplex(mu)
-        self._s2 = s2
-        return self._mu.copy()
+        s2 *= (1.0 / len(x)) / s2.sum()
+        return project_to_simplex(mu), s2
 
 
 def _reversion_update(w_prev: np.ndarray, x_hat: np.ndarray,
@@ -333,46 +315,43 @@ def _reversion_update(w_prev: np.ndarray, x_hat: np.ndarray,
     return project_to_simplex(w_prev + (gap / sq) * dev)
 
 
-class Olmar(ReplayStrategy):
-    """Moving-average reversion: chase the MA(window)-to-price ratio."""
+class Olmar(Strategy):
+    """Moving-average reversion: chase the MA(window)-to-price ratio.
+
+    Window j holds days j+1..j+window; its target, the mean of its prices
+    over its last price, drives day j+window. ``_replay`` computes the
+    targets of ``_MEDIAN_BLOCK`` windows at a time.
+    """
 
     def __init__(self, window: int = 5, eps: float = 10.0):
         self.window = window
         self.eps = eps
 
-    def _advance(self, prefix):
-        t = prefix.shape[0]
-        if t < self.window:
-            return self._w
-        x_hat = (prefix[t - self.window: t] / prefix[-1]).mean(axis=0)
-        return _reversion_update(self._w, x_hat, self.eps)
+    def _replay(self, prices):
+        m, n = self.window, prices.shape[1]
+        w = uniform_weights(n)
+        yield from repeat(w, m - 1)
+        windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
+        for s in range(0, len(windows), _MEDIAN_BLOCK):
+            for x_hat in self._targets(windows[s: s + _MEDIAN_BLOCK]):
+                w = _reversion_update(w, x_hat, self.eps)
+                yield w
+
+    @staticmethod
+    def _targets(windows: np.ndarray) -> np.ndarray:
+        """The price targets of a (B, window, n) stack of windows."""
+        return (windows / windows[:, -1:]).mean(axis=1)
 
 
-class Rmr(Strategy):
+class Rmr(Olmar):
     """Robust median reversion: like OLMAR with an L1-median price target."""
 
     def __init__(self, window: int = 5, eps: float = 5.0):
-        self.window = window
-        self.eps = eps
+        super().__init__(window, eps)
 
-    def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
-        m, n = self.window, prices.shape[1]
-        if t_last >= m:
-            # window j holds days j+1..j+m; its median drives day j+m
-            windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
-            medians = np.concatenate([
-                geometric_median(windows[s: s + _MEDIAN_BLOCK])
-                for s in range(0, len(windows), _MEDIAN_BLOCK)])
-        out = np.empty((t_last - t_first + 1, n))
-        w = uniform_weights(n)
-        for t in range(1, t_last + 1):
-            if t >= m:
-                w = _reversion_update(w, medians[t - m] / prices[t - 1],
-                                      self.eps)
-            if t >= t_first:
-                out[t - t_first] = w
-        return out
+    @staticmethod
+    def _targets(windows):
+        return geometric_median(windows) / windows[:, -1]
 
 
 def _relative_windows(prices: np.ndarray, length: int):

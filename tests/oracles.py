@@ -518,6 +518,24 @@ def rmr_day(prefix, w_prev, window, eps, tol=1e-9, max_iter=200):
     return project_to_simplex(w_prev + (gap / sq) * dev)
 
 
+def olmar_day(prefix, w_prev, window, eps):
+    """One day of OLMAR from the previous day's weights, with the day's
+    target computed on its own window, as OLMAR's per-day update did before
+    its targets were computed in blocks of windows."""
+    t = prefix.shape[0]
+    if t < window:
+        return w_prev
+    x_hat = (prefix[t - window: t] / prefix[-1]).mean(axis=0)
+    gap = eps - float(w_prev @ x_hat)
+    if gap <= 0:
+        return w_prev
+    dev = x_hat - x_hat.mean()
+    sq = float(dev @ dev)
+    if sq < 1e-24:
+        return w_prev
+    return project_to_simplex(w_prev + (gap / sq) * dev)
+
+
 def anticor_day(prefix, w_prev, window):
     """One day of Anticor from the previous day's weights, with the day's
     window statistics computed on their own, as Anticor's per-day update did

@@ -384,10 +384,10 @@ def step_row(name, config, prices, t, t_first, t_last):
 
 
 def day_rows(name, config, prices, t_first, t_last):
-    """Anticor, RMR, BNN and CORN rows from the former per-day code in the
-    oracles; learner rows from a per-day loop over ``training_set`` and a
-    learner refitted afresh on the run's refit days, which scores each day's
-    ``features_loop`` row as a stack of one."""
+    """Anticor, OLMAR, RMR, BNN and CORN rows from the former per-day code
+    in the oracles; learner rows from a per-day loop over ``training_set``
+    and a learner refitted afresh on the run's refit days, which scores each
+    day's ``features_loop`` row as a stack of one."""
     days = range(t_first, t_last + 1)
     if name == "bnn":
         return np.array([oracles.bnn_day(prices[:t], config.bnn_neighbors,
@@ -396,10 +396,13 @@ def day_rows(name, config, prices, t_first, t_last):
         return np.array([oracles.corn_day(prices[:t], config.corn_rho,
                                           config.corn_window) for t in days])
     rows = []
-    if name in ("rmr", "anticor"):
+    if name in ("olmar", "rmr", "anticor"):
         w = uniform_weights(prices.shape[1])
         for t in range(1, t_last + 1):
-            if name == "rmr":
+            if name == "olmar":
+                w = oracles.olmar_day(prices[:t], w, config.olmar_window,
+                                      config.olmar_eps)
+            elif name == "rmr":
                 w = oracles.rmr_day(prices[:t], w, config.rmr_window,
                                     config.rmr_eps)
             else:
@@ -422,14 +425,14 @@ def day_rows(name, config, prices, t_first, t_last):
 def assert_run_equals_step_loop(name, config, prices, spans, extra_days=()):
     """Each row of a run equals, byte for byte, its day computed on its own:
     a one-day run for the classics, the per-day references for anticor,
-    rmr, bnn, corn and the learners. A run sees the prices it is given by
-    the engine: up to t_last, and one more day for bcrp."""
+    olmar, rmr, bnn, corn and the learners. A run sees the prices it is
+    given by the engine: up to t_last, and one more day for bcrp."""
     for t_first, t_last in spans:
         strategy = make_strategy(name, config)
         got = strategy.run(prices[:t_last + strategy.hindsight], t_first,
                            t_last)
         assert got.shape == (t_last - t_first + 1, prices.shape[1])
-        if name in ("anticor", "rmr", "bnn", "corn", "mlp", "knn"):
+        if name in ("anticor", "olmar", "rmr", "bnn", "corn", "mlp", "knn"):
             want = day_rows(name, config, prices, t_first, t_last)
             assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
         if name in ("mlp", "knn"):  # their refit days anchor at t_first
@@ -460,15 +463,15 @@ def test_learner_run_equals_day_rows_across_refit_blocks(walk, name, refits):
 
 
 @pytest.mark.parametrize("name, window", [
-    (name, window) for name in ("rmr", "corn", "bnn", "anticor")
+    (name, window) for name in ("olmar", "rmr", "corn", "bnn", "anticor")
     for window in (1, 2, 5, 30) if (name, window) != ("anticor", 1)])
 def test_run_equals_step_loop_windows(long_walk, name, window):
     config = BacktestConfig(**{f"{name}_window": window})
-    # RMR's median blocks hold 256 windows: its last block ends mid-block at
-    # t_last = 299 for every window and at 259 for windows <= 3; the other
-    # spans end inside the first block, at 259 or after a single window.
-    # Days window + 255 and window + 256 sit on either side of RMR's first
-    # block edge, and their one-day runs end a block there.
+    # OLMAR's and RMR's target blocks hold 256 windows: the last block ends
+    # mid-block at t_last = 299 for every window and at 259 for windows
+    # <= 3; the other spans end inside the first block, at 259 or after a
+    # single window. Days window + 255 and window + 256 sit on either side
+    # of the first block edge, and their one-day runs end a block there.
     # Anticor's blocks hold 163 days at 10 assets and 6 at 50, counted from
     # day 2 * window + 1, so the (1, 299) span crosses at least one edge at
     # both widths for every window. BNN's and CORN's solve blocks hold most
@@ -549,6 +552,17 @@ def test_run_twice_gives_the_same_rows(walk):
         t_first = strategy.first_day
         first = strategy.run(walk, t_first, 60)
         assert strategy.run(walk, t_first, 60).tobytes() == first.tobytes(), name
+
+
+def test_run_leaves_no_state_on_the_strategy(walk):
+    # a recursion keeps its state in the locals of its replay, so a run
+    # changes no attribute of the classic that ran it
+    config = BacktestConfig()
+    for name in CLASSIC_NAMES:
+        strategy = make_strategy(name, config)
+        before = dict(vars(strategy))
+        strategy.run(walk, strategy.first_day, 60)
+        assert vars(strategy) == before, name
 
 
 def test_run_rejects_bad_window(walk):
