@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,10 @@ def load_csv(path: str | Path) -> PriceMatrix:
     """Read a price matrix from ``path``.
 
     Raises ValueError with the offending line number and column name for
-    malformed headers, ragged rows, unparseable numbers, non-positive or
-    non-finite prices, and duplicate dates. Rows are sorted by date.
+    malformed headers (blank or duplicate asset names), ragged rows,
+    unparseable numbers, non-positive or non-finite prices, and duplicate
+    dates; the first fault in file order is reported. A cell is a number in
+    Python ``float``'s grammar. Rows are sorted by date.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -93,51 +96,82 @@ def load_csv(path: str | Path) -> PriceMatrix:
         assets = header[1:]
         if not assets:
             raise ValueError(f"{path}: line 1: no asset columns")
+        if "" in assets:
+            raise ValueError(f"{path}: line 1: empty asset name in column "
+                             f"{assets.index('') + 2}")
         if len(set(assets)) != len(assets):
             raise ValueError(f"{path}: line 1: duplicate asset columns")
 
-        rows: list[tuple[date, list[float]]] = []
+        # rows are converted as they are read and their prices checked as
+        # one block: at the end, or before a malformed line's error, which
+        # must not hide a bad price on an earlier line
+        dates: list[date] = []
+        linenos: list[int] = []
+        rows: list[np.ndarray] = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
-            if len(cells) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
-                )
+            where = f"{path}: line {lineno}"
             try:
-                day = date.fromisoformat(cells[0].strip())
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad date {cells[0]!r}"
-                ) from None
-            values = []
-            for sym, cell in zip(assets, cells[1:]):
+                if len(cells) != len(header):
+                    raise ValueError(f"{where}: expected {len(header)} "
+                                     f"fields, got {len(cells)}")
                 try:
-                    value = float(cell)
+                    day = date.fromisoformat(cells[0].strip())
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}, column {sym}: bad number {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: line {lineno}, column {sym}: non-finite price {cell!r}"
-                    )
-                if value <= 0:
-                    raise ValueError(
-                        f"{path}: line {lineno}, column {sym}: non-positive price {value}"
-                    )
-                values.append(value)
-            rows.append((day, values))
+                    raise ValueError(f"{where}: bad date {cells[0]!r}") from None
+                try:
+                    values = np.array(cells[1:], dtype=np.float64)
+                except ValueError:  # the cells before the bad one come first
+                    values = np.array([_price(where, sym, cell) for sym, cell
+                                       in zip(assets, cells[1:])])
+            except ValueError:
+                _check_prices(path, assets, linenos, np.array(rows))
+                raise
+            dates.append(day)
+            linenos.append(lineno)
+            rows.append(values)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    rows.sort(key=lambda item: item[0])
-    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+    block = np.array(rows)
+    _check_prices(path, assets, linenos, block)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    dates = [dates[i] for i in order]
+    for d1, d2 in zip(dates, dates[1:]):
         if d1 == d2:
             raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
-    dates = tuple(r[0] for r in rows)
-    prices = np.array([r[1] for r in rows], dtype=np.float64)
-    return PriceMatrix(dates=dates, assets=tuple(assets), prices=prices)
+    return PriceMatrix(dates=tuple(dates), assets=tuple(assets),
+                       prices=block[order])
+
+
+def _price(where: str, sym: str, cell: str) -> float:
+    """The price in ``cell``, or ValueError naming its line and column."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{where}, column {sym}: bad number {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}, column {sym}: non-finite price {cell!r}")
+    if value <= 0:
+        raise ValueError(f"{where}, column {sym}: non-positive price {value}")
+    return value
+
+
+def _check_prices(path: Path, assets: list[str], linenos: list[int],
+                  block: np.ndarray) -> None:
+    """Raise the error of the first non-finite or non-positive price of
+    ``block``, whose rows were read from lines ``linenos`` of ``path``.
+    The error quotes the cell as written, read again from a regular file;
+    a pipe cannot be read twice, so from one it quotes the value."""
+    bad = ~(np.isfinite(block) & (block > 0))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(assets))
+        lineno, cell = linenos[row], str(block[row, col])
+        if path.is_file():
+            with open(path, newline="") as fh:
+                cell = next(islice(csv.reader(fh), lineno - 1, None))[col + 1]
+        _price(f"{path}: line {lineno}", assets[col], cell)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -16,10 +16,11 @@ buy-and-hold and the learners' refit schedule anchor at the first trading
 day. A row that is not finite fails the run. Each row is then optionally
 smoothed by an exponential decay over the run's own recent outputs (a
 ``decays`` strategy's by default). Once every day's weights are known,
-``account`` realizes each day's return from day t to t+1 and its cost in a
-few array operations. Costs are proportional to the L1 distance between the
-new weights and the previous day's weights after drifting with the market;
-the first day pays for the full move out of cash.
+``account`` realizes each day's return from day t to t+1 and its turnover,
+the L1 distance between the new weights and the previous day's weights
+after drifting with the market, in a few array operations; the first day
+turns over the full move out of cash. ``turnover_cost`` prices the turnover
+at the run's fee, and ``reprice`` at another.
 """
 
 from __future__ import annotations
@@ -227,15 +228,17 @@ def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,
     return smoothed / denom
 
 
-def account(weights: np.ndarray, prices: np.ndarray,
-            fee_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Daily gross returns and costs of a run held at ``weights``.
+def account(weights: np.ndarray,
+            prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Daily gross returns and turnovers of a run held at ``weights``; no
+    fee enters, so a run is accounted once for every fee (``turnover_cost``).
 
     Row i of ``weights`` is held from price row i to row i + 1, so ``prices``
     has one row more than ``weights``. Before its trade a day holds the
     previous day's weights drifted with the market, w (1 + r) renormalized,
-    and the first day holds cash (zeros). Raises ValueError when a day's
-    drifted holdings are worth nothing or its net return is <= -100%.
+    and the first day holds cash (zeros); its turnover is the L1 distance
+    from those holdings to its weights. Raises ValueError when a day's
+    drifted holdings are worth nothing.
     """
     returns = prices[1:] / prices[:-1] - 1.0
     # one BLAS dot per row, the same bytes as weights[i] @ returns[i]
@@ -246,11 +249,21 @@ def account(weights: np.ndarray, prices: np.ndarray,
         raise ValueError("portfolio wiped out, cannot drift weights")
     held = np.zeros_like(weights)
     held[1:] = drifted[:-1] / totals[:-1, None]
-    cost = fee_rate * np.abs(weights - held).sum(axis=1)
-    ruined = np.flatnonzero(gross - cost <= -1.0)  # wealth would reach <= 0
+    return gross, np.abs(weights - held).sum(axis=1)
+
+
+def turnover_cost(gross: np.ndarray, turnover: np.ndarray,
+                  fee_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Daily costs and net returns of an accounted run at ``fee_rate``.
+
+    Raises ValueError when a day's net return is <= -100%.
+    """
+    cost = fee_rate * turnover
+    net = gross - cost
+    ruined = np.flatnonzero(net <= -1.0)  # wealth would reach <= 0
     if ruined.size:
         raise ValueError(f"net return <= -100% on day {ruined[0] + 1} of the run")
-    return gross, cost
+    return cost, net
 
 
 @dataclass
@@ -263,6 +276,7 @@ class BacktestResult:
     raw_weights: np.ndarray       # strategy output before decay
     weights: np.ndarray           # weights actually held (post decay)
     gross: np.ndarray
+    turnover: np.ndarray          # |weights - drifted holdings|_1 a day
     cost: np.ndarray
     net: np.ndarray
     wealth: np.ndarray            # cumprod(1 + net), start wealth 1
@@ -389,16 +403,14 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
             held_weights[i] = apply_decay(recent, predicted, config.decay_alpha,
                                           config.decay_len)
 
-    gross, cost = account(held_weights, prices[t_first - 1: t_last + 1],
-                          config.fee_rate)
-    net = gross - cost
-    wealth = np.cumprod(1.0 + net)
+    gross, turnover = account(held_weights, prices[t_first - 1: t_last + 1])
+    cost, net = turnover_cost(gross, turnover, config.fee_rate)
     return BacktestResult(
         strategy=strategy_id, assets=matrix.assets,
         dates=tuple(matrix.dates[t_first - 1: t_last]),
-        raw_weights=raw, weights=held_weights, gross=gross, cost=cost,
-        net=net, wealth=wealth, start_day=t_first, end_day=t_last,
-        config=config,
+        raw_weights=raw, weights=held_weights, gross=gross, turnover=turnover,
+        cost=cost, net=net, wealth=np.cumprod(1.0 + net), start_day=t_first,
+        end_day=t_last, config=config,
     )
 
 
@@ -406,16 +418,14 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
             fee_rate: float) -> BacktestResult:
     """Re-cost a finished run at a different fee.
 
-    Weights never depend on fees in this engine, so the trajectory is reused
-    and only costs, net returns, and wealth are recomputed. A rerun costs its
-    weights with the same ``account`` call, so the output is bit-identical to
-    a full rerun at that fee.
+    Weights never depend on fees in this engine, so the run's gross returns
+    and turnovers are reused and only costs, net returns, and wealth are
+    recomputed; ``matrix`` is not read. A rerun costs them with the same
+    ``turnover_cost`` call, so the output is bit-identical to a full rerun
+    at that fee.
     """
     check_fee_rate(fee_rate)
-    _, cost = account(result.weights,
-                      matrix.prices[result.start_day - 1: result.end_day + 1],
-                      fee_rate)
-    net = result.gross - cost
+    cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
     return replace(
         result,
         cost=cost, net=net, wealth=np.cumprod(1.0 + net),

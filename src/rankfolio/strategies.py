@@ -246,8 +246,9 @@ class Pamr(Strategy):
         yield w
         # a step that pushes w @ x down to eps is the reversion step that
         # pushes w @ -x up to -eps, with every sign flipped exactly
-        for x in prices[1:] / prices[:-1]:
-            w = _reversion_update(w, -x, -self.eps)
+        x_hats = -(prices[1:] / prices[:-1])
+        for x_hat, dev, sq in zip(x_hats, *_deviations(x_hats)):
+            w = _reversion_update(w, x_hat, dev, sq, -self.eps)
             yield w
 
 
@@ -302,14 +303,22 @@ class Cwmr(Strategy):
         return project_to_simplex(mu), s2
 
 
-def _reversion_update(w_prev: np.ndarray, x_hat: np.ndarray,
-                      eps: float) -> np.ndarray:
-    """Passive-aggressive step pushing w @ x_hat up to eps, then projection."""
+def _deviations(x_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a C-contiguous (B, n) stack less its mean, and the
+    squared norm of that; each row's bytes are those of its own
+    ``x - x.mean()`` and ``dev @ dev``."""
+    dev = x_hats - x_hats.mean(axis=1, keepdims=True)
+    # one BLAS dot per row, the same bytes as dev[i] @ dev[i]
+    return dev, np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0]
+
+
+def _reversion_update(w_prev: np.ndarray, x_hat: np.ndarray, dev: np.ndarray,
+                      sq: float, eps: float) -> np.ndarray:
+    """Passive-aggressive step pushing w @ x_hat up to eps along ``dev``,
+    x_hat less its mean, whose squared norm is ``sq``; then projection."""
     gap = eps - float(w_prev @ x_hat)
     if gap <= 0:
         return w_prev
-    dev = x_hat - x_hat.mean()
-    sq = float(dev @ dev)
     if sq < _NULL_DIRECTION:
         return w_prev
     return project_to_simplex(w_prev + (gap / sq) * dev)
@@ -320,7 +329,8 @@ class Olmar(Strategy):
 
     Window j holds days j+1..j+window; its target, the mean of its prices
     over its last price, drives day j+window. ``_replay`` computes the
-    targets of ``_MEDIAN_BLOCK`` windows at a time.
+    targets of ``_MEDIAN_BLOCK`` windows at a time, and their deviations
+    from their means.
     """
 
     def __init__(self, window: int = 5, eps: float = 10.0):
@@ -333,8 +343,9 @@ class Olmar(Strategy):
         yield from repeat(w, m - 1)
         windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
         for s in range(0, len(windows), _MEDIAN_BLOCK):
-            for x_hat in self._targets(windows[s: s + _MEDIAN_BLOCK]):
-                w = _reversion_update(w, x_hat, self.eps)
+            x_hats = self._targets(windows[s: s + _MEDIAN_BLOCK])
+            for x_hat, dev, sq in zip(x_hats, *_deviations(x_hats)):
+                w = _reversion_update(w, x_hat, dev, sq, self.eps)
                 yield w
 
     @staticmethod

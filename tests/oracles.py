@@ -4,19 +4,24 @@ Everything here is written in deliberately plain, scalar-loop style with a
 different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
-rest are the program's former loop formulations (one day's returns,
-features, MLP training, the one-problem log-optimal solver and its full
-line search, L1 median, the per-day Anticor, BNN, CORN and RMR updates,
+rest are the program's former loop formulations (the CSV loader that
+converted and checked one cell at a time, one day's returns, features,
+MLP training, the one-problem log-optimal solver and its full line search,
+L1 median, the per-day Anticor, BNN, CORN, OLMAR, PAMR and RMR updates,
 the weight decay over a list of recent rows), kept as byte-for-byte
 references for the code that replaced them.
 """
 
+import csv
 import math
 import warnings
+from datetime import date
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
+from rankfolio.data import PriceMatrix
 from rankfolio.engine import apply_decay
 from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
 
@@ -536,6 +541,22 @@ def olmar_day(prefix, w_prev, window, eps):
     return project_to_simplex(w_prev + (gap / sq) * dev)
 
 
+def pamr_day(prefix, w_prev, eps):
+    """One day of PAMR from the previous day's weights, as PAMR's update did
+    before its deviations were taken once per run."""
+    if prefix.shape[0] < 2:
+        return w_prev
+    x_hat = -(prefix[-1] / prefix[-2])
+    gap = -eps - float(w_prev @ x_hat)
+    if gap <= 0:
+        return w_prev
+    dev = x_hat - x_hat.mean()
+    sq = float(dev @ dev)
+    if sq < 1e-24:
+        return w_prev
+    return project_to_simplex(w_prev + (gap / sq) * dev)
+
+
 def anticor_day(prefix, w_prev, window):
     """One day of Anticor from the previous day's weights, with the day's
     window statistics computed on their own, as Anticor's per-day update did
@@ -624,3 +645,61 @@ def decay_loop(raw, alpha, length):
             del recent[length:]
             held[i] = smoothed
     return held
+
+
+def load_csv_loop(path):
+    """A price matrix read from a CSV one Python float at a time, each cell
+    checked as it is converted, as ``load_csv`` did before it converted
+    rows with numpy and checked the prices as one block."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [cell.strip() for cell in header]
+        if not header or header[0] != "date":
+            raise ValueError(f"{path}: line 1: first column must be 'date'")
+        assets = header[1:]
+        if not assets:
+            raise ValueError(f"{path}: line 1: no asset columns")
+        if len(set(assets)) != len(assets):
+            raise ValueError(f"{path}: line 1: duplicate asset columns")
+
+        rows = []
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(cells)}")
+            try:
+                day = date.fromisoformat(cells[0].strip())
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: bad date {cells[0]!r}") from None
+            values = []
+            for sym, cell in zip(assets, cells[1:]):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}, column {sym}: "
+                                     f"bad number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {lineno}, column {sym}: "
+                                     f"non-finite price {cell!r}")
+                if value <= 0:
+                    raise ValueError(f"{path}: line {lineno}, column {sym}: "
+                                     f"non-positive price {value}")
+                values.append(value)
+            rows.append((day, values))
+
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    rows.sort(key=lambda item: item[0])
+    for (d1, _), (d2, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
+    return PriceMatrix(dates=tuple(r[0] for r in rows), assets=tuple(assets),
+                       prices=np.array([r[1] for r in rows], dtype=np.float64))

@@ -1,15 +1,18 @@
 """Price matrix loading, validation, and return extraction."""
 
+import os
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfolio.data import (PriceMatrix, all_returns, load_csv,
                             summary_stats, write_csv)
 
 from conftest import make_prices
-from oracles import returns_at
+from oracles import load_csv_loop, returns_at
 
 
 def test_roundtrip(tmp_path, prices_mid):
@@ -93,6 +96,80 @@ def test_load_rejects_duplicate_assets(tmp_path):
     path.write_text("date,X,X\n2024-01-01,5,6\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("header, column", [("date,A,,B", 3),
+                                            ("date,A,B,", 4)])
+def test_load_rejects_blank_asset_names(tmp_path, header, column):
+    # a blank name used to load as an asset named "", and a trailing comma
+    # failed on the first data row as a bad number ''
+    path = tmp_path / "p.csv"
+    path.write_text(f"{header}\n2024-01-01,1,2,3\n")
+    with pytest.raises(ValueError, match=f": line 1: empty asset name in "
+                                         f"column {column}$"):
+        load_csv(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_from_a_pipe_quotes_a_bad_price_by_its_value():
+    # a pipe cannot be read again for the cell as written: reading it twice
+    # used to raise StopIteration, and a named pipe would wait for a writer
+    read, write = os.pipe()
+    os.write(write, b"date,A,B\n2024-01-01,5,1e999\n")
+    os.close(write)
+    try:
+        with pytest.raises(ValueError, match=r"line 2, column B: non-finite "
+                                             r"price 'inf'$"):
+            load_csv(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+
+
+# cells that parse (Python float's grammar: underscores, padding, a sign, a
+# quoted cell) and cells that the loader rejects, and dates likewise; the
+# pool of good dates is small, so drawn rows repeat and disorder dates
+GOOD_CELLS = ("1_000.5", " 7 ", "+2", '"5"', "0.25", "3e2")
+BAD_CELLS = ("1e999", "nan", "-inf", "0", "-3", "abc", "")
+GOOD_DATES = ("2024-01-01", "2024-01-02", " 2024-01-03", "2024-01-04")
+BAD_DATES = ("2024-13-01", "x", "")
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of 1-3 assets whose lines may be blank, ragged, or carry a
+    bad date or bad cells; several faults on different lines pin which one
+    is reported."""
+    assets = draw(st.integers(1, 3))
+    lines = ["date," + ",".join("ABC"[:assets])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("row", "row", "blank", "ragged",
+                                     "bad date", "bad cells")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", "  "))))
+            continue
+        day = draw(st.sampled_from(BAD_DATES if kind == "bad date"
+                                   else GOOD_DATES))
+        width = assets + (draw(st.sampled_from((-1, 1))) if kind == "ragged"
+                          else 0)
+        cells = GOOD_CELLS + (BAD_CELLS if kind == "bad cells" else ())
+        lines.append(",".join([day, *(draw(st.sampled_from(cells))
+                                      for _ in range(width))]))
+    return "\n".join(lines) + "\n"
+
+
+@given(csv_texts())
+@settings(max_examples=400, deadline=None)
+def test_property_load_csv_matches_the_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    path.write_text(text)
+
+    def outcome(load):
+        try:
+            matrix = load(path)
+        except ValueError as exc:
+            return str(exc)
+        return matrix.dates, matrix.assets, matrix.prices.tobytes()
+    assert outcome(load_csv) == outcome(load_csv_loop)
 
 
 def test_load_rejects_ragged_row(tmp_path):

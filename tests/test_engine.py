@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
                               apply_decay, config_as_dict, make_strategy,
-                              reprice, resolve_window, run_backtest)
+                              reprice, resolve_window, run_backtest,
+                              turnover_cost)
 from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
@@ -63,24 +64,27 @@ def test_drift_weights_hand_case():
     # [0.55, 0.45]: keeping those weights trades nothing
     prices = np.array([[1.0, 1.0], [1.1, 0.9], [1.21, 0.99]])
     stay = np.array([[0.5, 0.5], [0.55, 0.45]])
-    gross, cost = account(stay, prices, 0.001)
+    gross, turnover = account(stay, prices)
     np.testing.assert_allclose(gross, [0.0, 0.1], atol=1e-15)
-    assert cost[1] == pytest.approx(0.0, abs=1e-18)
-    _, cost = account(np.array([[0.5, 0.5], [0.6, 0.4]]), prices, 0.001)
-    assert cost[1] == pytest.approx(0.001 * 0.1)
+    assert turnover[1] == pytest.approx(0.0, abs=1e-15)
+    _, turnover = account(np.array([[0.5, 0.5], [0.6, 0.4]]), prices)
+    assert turnover[1] == pytest.approx(0.1)
     # a day whose drifted holdings are worth nothing cannot be carried on
     with pytest.raises(ValueError, match="wiped out"):
-        account(stay[:1], np.array([[1.0, 1.0], [0.0, 0.0]]), 0.001)
+        account(stay[:1], np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 def test_turnover_cost_hand_case():
     # flat prices: day 2 holds day 1's [0.5, 0.5] and moves to [0.6, 0.4]
     prices = np.ones((3, 2))
     weights = np.array([[0.5, 0.5], [0.6, 0.4]])
-    _, cost = account(weights, prices, 0.001)
+    gross, turnover = account(weights, prices)
+    cost, net = turnover_cost(gross, turnover, 0.001)
     assert cost[1] == pytest.approx(0.0002)
-    assert account(weights, prices, 0.0)[1].tolist() == [0.0, 0.0]
+    assert net.tobytes() == (gross - cost).tobytes()
+    assert turnover_cost(gross, turnover, 0.0)[0].tolist() == [0.0, 0.0]
     # from all cash, turnover is the full unit
+    assert turnover[0] == 1.0
     assert cost[0] == pytest.approx(0.001)
 
 
@@ -365,28 +369,31 @@ def test_resolve_window_one_day_errors():
 # --- accounting ----------------------------------------------------------------
 
 def accounting_oracle(prices, weights, t_first, fee):
-    """Recompute gross/cost/net/wealth from held weights, scalar style."""
+    """Recompute gross/turnover/cost/net/wealth from held weights, scalar
+    style."""
     n = prices.shape[1]
     held = np.zeros(n)
-    gross, cost = [], []
+    gross, turnover, cost = [], [], []
     for i in range(weights.shape[0]):
         t = t_first + i
         r = prices[t] / prices[t - 1] - 1.0
         w = weights[i]
         gross.append(float(w @ r))
-        cost.append(fee * float(np.abs(w - held).sum()))
+        turnover.append(float(np.abs(w - held).sum()))
+        cost.append(fee * turnover[-1])
         held = w * (1.0 + r)
         held /= held.sum()
-    gross = np.array(gross)
-    cost = np.array(cost)
+    gross, turnover, cost = np.array(gross), np.array(turnover), np.array(cost)
     net = gross - cost
-    return gross, cost, net, np.cumprod(1.0 + net)
+    return gross, turnover, cost, net, np.cumprod(1.0 + net)
 
 
 def assert_oracle_bytes(pm, result, fee):
     want = accounting_oracle(pm.prices, result.weights, result.start_day, fee)
-    got = (result.gross, result.cost, result.net, result.wealth)
-    for column, g, w in zip(("gross", "cost", "net", "wealth"), got, want):
+    got = (result.gross, result.turnover, result.cost, result.net,
+           result.wealth)
+    for column, g, w in zip(("gross", "turnover", "cost", "net", "wealth"),
+                            got, want):
         assert g.tobytes() == w.tobytes(), column
 
 
@@ -423,16 +430,20 @@ def held_runs(draw):
 @settings(max_examples=200, deadline=None)
 def test_property_account_matches_oracle(run):
     weights, prices, fee = run
-    want_gross, want_cost, want_net, _ = accounting_oracle(prices, weights, 1,
-                                                           fee)
+    want_gross, want_turnover, want_cost, want_net, _ = accounting_oracle(
+        prices, weights, 1, fee)
+    gross, turnover = account(weights, prices)
+    assert gross.tobytes() == want_gross.tobytes()
+    assert turnover.tobytes() == want_turnover.tobytes()
+    assert (fee * turnover).tobytes() == want_cost.tobytes()
     ruined = np.flatnonzero(want_net <= -1.0)
     if ruined.size:  # a fee on top of a fall can take all the wealth
         with pytest.raises(ValueError, match=f"on day {ruined[0] + 1} of"):
-            account(weights, prices, fee)
+            turnover_cost(gross, turnover, fee)
         return
-    gross, cost = account(weights, prices, fee)
-    assert gross.tobytes() == want_gross.tobytes()
+    cost, net = turnover_cost(gross, turnover, fee)
     assert cost.tobytes() == want_cost.tobytes()
+    assert net.tobytes() == want_net.tobytes()
 
 
 # a fall to 1e-7 of the price plus the first day's fee costs over 100%
@@ -582,7 +593,7 @@ def test_bcrp_constant_weights_solved_on_window():
 
 # --- reprice and fees -------------------------------------------------------------
 
-@pytest.mark.parametrize("strategy", ["eg", "pamr", "knn"])
+@pytest.mark.parametrize("strategy", CLASSIC_NAMES + ML_NAMES)
 def test_reprice_bit_identical_to_rerun(strategy):
     pm = make_prices(70, 3, seed=30)
     cfg = BacktestConfig(**FAST_ML)
@@ -590,6 +601,7 @@ def test_reprice_bit_identical_to_rerun(strategy):
     for fee in (0.0, 0.0005, 0.0015):
         buyout = reprice(pm, base, fee)
         rerun = run_backtest(pm, strategy, replace(cfg, fee_rate=fee))
+        assert buyout.turnover.tobytes() == rerun.turnover.tobytes()
         assert buyout.cost.tobytes() == rerun.cost.tobytes()
         assert buyout.net.tobytes() == rerun.net.tobytes()
         assert buyout.wealth.tobytes() == rerun.wealth.tobytes()

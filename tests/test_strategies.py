@@ -384,8 +384,8 @@ def step_row(name, config, prices, t, t_first, t_last):
 
 
 def day_rows(name, config, prices, t_first, t_last):
-    """Anticor, OLMAR, RMR, BNN and CORN rows from the former per-day code
-    in the oracles; learner rows from a per-day loop over ``training_set``
+    """Anticor, OLMAR, PAMR, RMR, BNN and CORN rows from the former per-day
+    code in the oracles; learner rows from a per-day loop over ``training_set``
     and a learner refitted afresh on the run's refit days, which scores each
     day's ``features_loop`` row as a stack of one."""
     days = range(t_first, t_last + 1)
@@ -396,12 +396,14 @@ def day_rows(name, config, prices, t_first, t_last):
         return np.array([oracles.corn_day(prices[:t], config.corn_rho,
                                           config.corn_window) for t in days])
     rows = []
-    if name in ("olmar", "rmr", "anticor"):
+    if name in ("olmar", "pamr", "rmr", "anticor"):
         w = uniform_weights(prices.shape[1])
         for t in range(1, t_last + 1):
             if name == "olmar":
                 w = oracles.olmar_day(prices[:t], w, config.olmar_window,
                                       config.olmar_eps)
+            elif name == "pamr":
+                w = oracles.pamr_day(prices[:t], w, config.pamr_eps)
             elif name == "rmr":
                 w = oracles.rmr_day(prices[:t], w, config.rmr_window,
                                     config.rmr_eps)
@@ -425,14 +427,15 @@ def day_rows(name, config, prices, t_first, t_last):
 def assert_run_equals_step_loop(name, config, prices, spans, extra_days=()):
     """Each row of a run equals, byte for byte, its day computed on its own:
     a one-day run for the classics, the per-day references for anticor,
-    olmar, rmr, bnn, corn and the learners. A run sees the prices it is
+    olmar, pamr, rmr, bnn, corn and the learners. A run sees the prices it is
     given by the engine: up to t_last, and one more day for bcrp."""
     for t_first, t_last in spans:
         strategy = make_strategy(name, config)
         got = strategy.run(prices[:t_last + strategy.hindsight], t_first,
                            t_last)
         assert got.shape == (t_last - t_first + 1, prices.shape[1])
-        if name in ("anticor", "olmar", "rmr", "bnn", "corn", "mlp", "knn"):
+        if name in ("anticor", "olmar", "pamr", "rmr", "bnn", "corn", "mlp",
+                    "knn"):
             want = day_rows(name, config, prices, t_first, t_last)
             assert got.tobytes() == want.tobytes(), (name, t_first, t_last)
         if name in ("mlp", "knn"):  # their refit days anchor at t_first
@@ -479,6 +482,19 @@ def test_run_equals_step_loop_windows(long_walk, name, window):
     assert_run_equals_step_loop(name, config, long_walk,
                                 ((1, 299), (100, 259), (1, window)),
                                 extra_days=(window + 255, window + 256))
+
+
+@pytest.mark.parametrize("assets", [3, 50, 130])
+@pytest.mark.parametrize("name", ["olmar", "pamr"])
+def test_run_equals_step_loop_widths(name, assets):
+    # OLMAR takes each block of targets' deviations from their means, and
+    # PAMR its run's, as one stack; each row's mean and squared norm keep
+    # the bytes of that row's own. Above 128 assets numpy's pairwise sum
+    # splits a row, and the spans cross OLMAR's first block edge.
+    prices = make_prices(300, assets, seed=assets).prices
+    assert_run_equals_step_loop(name, BacktestConfig(), prices,
+                                ((1, 299), (100, 259)),
+                                extra_days=(260, 261))
 
 
 @pytest.mark.parametrize("budget", [500, 4_096, 16_384])
