@@ -20,7 +20,9 @@ smoothed by an exponential decay over the run's own recent outputs (a
 the L1 distance between the new weights and the previous day's weights
 after drifting with the market, in a few array operations; the first day
 turns over the full move out of cash. ``turnover_cost`` prices the turnover
-at the run's fee, and ``reprice`` at another.
+at the run's fee, and ``reprice`` at another. Both runs and reprices
+compound the net returns into wealth with ``compound``, which fails a run
+whose wealth is not finite.
 """
 
 from __future__ import annotations
@@ -266,6 +268,21 @@ def turnover_cost(gross: np.ndarray, turnover: np.ndarray,
     return cost, net
 
 
+def compound(net: np.ndarray) -> np.ndarray:
+    """Wealth after each day of a run from net returns, cumprod(1 + net)
+    from a start of 1.
+
+    Raises ValueError on the first day that wealth is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        wealth = np.cumprod(1.0 + net)
+    finite = np.isfinite(wealth)
+    if not finite.all():
+        raise ValueError(f"wealth is not finite on day "
+                         f"{int(np.argmin(finite)) + 1} of the run")
+    return wealth
+
+
 @dataclass
 class BacktestResult:
     """Per-day record of one run; all arrays share the trading-day axis."""
@@ -409,7 +426,7 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
         strategy=strategy_id, assets=matrix.assets,
         dates=tuple(matrix.dates[t_first - 1: t_last]),
         raw_weights=raw, weights=held_weights, gross=gross, turnover=turnover,
-        cost=cost, net=net, wealth=np.cumprod(1.0 + net), start_day=t_first,
+        cost=cost, net=net, wealth=compound(net), start_day=t_first,
         end_day=t_last, config=config,
     )
 
@@ -428,7 +445,7 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
     cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
     return replace(
         result,
-        cost=cost, net=net, wealth=np.cumprod(1.0 + net),
+        cost=cost, net=net, wealth=compound(net),
         config=replace(result.config, fee_rate=fee_rate),
     )
 

@@ -1,5 +1,4 @@
-"""Per-asset features, rank targets, and training-set assembly for the
-learner-driven strategies.
+"""Per-asset features and rank targets for the learner-driven strategies.
 
 A feature row for day t stacks four blocks of length n (feature-major,
 asset-minor) over the window of days before t: the last daily return,
@@ -90,23 +89,6 @@ def check_history(t: int, lookback: int, feature_window: int) -> None:
     if t < needed:
         raise ValueError(f"insufficient history: day {t} < lookback + "
                          f"feature_window + 1 = {needed}")
-
-
-def training_set(prices: np.ndarray, lookback: int, power: RankPower,
-                 feature_window: int, trend: str = "price"):
-    """Feature matrix and targets from the trailing ``lookback`` days.
-
-    ``prices`` is the full history prefix up to the current day t (its row
-    count). Row i pairs the features of day s = t - lookback + i with the
-    rank-transformed returns realized from day s to s + 1, so every quantity
-    is observable by day t.
-    """
-    t = prices.shape[0]
-    check_history(t, lookback, feature_window)
-    s = t - lookback
-    return (window_features(prices[s - feature_window: t - 1], feature_window,
-                            trend),
-            rank_transform(prices[s:] / prices[s - 1: t - 1] - 1.0, power))
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,9 @@ class RankForecastStrategy(Strategy):
     per block, so the MLP trains each block's networks in lockstep.
 
     ``run`` featurizes and ranks every day once, in one stacked pass each.
-    The block a refit on day t sees equals ``training_set(prices[:t], ...)``,
-    so a row depends only on the price prefix and the refit schedule. Each
+    The block a refit on day t sees equals the one-refit reference
+    ``training_set(prices[:t], ...)`` in ``tests/oracles.py``, so a row
+    depends only on the price prefix and the refit schedule. Each
     refit scores the days it serves in one ``predict`` call.
     """
 

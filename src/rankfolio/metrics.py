@@ -37,34 +37,25 @@ def _as_series(values) -> np.ndarray:
     return v
 
 
-def annualized_return(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    return days_per_year * float(_as_series(values).mean())
+# Each metric is a formula over a series that ``_as_series`` has checked,
+# and a public function that checks its input first; ``compute_report``
+# checks its series once and calls the formulas.
+
+def _annualized_return(v: np.ndarray, days_per_year: int) -> float:
+    return days_per_year * float(v.mean())
 
 
-def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    """sqrt(days_per_year) times the population std (divisor T) of the series."""
-    v = _as_series(values)
+def _annualized_volatility(v: np.ndarray, days_per_year: int) -> float:
     if v.max() == v.min():  # constant: exactly 0, not a roundoff std
         return 0.0
     return math.sqrt(days_per_year) * float(v.std(ddof=0))
 
 
-def sharpe_ratio(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    vol = annualized_volatility(values, days_per_year)
-    if vol == 0.0:
-        raise ValueError("zero volatility, Sharpe undefined")
-    return annualized_return(values, days_per_year) / vol
-
-
-def winning_pct(values) -> float:
-    """Fraction of strictly positive days. Zero-return days do not count as wins."""
-    v = _as_series(values)
+def _winning_pct(v: np.ndarray) -> float:
     return float(np.count_nonzero(v > 0)) / v.size
 
 
-def profit_factor(values) -> float:
-    """Sum of gains over absolute sum of losses; +inf when no day lost."""
-    v = _as_series(values)
+def _profit_factor(v: np.ndarray) -> float:
     gains = float(v[v >= 0].sum())
     losses = float(v[v < 0].sum())
     if losses == 0.0:
@@ -72,10 +63,8 @@ def profit_factor(values) -> float:
     return gains / abs(losses)
 
 
-def information_ratio(values, benchmark, days_per_year: int = DAYS_PER_YEAR) -> float:
-    """Annualized mean/std of daily excess returns over an aligned benchmark."""
-    v = _as_series(values)
-    b = _as_series(benchmark)
+def _information_ratio(v: np.ndarray, b: np.ndarray,
+                       days_per_year: int) -> float:
     if v.size != b.size:
         raise ValueError(
             f"series length {v.size} does not match benchmark length {b.size}"
@@ -87,9 +76,7 @@ def information_ratio(values, benchmark, days_per_year: int = DAYS_PER_YEAR) -> 
     return math.sqrt(days_per_year) * float(excess.mean()) / sd
 
 
-def max_drawdown(values) -> float:
-    """Largest peak-to-trough loss fraction of compounded wealth (start wealth 1)."""
-    v = _as_series(values)
+def _max_drawdown(v: np.ndarray) -> float:
     if (v <= -1.0).any():
         raise ValueError("return <= -100% makes wealth non-positive")
     wealth = np.cumprod(1.0 + v)
@@ -97,6 +84,44 @@ def max_drawdown(values) -> float:
     # the starting wealth of 1 counts as the first peak
     peaks = np.maximum(peaks, 1.0)
     return float(((peaks - wealth) / peaks).max())
+
+
+def annualized_return(values, days_per_year: int = DAYS_PER_YEAR) -> float:
+    return _annualized_return(_as_series(values), days_per_year)
+
+
+def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
+    """sqrt(days_per_year) times the population std (divisor T) of the series."""
+    return _annualized_volatility(_as_series(values), days_per_year)
+
+
+def sharpe_ratio(values, days_per_year: int = DAYS_PER_YEAR) -> float:
+    v = _as_series(values)
+    vol = _annualized_volatility(v, days_per_year)
+    if vol == 0.0:
+        raise ValueError("zero volatility, Sharpe undefined")
+    return _annualized_return(v, days_per_year) / vol
+
+
+def winning_pct(values) -> float:
+    """Fraction of strictly positive days. Zero-return days do not count as wins."""
+    return _winning_pct(_as_series(values))
+
+
+def profit_factor(values) -> float:
+    """Sum of gains over absolute sum of losses; +inf when no day lost."""
+    return _profit_factor(_as_series(values))
+
+
+def information_ratio(values, benchmark, days_per_year: int = DAYS_PER_YEAR) -> float:
+    """Annualized mean/std of daily excess returns over an aligned benchmark."""
+    return _information_ratio(_as_series(values), _as_series(benchmark),
+                              days_per_year)
+
+
+def max_drawdown(values) -> float:
+    """Largest peak-to-trough loss fraction of compounded wealth (start wealth 1)."""
+    return _max_drawdown(_as_series(values))
 
 
 @dataclass(frozen=True)
@@ -132,20 +157,22 @@ class MetricsReport:
 def compute_report(values, benchmark=None,
                    days_per_year: int = DAYS_PER_YEAR) -> MetricsReport:
     """Assemble a MetricsReport; IR and Sharpe are None where undefined."""
+    v = _as_series(values)
     ir: float | None = None
     if benchmark is not None:
         try:
-            ir = information_ratio(values, benchmark, days_per_year)
+            ir = _information_ratio(v, _as_series(benchmark), days_per_year)
         except ValueError as exc:
             if "degenerate" not in str(exc):
                 raise
-    vol = annualized_volatility(values, days_per_year)
+    ret = _annualized_return(v, days_per_year)
+    vol = _annualized_volatility(v, days_per_year)
     return MetricsReport(
-        annualized_return=annualized_return(values, days_per_year),
+        annualized_return=ret,
         annualized_volatility=vol,
-        sharpe=sharpe_ratio(values, days_per_year) if vol > 0 else None,
-        winning_pct=winning_pct(values),
-        profit_factor=profit_factor(values),
-        max_drawdown=max_drawdown(values),
+        sharpe=ret / vol if vol > 0 else None,
+        winning_pct=_winning_pct(v),
+        profit_factor=_profit_factor(v),
+        max_drawdown=_max_drawdown(v),
         information_ratio=ir,
     )

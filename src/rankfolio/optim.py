@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -14,16 +15,23 @@ RELATIVE_FLOOR = 1e-12
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex.
 
-    Sort-and-threshold algorithm; exact up to float roundoff for any finite
-    input, including points already on the simplex (returned unchanged).
+    Sort-and-threshold algorithm (Duchi et al. 2008); exact up to float
+    roundoff for any finite input, including points already on the simplex
+    (returned unchanged). The threshold comes from Python floats: their
+    sequential running sum and the last passing ``k`` give the bytes of the
+    numpy form (``np.cumsum`` also adds in order) at a fraction of its
+    dispatch cost on a short vector. When no ``k`` passes (NaN or inf
+    input, or |v| so large that c - 1 == c) the result is NaN.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, n + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    theta = math.nan
+    css = 0.0
+    k = 0
+    for u_k in sorted(v.tolist(), reverse=True):
+        css += u_k
+        k += 1
+        if u_k * k > css - 1.0:  # the last k that passes sets theta
+            theta = (css - 1.0) / k
     return np.maximum(v - theta, 0.0)
 
 

@@ -4,12 +4,13 @@ Everything here is written in deliberately plain, scalar-loop style with a
 different algorithmic route where one exists (bisection instead of
 sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
-rest are the program's former loop formulations (the CSV loader that
-converted and checked one cell at a time, one day's returns, features,
-MLP training, the one-problem log-optimal solver and its full line search,
-L1 median, the per-day Anticor, BNN, CORN, OLMAR, PAMR and RMR updates,
-the weight decay over a list of recent rows), kept as byte-for-byte
-references for the code that replaced them.
+rest are the program's former formulations (the CSV loader that converted
+and checked one cell at a time, one day's returns, features, one refit's
+training set, MLP training, the numpy simplex projection, the one-problem
+log-optimal solver and its full line search, L1 median, the per-day
+Anticor, BNN, CORN, OLMAR, PAMR and RMR updates, the weight decay over a
+list of recent rows), kept as byte-for-byte references for the code that
+replaced them.
 """
 
 import csv
@@ -23,6 +24,8 @@ import numpy as np
 
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import apply_decay
+from rankfolio.features import (check_history, rank_transform,
+                                window_features)
 from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
 
 
@@ -37,6 +40,20 @@ def project_simplex_bisect(v):
         else:
             hi = mid
     return np.maximum(v - 0.5 * (lo + hi), 0.0)
+
+
+def project_to_simplex_sorted(v):
+    """Sort-and-threshold simplex projection in numpy calls: the last k with
+    u_k * (k + 1) > css_k - 1 over the descending sort u and its running
+    sums css. Byte-for-byte reference for ``project_to_simplex``."""
+    v = np.asarray(v, dtype=np.float64)
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, n + 1)
+    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
 
 
 def log_wealth(relatives, w):
@@ -316,6 +333,25 @@ def features_loop(window, trend="price"):
     basis = window if trend == "price" else rets
     trend_corr = np.array([spearman_vs_time_loop(basis[:, j]) for j in range(n)])
     return np.concatenate([last, vol, sharpe, trend_corr])
+
+
+def training_set(prices, lookback, power, feature_window, trend="price"):
+    """Feature matrix and targets from the trailing ``lookback`` days, for
+    one refit alone.
+
+    ``prices`` is the full history prefix up to the current day t (its row
+    count). Row i pairs the features of day s = t - lookback + i with the
+    rank-transformed returns realized from day s to s + 1, so every quantity
+    is observable by day t. Byte-for-byte reference for the block that
+    ``RankForecastStrategy.run`` slices from its stacked passes for a refit
+    on day t.
+    """
+    t = prices.shape[0]
+    check_history(t, lookback, feature_window)
+    s = t - lookback
+    return (window_features(prices[s - feature_window: t - 1], feature_window,
+                            trend),
+            rank_transform(prices[s:] / prices[s - 1: t - 1] - 1.0, power))
 
 
 def mlp_train_loop(features, targets, hidden=(20, 20), epochs=200,

@@ -3,15 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields, replace
-from datetime import date
+from datetime import date, timedelta
 from http.server import HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankfolio
 from rankfolio.cli import (_fmt, build_config, build_parser, main,
                            read_config_file, render_table)
 from rankfolio.data import load_csv, write_csv
@@ -702,6 +706,60 @@ def test_flat_prices_report_blank_sharpe(tmp_path):
         assert all(row[sharpe] == "" for row in rows)
     compared = (tmp_path / "c" / "compare.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in compared] == sorted(CLASSIC_NAMES)
+
+
+def write_extreme_csv(path, days, price_a, price_b):
+    """A two-asset CSV whose prices on day i are price_a(i) and price_b(i),
+    written with repr so that extreme magnitudes keep every digit."""
+    start = date(2024, 1, 1)
+    path.write_text("date,A,B\n" + "".join(
+        f"{(start + timedelta(days=i)).isoformat()},{price_a(i)!r},"
+        f"{price_b(i)!r}\n" for i in range(days)))
+    return path
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a
+    traceback on stderr rather than in the test."""
+    src = str(Path(rankfolio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "rankfolio",
+                           *(str(a) for a in argv)],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def near_one(i):
+    return 1.0 + 0.01 * math.sin(i)
+
+
+@pytest.mark.parametrize("days, price_a, price_b, argv, message", [
+    # price ratios overflow to inf, so OLMAR's step is not finite; OLMAR is
+    # its own benchmark, as UCRP's wealth would overflow on day 1 first
+    (30, lambda i: 1e-300 if i % 2 == 0 else 1e300, near_one,
+     ["sweep-fees", "--strategy", "olmar", "--benchmark", "olmar"],
+     "error: strategy 'olmar' gave non-finite weights on 2024-01-07"),
+    # the L1 median's squared distances overflow, so RMR's target is NaN
+    (30, lambda i: 1e-300 * near_one(i),
+     lambda i: 1e300 * (1.0 + 0.01 * math.cos(i)),
+     ["compare", "--strategies", "rmr"],
+     "error: strategy 'rmr' gave non-finite weights on 2024-01-05"),
+    # asset A grows 1000x a day, so a run that holds it overflows its wealth
+    (160, lambda i: float(f"1e{3 * i - 300}"), near_one,
+     ["backtest", "--strategy", "knn", "--lookback", "20",
+      "--feature-window", "5"],
+     "error: wealth is not finite on day 115 of the run"),
+], ids=["olmar-alternating", "rmr-far-apart", "knn-growth"])
+def test_extreme_prices_exit_1_with_one_error_line(tmp_path, days, price_a,
+                                                   price_b, argv, message):
+    data = write_extreme_csv(tmp_path / "prices.csv", days, price_a, price_b)
+    out = tmp_path / "o"
+    done = run_cli_process(*argv, "--data", data, "--out", out)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == [message]
+    assert not out.exists()  # nothing written, manifest.json included
 
 
 # --- plotdata ----------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
-                              apply_decay, config_as_dict, make_strategy,
-                              reprice, resolve_window, run_backtest,
-                              turnover_cost)
+                              apply_decay, compound, config_as_dict,
+                              make_strategy, reprice, resolve_window,
+                              run_backtest, turnover_cost)
 from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
@@ -460,6 +460,16 @@ def test_run_that_loses_all_wealth_raises():
     assert (base.wealth > 0).all()
     with pytest.raises(ValueError, match="net return <= -100% on day 1 "):
         reprice(RUIN, base, 0.45)
+
+
+def test_wealth_that_is_not_finite_raises():
+    np.testing.assert_array_equal(compound(np.array([0.5, -0.5])), [1.5, 0.75])
+    with pytest.raises(ValueError,
+                       match="wealth is not finite on day 3 of the run"):
+        compound(np.array([0.5, 1e300, 1e300, 0.1]))
+    with pytest.raises(ValueError,
+                       match="wealth is not finite on day 1 of the run"):
+        compound(np.array([np.inf]))
 
 
 def test_first_day_pays_full_move_from_cash():

@@ -11,10 +11,10 @@ from scipy import stats
 from rankfolio import features
 from rankfolio.features import (EPS, FEATURES_PER_ASSET, Normalizer,
                                 rank_transform, scores_to_weights,
-                                training_set, window_features)
+                                window_features)
 
 from conftest import make_prices
-from oracles import features_loop
+from oracles import features_loop, training_set
 
 
 def window_row(window, trend="price"):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rankfolio import learners
-from rankfolio.features import Normalizer, scores_to_weights, training_set
+from rankfolio.features import Normalizer, scores_to_weights
 from rankfolio.learners import (KnnLearner, Learner, MlpLearner,
                                 RankForecastStrategy, knn_predict)
 
 from conftest import make_prices
-from oracles import features_loop
+from oracles import features_loop, training_set
 
 
 def test_base_learner_is_abstract():

@@ -1,11 +1,11 @@
 """Solvers against independent oracles.
 
 Simplex projection is checked against a bisection solver (different
-algorithm, same optimum). Log-optimal weights are checked by grid search and
-by the first-order optimality conditions. The geometric median is checked by
-direct objective comparison and known symmetric configurations. The stacked
-solvers are checked byte for byte against their per-problem forms in the
-oracles.
+algorithm, same optimum) and byte for byte against its numpy form.
+Log-optimal weights are checked by grid search and by the first-order
+optimality conditions. The geometric median is checked by direct objective
+comparison and known symmetric configurations. The stacked solvers are
+checked byte for byte against their per-problem forms in the oracles.
 """
 
 import warnings
@@ -19,7 +19,8 @@ from rankfolio import optim
 from rankfolio.optim import (RELATIVE_FLOOR, geometric_median,
                              log_optimal_portfolio, log_optimal_stack,
                              project_to_simplex)
-from oracles import geometric_median_loop, log_optimal_loop, log_optimal_scalar
+from oracles import (geometric_median_loop, log_optimal_loop, log_optimal_scalar,
+                     project_to_simplex_sorted)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -102,6 +103,55 @@ def test_property_projection_idempotent_and_ordered(v):
 def test_property_projection_translation_invariant(v, c):
     np.testing.assert_allclose(project_to_simplex(v + c),
                                project_to_simplex(v), atol=1e-8)
+
+
+@st.composite
+def projection_input(draw, n):
+    """A length-n vector of one kind the strategies project: scaled values,
+    repeated values with signed zeros, a point on the simplex, or an
+    OLMAR-style step ``w + lam * dev`` from one."""
+    kind = draw(st.sampled_from(["scaled", "repeated", "simplex", "step"]))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    if kind == "scaled":
+        return scale * np.array(draw(st.lists(
+            st.floats(-1.0, 1.0, width=64), min_size=n, max_size=n)))
+    if kind == "repeated":
+        return scale * np.array(draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0]),
+            min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = draw(st.sampled_from([
+        rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n),
+        np.eye(n)[rng.integers(n)]]))
+    if kind == "simplex":
+        return w
+    x_hat = np.exp(rng.normal(0.0, 0.05, n))
+    lam = draw(st.floats(0.0, scale, width=64))
+    return w + lam * (x_hat - x_hat.mean())
+
+
+@given(st.integers(1, 60).flatmap(projection_input))
+@settings(max_examples=300)
+def test_property_projection_has_the_bytes_of_the_numpy_form(v):
+    assert project_to_simplex(v).tobytes() == \
+        project_to_simplex_sorted(v).tobytes()
+
+
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.lists(projection_input(n), min_size=1, max_size=8)))
+@settings(max_examples=100)
+def test_property_project_rows_has_each_rows_bytes(rows):
+    stacked = optim._project_rows(np.array(rows))
+    for row, v in zip(stacked, rows):
+        assert row.tobytes() == project_to_simplex(v).tobytes()
+
+
+@pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0],
+                               [1e300, 1e300], [2.0**60, 0.0]])
+def test_projection_without_a_passing_threshold_is_nan(v):
+    # no k passes (NaN, inf, or c - 1 == c at this scale): a NaN vector,
+    # which the run's finite check reports with its day
+    assert np.isnan(project_to_simplex(np.array(v))).all()
 
 
 # --- log-optimal portfolio ----------------------------------------------------

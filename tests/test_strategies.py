@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rankfolio import strategies
 from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
-from rankfolio.features import scores_to_weights, training_set
+from rankfolio.features import scores_to_weights
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn,
                                   BuyAndHold, Corn, Cwmr,
@@ -415,8 +415,8 @@ def day_rows(name, config, prices, t_first, t_last):
     for i, t in enumerate(days):
         if i % config.refit_interval == 0:
             learner = make_strategy(name, config).learner
-            feats, targets = training_set(prices[:t], config.lookback,
-                                          config.rank_power, fw, trend)
+            feats, targets = oracles.training_set(
+                prices[:t], config.lookback, config.rank_power, fw, trend)
             learner.fit(feats[None], targets[None])
         scores = learner.predict(0, oracles.features_loop(prices[t - fw: t],
                                                           trend)[None])
