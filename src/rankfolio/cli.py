@@ -88,9 +88,7 @@ def build_config(args: argparse.Namespace) -> BacktestConfig:
 def _fmt(value: float | None, pretty: bool) -> str:
     if value is None:
         return ""
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        return str(value)
+    value = float(value)  # inf and nan print as str() does
     return f"{value:.2f}" if pretty else repr(value)
 
 
@@ -422,7 +420,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # a non-finite result fails the run with its own error line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

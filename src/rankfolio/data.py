@@ -201,22 +201,17 @@ def write_csv(matrix: PriceMatrix, path: str | Path) -> None:
                     for d, row in zip(matrix.dates, matrix.prices)])
 
 
-def all_returns(matrix: PriceMatrix) -> np.ndarray:
-    """(T-1) x n matrix of daily simple returns; row t-1 is the move from day
-    t to day t+1 (1-based days), p[t+1, j] / p[t, j] - 1."""
-    if matrix.num_days < 2:
-        raise ValueError("need at least 2 days of prices")
-    return matrix.prices[1:] / matrix.prices[:-1] - 1.0
-
-
 def summary_stats(matrix: PriceMatrix) -> dict[str, dict[str, float]]:
     """Descriptive statistics of each asset's daily returns.
 
-    Returns a mapping ``{symbol: {count, mean, std, min, 25%, 50%, 75%, max}}``.
+    Returns a mapping ``{symbol: {count, mean, std, min, 25%, 50%, 75%, max}}``
+    over the simple returns p[t+1, j] / p[t, j] - 1 of each pair of days.
     std is the sample standard deviation (divisor count-1); quantiles use
     linear interpolation. Requires at least two days of prices.
     """
-    rets = all_returns(matrix)
+    if matrix.num_days < 2:
+        raise ValueError("need at least 2 days of prices")
+    rets = matrix.prices[1:] / matrix.prices[:-1] - 1.0
     out: dict[str, dict[str, float]] = {}
     for j, sym in enumerate(matrix.assets):
         col = rets[:, j]

@@ -28,6 +28,7 @@ whose wealth is not finite.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
 from datetime import date
 from numbers import Integral
@@ -283,6 +284,16 @@ def compound(net: np.ndarray) -> np.ndarray:
     return wealth
 
 
+@contextmanager
+def _naming_the_run(strategy_id: str, config: BacktestConfig):
+    """Name the strategy, and whether it is the benchmark, in its error."""
+    try:
+        yield
+    except ValueError as exc:
+        role = " (the benchmark)" if strategy_id == config.benchmark else ""
+        raise ValueError(f"strategy {strategy_id!r}{role}: {exc}") from None
+
+
 @dataclass
 class BacktestResult:
     """Per-day record of one run; all arrays share the trading-day axis."""
@@ -420,34 +431,31 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
             held_weights[i] = apply_decay(recent, predicted, config.decay_alpha,
                                           config.decay_len)
 
-    gross, turnover = account(held_weights, prices[t_first - 1: t_last + 1])
-    cost, net = turnover_cost(gross, turnover, config.fee_rate)
-    return BacktestResult(
-        strategy=strategy_id, assets=matrix.assets,
-        dates=tuple(matrix.dates[t_first - 1: t_last]),
-        raw_weights=raw, weights=held_weights, gross=gross, turnover=turnover,
-        cost=cost, net=net, wealth=compound(net), start_day=t_first,
-        end_day=t_last, config=config,
-    )
+    with _naming_the_run(strategy_id, config):
+        gross, turnover = account(held_weights, prices[t_first - 1: t_last + 1])
+        cost, net = turnover_cost(gross, turnover, config.fee_rate)
+        return BacktestResult(
+            strategy=strategy_id, assets=matrix.assets,
+            dates=tuple(matrix.dates[t_first - 1: t_last]),
+            raw_weights=raw, weights=held_weights, gross=gross,
+            turnover=turnover, cost=cost, net=net, wealth=compound(net),
+            start_day=t_first, end_day=t_last, config=config,
+        )
 
 
 def reprice(matrix: PriceMatrix, result: BacktestResult,
             fee_rate: float) -> BacktestResult:
-    """Re-cost a finished run at a different fee.
+    """Re-cost a finished run at a different fee, bit-identical to a rerun.
 
-    Weights never depend on fees in this engine, so the run's gross returns
-    and turnovers are reused and only costs, net returns, and wealth are
-    recomputed; ``matrix`` is not read. A rerun costs them with the same
-    ``turnover_cost`` call, so the output is bit-identical to a full rerun
-    at that fee.
+    Weights do not depend on fees, so the run's gross returns and turnovers
+    are reused and costed with the same ``turnover_cost`` call as a rerun's;
+    ``matrix`` is not read.
     """
     check_fee_rate(fee_rate)
-    cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
-    return replace(
-        result,
-        cost=cost, net=net, wealth=compound(net),
-        config=replace(result.config, fee_rate=fee_rate),
-    )
+    with _naming_the_run(result.strategy, result.config):
+        cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
+        return replace(result, cost=cost, net=net, wealth=compound(net),
+                       config=replace(result.config, fee_rate=fee_rate))
 
 
 def config_as_dict(config: BacktestConfig) -> dict:

@@ -1,8 +1,9 @@
 """Performance metrics over daily return series.
 
-All functions take a 1-d series of daily simple returns. Annualization uses a
-configurable trading-day count (default 250). Annualized return is
-``days_per_year * mean(returns)``.
+``compute_report`` is the one entry point: it checks a 1-d series of daily
+simple returns, and an aligned benchmark, once and returns every figure as
+a ``MetricsReport``. Annualization uses a configurable trading-day count
+(default 250).
 """
 
 from __future__ import annotations
@@ -37,22 +38,10 @@ def _as_series(values) -> np.ndarray:
     return v
 
 
-# Each metric is a formula over a series that ``_as_series`` has checked,
-# and a public function that checks its input first; ``compute_report``
-# checks its series once and calls the formulas.
-
-def _annualized_return(v: np.ndarray, days_per_year: int) -> float:
-    return days_per_year * float(v.mean())
-
-
 def _annualized_volatility(v: np.ndarray, days_per_year: int) -> float:
     if v.max() == v.min():  # constant: exactly 0, not a roundoff std
         return 0.0
     return math.sqrt(days_per_year) * float(v.std(ddof=0))
-
-
-def _winning_pct(v: np.ndarray) -> float:
-    return float(np.count_nonzero(v > 0)) / v.size
 
 
 def _profit_factor(v: np.ndarray) -> float:
@@ -64,7 +53,7 @@ def _profit_factor(v: np.ndarray) -> float:
 
 
 def _information_ratio(v: np.ndarray, b: np.ndarray,
-                       days_per_year: int) -> float:
+                       days_per_year: int) -> float | None:
     if v.size != b.size:
         raise ValueError(
             f"series length {v.size} does not match benchmark length {b.size}"
@@ -72,7 +61,7 @@ def _information_ratio(v: np.ndarray, b: np.ndarray,
     excess = v - b
     sd = float(excess.std(ddof=0))
     if sd == 0.0:
-        raise ValueError("degenerate excess returns, information ratio undefined")
+        return None
     return math.sqrt(days_per_year) * float(excess.mean()) / sd
 
 
@@ -86,51 +75,18 @@ def _max_drawdown(v: np.ndarray) -> float:
     return float(((peaks - wealth) / peaks).max())
 
 
-def annualized_return(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    return _annualized_return(_as_series(values), days_per_year)
-
-
-def annualized_volatility(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    """sqrt(days_per_year) times the population std (divisor T) of the series."""
-    return _annualized_volatility(_as_series(values), days_per_year)
-
-
-def sharpe_ratio(values, days_per_year: int = DAYS_PER_YEAR) -> float:
-    v = _as_series(values)
-    vol = _annualized_volatility(v, days_per_year)
-    if vol == 0.0:
-        raise ValueError("zero volatility, Sharpe undefined")
-    return _annualized_return(v, days_per_year) / vol
-
-
-def winning_pct(values) -> float:
-    """Fraction of strictly positive days. Zero-return days do not count as wins."""
-    return _winning_pct(_as_series(values))
-
-
-def profit_factor(values) -> float:
-    """Sum of gains over absolute sum of losses; +inf when no day lost."""
-    return _profit_factor(_as_series(values))
-
-
-def information_ratio(values, benchmark, days_per_year: int = DAYS_PER_YEAR) -> float:
-    """Annualized mean/std of daily excess returns over an aligned benchmark."""
-    return _information_ratio(_as_series(values), _as_series(benchmark),
-                              days_per_year)
-
-
-def max_drawdown(values) -> float:
-    """Largest peak-to-trough loss fraction of compounded wealth (start wealth 1)."""
-    return _max_drawdown(_as_series(values))
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """One row of performance numbers for a return series.
 
-    ``information_ratio`` is None without a benchmark or for a degenerate
-    excess series, ``sharpe`` is None at zero volatility, and
-    ``profit_factor`` may be +inf (no losing day).
+    The annualized return is ``days_per_year * mean`` and the volatility
+    ``sqrt(days_per_year)`` times the population std (divisor T); the
+    information ratio is their ratio for the excess over the benchmark.
+    ``winning_pct`` counts strictly positive days, ``profit_factor`` is
+    gains over losses (+inf when no day lost), and ``max_drawdown`` is the
+    largest loss from a peak of wealth, which starts at 1. The information
+    ratio is None without a benchmark or for excess returns with zero
+    spread, and ``sharpe`` is None at zero volatility.
     """
 
     annualized_return: float
@@ -156,22 +112,21 @@ class MetricsReport:
 
 def compute_report(values, benchmark=None,
                    days_per_year: int = DAYS_PER_YEAR) -> MetricsReport:
-    """Assemble a MetricsReport; IR and Sharpe are None where undefined."""
+    """The figures of ``values``, with the information ratio against
+    ``benchmark`` if one is given; a ratio is None where it is undefined
+    (see MetricsReport). Raises ValueError for a series or benchmark that
+    is empty, not 1-d or not finite, a benchmark of another length, or a
+    day that loses 100% or more."""
     v = _as_series(values)
-    ir: float | None = None
-    if benchmark is not None:
-        try:
-            ir = _information_ratio(v, _as_series(benchmark), days_per_year)
-        except ValueError as exc:
-            if "degenerate" not in str(exc):
-                raise
-    ret = _annualized_return(v, days_per_year)
+    ir = None if benchmark is None else _information_ratio(
+        v, _as_series(benchmark), days_per_year)
+    ret = days_per_year * float(v.mean())
     vol = _annualized_volatility(v, days_per_year)
     return MetricsReport(
         annualized_return=ret,
         annualized_volatility=vol,
         sharpe=ret / vol if vol > 0 else None,
-        winning_pct=_winning_pct(v),
+        winning_pct=float(np.count_nonzero(v > 0)) / v.size,
         profit_factor=_profit_factor(v),
         max_drawdown=_max_drawdown(v),
         information_ratio=ir,

@@ -502,8 +502,8 @@ def log_optimal_loop(relatives, tol=1e-10, max_iter=10_000):
 
 def returns_at(prices, t):
     """Simple returns of day t, p[t, j] / p[t-1, j] - 1 (1-based days), for
-    1 <= t <= T-1; the former per-day accessor that ``all_returns`` rows
-    must match byte for byte."""
+    1 <= t <= T-1; the per-day reference for the daily returns that
+    ``summary_stats`` describes."""
     p = np.asarray(prices, dtype=np.float64)
     if not 1 <= t <= p.shape[0] - 1:
         raise ValueError(f"day index {t} out of range 1..{p.shape[0] - 1}")

@@ -747,18 +747,22 @@ def near_one(i):
     (160, lambda i: float(f"1e{3 * i - 300}"), near_one,
      ["backtest", "--strategy", "knn", "--lookback", "20",
       "--feature-window", "5"],
-     "error: wealth is not finite on day 115 of the run"),
-], ids=["olmar-alternating", "rmr-far-apart", "knn-growth"])
+     "error: strategy 'ucrp' (the benchmark): "
+     "wealth is not finite on day 115 of the run"),
+    # the UCRP benchmark runs first, and its wealth overflows on day 1
+    (30, lambda i: 1e-300 if i % 2 == 0 else 1e300, near_one,
+     ["sweep-fees", "--strategy", "olmar"],
+     "error: strategy 'ucrp' (the benchmark): "
+     "wealth is not finite on day 1 of the run"),
+], ids=["olmar-alternating", "rmr-far-apart", "knn-growth",
+        "olmar-ucrp-benchmark"])
 def test_extreme_prices_exit_1_with_one_error_line(tmp_path, days, price_a,
                                                    price_b, argv, message):
     data = write_extreme_csv(tmp_path / "prices.csv", days, price_a, price_b)
     out = tmp_path / "o"
     done = run_cli_process(*argv, "--data", data, "--out", out)
     assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    errors = [line for line in done.stderr.splitlines()
-              if line.startswith("error:")]
-    assert errors == [message]
+    assert done.stderr.splitlines() == [message]  # no warning, no traceback
     assert not out.exists()  # nothing written, manifest.json included
 
 
@@ -800,6 +804,15 @@ def test_validate_prints_stats(data_csv, capsys):
     shown = capsys.readouterr().out
     assert "OK: 90 days x 3 assets" in shown
     assert "mean" in shown and "std" in shown and "50%" in shown
+
+
+def test_validate_one_day_exits_1(tmp_path, capsys):
+    one_day = tmp_path / "one.csv"
+    one_day.write_text("date,A,B\n2024-01-01,1.0,2.0\n")
+    assert run_cli("validate", "--data", one_day) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need at least 2 days of prices"]
+    assert captured.out == ""
 
 
 def test_fetch_command(tmp_path, monkeypatch):

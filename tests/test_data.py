@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfolio.data import (PriceMatrix, all_returns, load_csv,
-                            summary_stats, write_csv)
+from rankfolio.data import PriceMatrix, load_csv, summary_stats, write_csv
 
 from conftest import make_prices
 from oracles import load_csv_loop, returns_at
@@ -210,25 +209,41 @@ def test_returns_at_contract():
         assets=("X", "Y"),
         prices=prices,
     )
-    # row t-1 is the day-t return, the move from day t to day t+1
-    # (1-based day indexing)
-    np.testing.assert_allclose(all_returns(pm), [[0.10, -0.10], [-0.10, 0.20]])
-    with pytest.raises(ValueError):
-        all_returns(PriceMatrix(dates=(date(2024, 1, 1),), assets=("X",),
-                                prices=[[1.0]]))
+    # the day-t return is the move from day t to day t+1 (1-based days)
+    np.testing.assert_allclose([returns_at(prices, 1), returns_at(prices, 2)],
+                               [[0.10, -0.10], [-0.10, 0.20]])
+    stats = summary_stats(pm)
+    for sym, rets in (("X", [0.10, -0.10]), ("Y", [-0.10, 0.20])):
+        assert stats[sym]["count"] == 2
+        assert stats[sym]["min"] == pytest.approx(min(rets))
+        assert stats[sym]["max"] == pytest.approx(max(rets))
+        assert stats[sym]["mean"] == pytest.approx(sum(rets) / 2)
+    with pytest.raises(ValueError, match="need at least 2 days of prices"):
+        summary_stats(PriceMatrix(dates=(date(2024, 1, 1),), assets=("X",),
+                                  prices=[[1.0]]))
 
 
 def test_all_returns_matches_returns_at(prices_small):
-    rets = all_returns(prices_small)
+    # summary_stats describes exactly the day-1..T-1 rows of the oracle:
+    # same count, and order statistics equal to the last bit
+    stats = summary_stats(prices_small)
+    rets = np.array([returns_at(prices_small.prices, t)
+                     for t in range(1, prices_small.num_days)])
     assert rets.shape == (prices_small.num_days - 1, prices_small.num_assets)
-    for t in range(1, prices_small.num_days):
-        np.testing.assert_array_equal(rets[t - 1],
-                                      returns_at(prices_small.prices, t))
+    for j, sym in enumerate(prices_small.assets):
+        col = rets[:, j]
+        s = stats[sym]
+        assert s["count"] == col.size
+        assert s["min"] == col.min()
+        assert s["max"] == col.max()
+        q25, q50, q75 = np.percentile(col, [25.0, 50.0, 75.0])
+        assert (s["25%"], s["50%"], s["75%"]) == (q25, q50, q75)
 
 
 def test_summary_stats_against_numpy(prices_small):
     stats = summary_stats(prices_small)
-    rets = all_returns(prices_small)
+    p = prices_small.prices
+    rets = p[1:] / p[:-1] - 1.0
     for j, sym in enumerate(prices_small.assets):
         col = rets[:, j]
         s = stats[sym]

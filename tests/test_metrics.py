@@ -1,4 +1,5 @@
-"""Metric formulas against hand-computed values and general properties."""
+"""Metric formulas, through compute_report, against hand-computed values and
+general properties."""
 
 import math
 
@@ -7,47 +8,40 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankfolio.metrics import (CSV_COLUMNS, MetricsReport, annualized_return,
-                               annualized_volatility, compute_report,
-                               information_ratio, max_drawdown, profit_factor,
-                               sharpe_ratio, winning_pct)
+from rankfolio.metrics import CSV_COLUMNS, MetricsReport, compute_report
 
 SERIES = [0.01, -0.02, 0.03, 0.0, -0.01]
 
 
 def test_annualized_return_mean_mode():
     # 250 * mean([0.01, -0.02, 0.03, 0, -0.01]) = 250 * 0.002 = 0.5
-    assert annualized_return(SERIES) == pytest.approx(0.5)
+    assert compute_report(SERIES).annualized_return == pytest.approx(0.5)
 
 
 def test_annualized_volatility_population_std():
     v = np.asarray(SERIES)
-    assert annualized_volatility(SERIES) == pytest.approx(
+    assert compute_report(SERIES).annualized_volatility == pytest.approx(
         math.sqrt(250) * v.std(ddof=0))
 
 
 def test_sharpe_is_return_over_volatility():
-    assert sharpe_ratio(SERIES) == pytest.approx(
-        annualized_return(SERIES) / annualized_volatility(SERIES))
-
-
-def test_sharpe_zero_volatility_raises():
-    with pytest.raises(ValueError, match="volatility"):
-        sharpe_ratio([0.01, 0.01, 0.01])
+    report = compute_report(SERIES)
+    assert report.sharpe == pytest.approx(
+        report.annualized_return / report.annualized_volatility)
 
 
 def test_winning_pct_strict_positive():
     # zero days are not wins: 2 of 5
-    assert winning_pct(SERIES) == pytest.approx(0.4)
+    assert compute_report(SERIES).winning_pct == pytest.approx(0.4)
 
 
 def test_profit_factor_hand_value():
     # gains 0.04, losses 0.03
-    assert profit_factor(SERIES) == pytest.approx(0.04 / 0.03)
+    assert compute_report(SERIES).profit_factor == pytest.approx(0.04 / 0.03)
 
 
 def test_profit_factor_no_losses_is_inf():
-    assert profit_factor([0.01, 0.0, 0.02]) == math.inf
+    assert compute_report([0.01, 0.0, 0.02]).profit_factor == math.inf
 
 
 def test_information_ratio_hand_value():
@@ -55,52 +49,45 @@ def test_information_ratio_hand_value():
     bench = np.array([0.01, 0.02, -0.02, 0.01])
     excess = strat - bench
     expected = math.sqrt(250) * excess.mean() / excess.std(ddof=0)
-    assert information_ratio(strat, bench) == pytest.approx(expected)
-
-
-def test_information_ratio_degenerate_raises():
-    with pytest.raises(ValueError, match="degenerate"):
-        information_ratio([0.01, 0.02], [0.01, 0.02])
-    # constant nonzero excess is equally degenerate (exactly representable)
-    with pytest.raises(ValueError, match="degenerate"):
-        information_ratio([0.5, 1.0], [0.25, 0.75])
+    assert compute_report(strat, bench).information_ratio == pytest.approx(
+        expected)
 
 
 def test_information_ratio_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        information_ratio([0.01, 0.02], [0.01])
+        compute_report([0.01, 0.02], [0.01])
 
 
 def test_max_drawdown_hand_case():
     # wealth: 1.1, 0.99, 1.089; peak 1.1 -> trough 0.99
     rets = [0.10, -0.10, 0.10]
-    assert max_drawdown(rets) == pytest.approx(1.0 - 0.99 / 1.1)
+    assert compute_report(rets).max_drawdown == pytest.approx(1.0 - 0.99 / 1.1)
 
 
 def test_max_drawdown_counts_initial_wealth_as_peak():
     # all-losing series: drawdown measured from the starting wealth of 1
     rets = [-0.10, -0.10]
-    assert max_drawdown(rets) == pytest.approx(1.0 - 0.9 * 0.9)
+    assert compute_report(rets).max_drawdown == pytest.approx(1.0 - 0.9 * 0.9)
 
 
 def test_max_drawdown_monotone_gains_is_zero():
-    assert max_drawdown([0.01, 0.02, 0.03]) == 0.0
+    assert compute_report([0.01, 0.02, 0.03]).max_drawdown == 0.0
 
 
 def test_max_drawdown_rejects_total_loss():
-    with pytest.raises(ValueError):
-        max_drawdown([0.5, -1.0])
+    with pytest.raises(ValueError, match="-100%"):
+        compute_report([0.5, -1.0])
 
 
 def test_series_validation():
-    for fn in (annualized_return, annualized_volatility, winning_pct,
-               profit_factor, max_drawdown):
-        with pytest.raises(ValueError):
-            fn([])
-        with pytest.raises(ValueError):
-            fn([0.01, float("nan")])
-        with pytest.raises(ValueError):
-            fn([[0.01, 0.02]])
+    with pytest.raises(ValueError, match="empty"):
+        compute_report([])
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_report([0.01, float("nan")])
+    with pytest.raises(ValueError, match="1-d"):
+        compute_report([[0.01, 0.02]])
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_report([0.01, 0.02], [0.01, float("inf")])
 
 
 def test_csv_column_order_pinned():
@@ -135,15 +122,19 @@ def test_compute_report_full():
     rets = np.array([0.02, -0.01, 0.015, -0.005])
     bench = np.array([0.01, -0.02, 0.01, 0.0])
     report = compute_report(rets, bench)
-    assert report.sharpe == pytest.approx(sharpe_ratio(rets))
+    assert report.sharpe == pytest.approx(
+        report.annualized_return / report.annualized_volatility)
+    excess = rets - bench
     assert report.information_ratio == pytest.approx(
-        information_ratio(rets, bench))
+        math.sqrt(250) * excess.mean() / excess.std(ddof=0))
 
 
 def test_compute_report_degenerate_benchmark_gives_none():
     rets = np.array([0.02, -0.01, 0.015])
     assert compute_report(rets, rets).information_ratio is None
     assert compute_report(rets).information_ratio is None
+    # constant nonzero excess is equally degenerate (exactly representable)
+    assert compute_report([0.5, 1.0], [0.25, 0.75]).information_ratio is None
 
 
 def test_compute_report_zero_volatility_gives_none_sharpe():
@@ -171,14 +162,14 @@ finite_returns = st.lists(
 
 @given(finite_returns)
 def test_property_drawdown_in_unit_interval(rets):
-    dd = max_drawdown(rets)
+    dd = compute_report(rets).max_drawdown
     assert 0.0 <= dd < 1.0
 
 
 @given(finite_returns)
 def test_property_profit_factor_vs_sign_of_sums(rets):
     v = np.asarray(rets)
-    pf = profit_factor(v)
+    pf = compute_report(v).profit_factor
     gains = v[v >= 0].sum()
     losses = -v[v < 0].sum()
     if losses == 0:
@@ -199,11 +190,17 @@ def test_property_sharpe_scale_invariant(rets, scale):
     v = np.asarray(rets)
     if np.ptp(v) <= max(1e-6 * np.abs(v).max(), 1e-100):
         return
-    assert sharpe_ratio(v * scale) == pytest.approx(sharpe_ratio(v), rel=1e-9)
+    # a day of v * scale may lose 100% (say -0.5 * 2.5), which has no
+    # report; the same scale then relates v / scale to v instead
+    base, scaled = ((v, v * scale) if (v * scale > -1.0).all()
+                    else (v / scale, v))
+    assert compute_report(scaled).sharpe == pytest.approx(
+        compute_report(base).sharpe, rel=1e-9)
 
 
 @given(finite_returns)
 def test_property_volatility_nonnegative_and_return_linear(rets):
     v = np.asarray(rets)
-    assert annualized_volatility(v) >= 0.0
-    assert annualized_return(v) == pytest.approx(250 * v.mean(), abs=1e-12)
+    report = compute_report(v)
+    assert report.annualized_volatility >= 0.0
+    assert report.annualized_return == pytest.approx(250 * v.mean(), abs=1e-12)
