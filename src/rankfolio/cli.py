@@ -311,7 +311,8 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    from .fetch import Fetcher  # keep network machinery out of other commands
+    # keep network machinery out of other commands
+    from .fetch import Fetcher, check_token
 
     try:
         start = date.fromisoformat(args.start.strip())
@@ -320,17 +321,24 @@ def cmd_fetch(args) -> int:
         raise UsageError(f"bad date: {exc}")
     if end < start:
         raise UsageError("end date before start date")
-    assets = [token.strip() for token in args.assets.split(",") if token.strip()]
+    assets = [token.strip().partition(":")
+              for token in args.assets.split(",") if token.strip()]
     if not assets:
         raise UsageError("no assets given")
+    try:
+        for asset_id, _, symbol in assets:
+            check_token(asset_id, "asset id")
+            if symbol:
+                check_token(symbol, "symbol")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     try:
         fetcher = Fetcher(delay=args.delay_ms / 1000.0)
     except ValueError as exc:
         raise UsageError(f"bad --delay-ms: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for token in assets:
-        asset_id, _, symbol = token.partition(":")
+    for asset_id, _, symbol in assets:
         path = out / f"{(symbol or asset_id)}.csv"
         fetcher.fetch_history(asset_id, start, end, path, symbol=symbol or None)
         print(f"fetched {asset_id} -> {path}")

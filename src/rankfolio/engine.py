@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
-from datetime import date
+from datetime import date, datetime
 from numbers import Integral
 from typing import Any
 
@@ -93,6 +93,20 @@ def _at_least(low: int):
 _FINITE = _bound(lambda value: -np.inf < value < np.inf, "must be finite")
 
 
+# a datetime is a date, but does not compare with the data's dates
+_DATE = _bound(lambda day: day is None or (isinstance(day, date) and
+                                           not isinstance(day, datetime)),
+               "must be a date")
+
+
+def _end_bound(config: BacktestConfig, name: str) -> None:
+    """``end`` is a date or None, and not before a given ``start``."""
+    _DATE(config, name)
+    if None not in (config.start, config.end) and config.end < config.start:
+        raise ValueError(f"end {config.end.isoformat()} is before start "
+                         f"{config.start.isoformat()}")
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -126,10 +140,10 @@ def parse_field(config_field: Field, text: str):
 class BacktestConfig:
     """Run parameters; defaults match the headline experimental setup.
 
-    Every field but ``start``, ``end`` and ``benchmark`` declares its bound,
-    and some a parser and a run flag (see ``_param``); ``__post_init__``
-    checks the bounds, so the strategies and learners built from a config
-    do not check their settings again. ``knn_k <= lookback`` ties two
+    Every field but ``benchmark`` declares its bound, and some a parser and
+    a run flag (see ``_param``); ``__post_init__`` checks the bounds, so the
+    strategies and learners built from a config do not check their settings
+    again. ``end`` is not before ``start``. ``knn_k <= lookback`` ties two
     fields and is checked where knn is built (``make_strategy``).
     """
 
@@ -158,10 +172,10 @@ class BacktestConfig:
     feature_window: int = _param(20, _at_least(2), flag="--feature-window",
                                  help="trailing days per feature block")
     start: date | None = _param(   # default: earliest feasible
-        None, parse=date.fromisoformat, flag="--start",
+        None, _DATE, parse=date.fromisoformat, flag="--start",
         help="first trading date (ISO)")
     end: date | None = _param(     # default: last usable day
-        None, parse=date.fromisoformat, flag="--end",
+        None, _end_bound, parse=date.fromisoformat, flag="--end",
         help="last trading date (ISO)")
     days_per_year: int = _param(250, _at_least(1))
     trend_feature: str = _param(  # basis of the trend feature

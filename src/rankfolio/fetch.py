@@ -12,6 +12,7 @@ import http.client
 import json
 import logging
 import os
+import re
 import time
 import urllib.error
 import urllib.parse
@@ -25,6 +26,19 @@ DEFAULT_BASE_URL = "https://api.coingecko.com/api/v3"
 BASE_URL_ENV = "RANKFOLIO_API_BASE"
 
 log = logging.getLogger(__name__)
+
+# an asset id goes into the request's URL path and a symbol (or the id)
+# into the output file's name: no token may rewrite the request or leave
+# the output directory
+_SAFE_TOKEN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def check_token(token: str, what: str) -> None:
+    """Reject an asset id or symbol that is not letters, digits, '.', '_'
+    and '-', starting with a letter or digit."""
+    if not _SAFE_TOKEN.fullmatch(token):
+        raise ValueError(f"unsafe {what} {token!r}: use letters, digits, "
+                         f"'.', '_' and '-', starting with a letter or digit")
 
 
 class Fetcher:
@@ -94,6 +108,9 @@ class Fetcher:
         """
         if end < start:
             raise ValueError("end date before start date")
+        check_token(asset_id, "asset id")
+        if symbol is not None:
+            check_token(symbol, "symbol")
         url = f"{self.base_url}/coins/{asset_id}/market_chart/range"
         params = {
             "vs_currency": "usd",

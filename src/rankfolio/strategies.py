@@ -56,9 +56,13 @@ _MEDIAN_BLOCK = 256
 # whatever the asset count and run length.
 _STACK_FLOATS = 16_384
 
-# CORN solves its log-optimal problems in lockstep blocks of days whose
-# relatives hold at most this many floats (1 MB), BNN in half that.
+# BNN and CORN solve their log-optimal problems in lockstep blocks of days
+# whose relatives hold at most this many floats (1 MB).
 _BLOCK_FLOATS = 131_072
+
+# UP draws its Dirichlet samples this many at a time, straight into its
+# asset-major array, so no second full copy of them is ever held.
+_DIRICHLET_CHUNK = 1024
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -138,7 +142,9 @@ class UniversalSampler(Strategy):
 
     Samples CRPs uniformly from the simplex (Dirichlet with unit
     concentration) once, then weights each sample by the wealth it would have
-    compounded so far. The day-1 output is the plain sample mean.
+    compounded so far. The day-1 output is the plain sample mean. The
+    samples are stored asset-major, one column each, so both daily products
+    read memory in order.
     """
 
     def __init__(self, samples: int = 10_000, seed: int = 10):
@@ -146,18 +152,30 @@ class UniversalSampler(Strategy):
         self.seed = seed
 
     def _replay(self, prices):
-        rng = np.random.default_rng(self.seed)
-        crps = rng.dirichlet(np.ones(prices.shape[1]), size=self.samples)
+        crps = _dirichlet_columns(self.seed, prices.shape[1], self.samples)
         wealth = np.ones(self.samples)
-        yield (wealth @ crps) / wealth.sum()
+        yield (crps @ wealth) / wealth.sum()
         for x in prices[1:] / prices[:-1]:
-            wealth *= crps @ x
+            wealth *= x @ crps
             peak = float(wealth.max())
             # rescale only when compounding approaches float range limits;
             # the weighted average below is scale invariant
             if peak > 1e150 or (peak > 0 and peak < 1e-150):
                 wealth /= peak
-            yield (wealth @ crps) / wealth.sum()
+            yield (crps @ wealth) / wealth.sum()
+
+
+def _dirichlet_columns(seed: int, n: int, samples: int) -> np.ndarray:
+    """``default_rng(seed).dirichlet(np.ones(n), size=samples).T``, as a
+    C-contiguous (n, samples) array. The draws come in chunks of
+    ``_DIRICHLET_CHUNK`` rows, which take the generator's stream in the same
+    order as one full draw and so give the same bytes."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, samples))
+    for lo in range(0, samples, _DIRICHLET_CHUNK):
+        hi = min(lo + _DIRICHLET_CHUNK, samples)
+        out[:, lo:hi] = rng.dirichlet(np.ones(n), size=hi - lo).T
+    return out
 
 
 class ExponentiatedGradient(Strategy):
@@ -409,10 +427,7 @@ class PatternMatcher(Strategy):
         # each day's row and successor set, made as it is solved
         matched = ((t - t_first, matches(t - 1 - self.window) + self.window)
                    for t in range(first, t_last + 1))
-        # a stacked solve holds a few copies of its block, so half the
-        # budget keeps BNN's peak memory under CORN's
-        budget = _BLOCK_FLOATS // 2 if self.stacked else _BLOCK_FLOATS
-        for rows, sets in _blocks(matched, rels.shape[1], budget):
+        for rows, sets in _blocks(matched, rels.shape[1], _BLOCK_FLOATS):
             out[rows] = log_optimal_stack(rels[np.array(sets)] if self.stacked
                                           else [rels[s] for s in sets])
         return out

@@ -272,6 +272,26 @@ def test_negative_seed_exits_2_before_any_output(data_csv, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_end_before_start_exits_2_before_any_output(tmp_path, capsys):
+    # it used to pass the config and exit 1 as an empty trading window
+    data = tmp_path / "prices.csv"
+    write_csv(make_prices(30, 2, seed=5), data)
+    conf = tmp_path / "c.conf"
+    conf.write_text("start = 2023-01-20\nend = 2023-01-10\n")
+    out = tmp_path / "o"
+    for route in (["--start", "2023-01-20", "--end", "2023-01-10"],
+                  ["--config", conf]):
+        assert run_cli("backtest", "--data", data, "--strategy", "ucrp",
+                       *route, "--out", out) == 2, route
+        assert ("end 2023-01-10 is before start 2023-01-20"
+                in capsys.readouterr().err)
+    assert not out.exists()
+    # a start on the last date is a valid config with no day to trade
+    assert run_cli("backtest", "--data", data, "--strategy", "ucrp",
+                   "--start", "2023-01-30", "--out", out) == 1
+    assert "empty trading window (days 30..29 of 30)" in capsys.readouterr().err
+
+
 def test_removed_annualization_key_exits_2(data_csv, tmp_path, capsys):
     # annualized return is always days_per_year * mean; the key is gone
     conf = tmp_path / "c.conf"
@@ -864,6 +884,34 @@ def test_fetch_bad_flag_exits_2_before_the_out_dir(tmp_path, capsys,
                    "--end", "2024-01-02", "--out", out, *flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("assets, message", [
+    ("bitcoin:../x", "unsafe symbol '../x'"),
+    ("../x", "unsafe asset id '../x'"),
+    ("bitcoin:BTC,bit/coin", "unsafe asset id 'bit/coin'"),
+    ("bitcoin?vs=eur", "unsafe asset id 'bitcoin?vs=eur'"),
+    ("bitcoin#x:BTC", "unsafe asset id 'bitcoin#x'"),
+    ("..:BTC", "unsafe asset id '..'"),
+    ("bitcoin:.hidden", "unsafe symbol '.hidden'"),
+], ids=["symbol-dotdot", "id-dotdot-path", "later-id-slash", "id-query",
+        "id-fragment", "id-dotdot", "symbol-hidden"])
+def test_fetch_unsafe_token_exits_2_before_the_out_dir(tmp_path, capsys,
+                                                      monkeypatch, assets,
+                                                      message):
+    # an id goes into the URL path and a symbol (or the id) into the output
+    # file's name; a bad token, even after a good one, fails before any
+    # request
+    def no_request(*args, **kwargs):
+        raise AssertionError("fetch reached the network")
+
+    monkeypatch.setattr("rankfolio.fetch.Fetcher._get_json", no_request)
+    out = tmp_path / "fetched"
+    assert run_cli("fetch", "--assets", assets, "--start", "2024-01-01",
+                   "--end", "2024-01-02", "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_version_flag(capsys):

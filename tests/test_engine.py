@@ -1,7 +1,7 @@
 """Engine accounting, decay, windows, repricing, and no-lookahead."""
 
 from dataclasses import fields, replace
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -149,11 +149,25 @@ def test_integer_fields_take_numpy_integers():
 
 
 def test_every_setting_declares_its_bound():
-    # dates are parsed to dates, and the benchmark is an id that
-    # make_strategy reads; every other field is bounded where it is declared
+    # the benchmark is an id that make_strategy reads; every other field,
+    # the dates among them, is bounded where it is declared
     unbounded = {f.name for f in fields(BacktestConfig)
                  if "bound" not in f.metadata}
-    assert unbounded == {"start", "end", "benchmark"}
+    assert unbounded == {"benchmark"}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(start="2023-01-05"), "start must be a date"),
+    (dict(end=20230105), "end must be a date"),
+    (dict(start=datetime(2023, 1, 5)), "start must be a date"),
+    (dict(start=date(2023, 1, 20), end=date(2023, 1, 10)),
+     "end 2023-01-10 is before start 2023-01-20"),
+])
+def test_bad_dates_rejected_when_the_config_is_built(kwargs, message):
+    # a string start used to build, then fail inside resolve_window with a
+    # TypeError; an end before the start, as an empty trading window
+    with pytest.raises(ValueError, match=message):
+        BacktestConfig(**kwargs)
 
 
 @pytest.mark.parametrize("fee", [float("nan"), 0.5, 2.0, float("inf")])
@@ -336,7 +350,12 @@ def test_resolve_window_start_end_dates():
     cfg4 = BacktestConfig(end=date(2000, 1, 1))
     with pytest.raises(ValueError, match="before the data"):
         resolve_window(pm, cfg4, first_day=1)
-    cfg5 = BacktestConfig(start=pm.dates[30], end=pm.dates[10])
+    # an end before the start is a bad config (see
+    # test_bad_dates_rejected_when_the_config_is_built); a start on the
+    # last date leaves no day to trade, since its return is never realized
+    with pytest.raises(ValueError, match="end .* is before start"):
+        BacktestConfig(start=pm.dates[30], end=pm.dates[10])
+    cfg5 = BacktestConfig(start=pm.dates[-1])
     with pytest.raises(ValueError, match="empty trading window"):
         resolve_window(pm, cfg5, first_day=1)
 

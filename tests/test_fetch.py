@@ -175,6 +175,18 @@ def test_end_before_start_rejected(api, tmp_path):
     assert len(ApiHandler.calls) == 0
 
 
+@pytest.mark.parametrize("asset_id, symbol", [
+    ("test/coin", None), ("testcoin?x=1", None), ("testcoin#x", None),
+    ("..", None), ("", None), ("testcoin", "../x"), ("testcoin", "A:B"),
+])
+def test_unsafe_id_or_symbol_rejected(api, tmp_path, asset_id, symbol):
+    with pytest.raises(ValueError, match="unsafe"):
+        quick_fetcher(api).fetch_history(asset_id, date(2024, 1, 1),
+                                         date(2024, 1, 2), tmp_path / "x.csv",
+                                         symbol=symbol)
+    assert len(ApiHandler.calls) == 0
+
+
 def test_rate_limit_spacing(api, tmp_path):
     ApiHandler.routes[PATH] = [(200, {"prices": [[ts_ms(2024, 1, 1), 7.0]]})]
     fetcher = quick_fetcher(api, delay=0.2)

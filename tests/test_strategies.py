@@ -209,6 +209,28 @@ def test_up_rescale_keeps_weights_invariant():
     assert np.isfinite(w).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 50])
+@pytest.mark.parametrize("samples", [1, strategies._DIRICHLET_CHUNK - 1,
+                                     strategies._DIRICHLET_CHUNK,
+                                     strategies._DIRICHLET_CHUNK + 1, 10_000])
+def test_up_chunked_samples_equal_one_draw(n, samples):
+    # UP draws its samples in chunks straight into an asset-major array;
+    # they are the bytes of one full draw, transposed
+    got = strategies._dirichlet_columns(7, n, samples)
+    want = np.random.default_rng(7).dirichlet(np.ones(n), size=samples).T
+    assert got.shape == (n, samples) and got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_up_matches_oracle_wide_with_a_partial_chunk():
+    # 50 assets and a sample count that leaves a partial last chunk
+    samples = 2 * strategies._DIRICHLET_CHUNK + 37
+    prices = make_prices(12, 50, seed=8).prices
+    w = last_day(UniversalSampler(samples, seed=3), prices)
+    np.testing.assert_allclose(w, oracles.up_oracle(prices, samples, 3),
+                               atol=1e-12)
+
+
 def test_up_seed_changes_output(walk):
     w_a = last_day(UniversalSampler(100, seed=1), walk)
     w_b = last_day(UniversalSampler(100, seed=2), walk)
