@@ -262,8 +262,7 @@ def _parse_fees(text: str | None) -> list[float]:
         if not token:
             continue
         try:
-            fee = float(token)
-            check_fee_rate(fee)
+            fee = check_fee_rate(float(token))
         except ValueError as exc:
             raise UsageError(f"bad fee {token}: {exc}")
         fees.append(fee)

@@ -63,12 +63,14 @@ def _passes(test: Callable[[Any], bool], value) -> bool:
         return False
 
 
-def check_fee_rate(fee_rate: float) -> None:
+def check_fee_rate(fee_rate: float) -> float:
     """Reject a fee rate outside [0, MAX_FEE_RATE), including NaN and
-    non-numbers."""
+    non-numbers, and return it with a zero as +0.0: -0.0 passes the bound
+    but would be written out as "-0.0"."""
     if not _passes(lambda rate: 0.0 <= rate < MAX_FEE_RATE, fee_rate):
         raise ValueError(
             f"fee rate must be in [0, {MAX_FEE_RATE}), got {fee_rate!r}")
+    return fee_rate + 0.0
 
 
 def _bound(test: Callable[[Any], bool], text: str):
@@ -226,6 +228,7 @@ class BacktestConfig:
         for f in fields(self):
             if "bound" in f.metadata:
                 f.metadata["bound"](self, f.name)
+        self.fee_rate += 0.0  # -0.0 passes its bound; keep it as +0.0
 
 
 def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,
@@ -465,7 +468,7 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
     are reused and costed with the same ``turnover_cost`` call as a rerun's;
     ``matrix`` is not read.
     """
-    check_fee_rate(fee_rate)
+    fee_rate = check_fee_rate(fee_rate)
     with _naming_the_run(result.strategy, result.config):
         cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
         return replace(result, cost=cost, net=net, wealth=compound(net),

@@ -21,7 +21,8 @@ begins. Buy-and-hold buys at t_first instead. OLMAR and RMR share one
 ``_replay``: a window's target is its mean, or L1 median, over its last
 price, solved for stacks of windows at once. BNN, CORN and Anticor do their
 price-only work once per run or block of days, and BNN and CORN solve their
-log-optimal problems in lockstep blocks. BNN narrows each day's neighbour
+log-optimal problems in lockstep blocks. UP compounds and averages its
+samples in fixed-shape blocks of days. BNN narrows each day's neighbour
 search with Gram-form distances and ranks the survivors exactly.
 """
 
@@ -57,7 +58,9 @@ _MEDIAN_BLOCK = 256
 _STACK_FLOATS = 16_384
 
 # BNN and CORN solve their log-optimal problems in lockstep blocks of days
-# whose relatives hold at most this many floats (1 MB).
+# whose relatives hold at most this many floats (1 MB), and UP compounds
+# its samples in blocks of days whose sample wealth and relatives hold at
+# most this many: memory stays bounded whatever the run length.
 _BLOCK_FLOATS = 131_072
 
 # UP draws its Dirichlet samples this many at a time, straight into its
@@ -143,8 +146,14 @@ class UniversalSampler(Strategy):
     Samples CRPs uniformly from the simplex (Dirichlet with unit
     concentration) once, then weights each sample by the wealth it would have
     compounded so far. The day-1 output is the plain sample mean. The
-    samples are stored asset-major, one column each, so both daily products
-    read memory in order.
+    samples are stored asset-major, one column each, and the days after the
+    first run in blocks of k: one product gives every sample's return on
+    each of the block's days, each day's wealth compounds on the day
+    before's, and a second product gives the days' weighted means. Both
+    products always take all k rows, the days past a run's end padded with
+    relatives of one, because the bytes of a BLAS row depend on the row
+    count of its product; so a day's weights do not depend on where the run
+    ends.
     """
 
     def __init__(self, samples: int = 10_000, seed: int = 10):
@@ -152,17 +161,29 @@ class UniversalSampler(Strategy):
         self.seed = seed
 
     def _replay(self, prices):
-        crps = _dirichlet_columns(self.seed, prices.shape[1], self.samples)
-        wealth = np.ones(self.samples)
-        yield (crps @ wealth) / wealth.sum()
-        for x in prices[1:] / prices[:-1]:
-            wealth *= x @ crps
-            peak = float(wealth.max())
-            # rescale only when compounding approaches float range limits;
-            # the weighted average below is scale invariant
-            if peak > 1e150 or (peak > 0 and peak < 1e-150):
-                wealth /= peak
-            yield (crps @ wealth) / wealth.sum()
+        n = prices.shape[1]
+        crps = _dirichlet_columns(self.seed, n, self.samples)
+        k = max(1, _BLOCK_FLOATS // (self.samples + n))
+        # row 0 holds the wealth before the block, rows 1..k its days'
+        wealth = np.ones((k + 1, self.samples))
+        yield (crps @ wealth[0]) / wealth[0].sum()
+        x = np.empty((k, n))  # the block's price relatives
+        for lo in range(1, prices.shape[0], k):
+            days = min(k, prices.shape[0] - lo)
+            np.divide(prices[lo:lo + days], prices[lo - 1:lo - 1 + days],
+                      out=x[:days])
+            x[days:] = 1.0
+            np.matmul(x, crps, out=wealth[1:])
+            for t in range(1, days + 1):
+                wealth[t] *= wealth[t - 1]
+                peak = float(wealth[t].max())
+                # rescale only when compounding approaches float range
+                # limits; the weighted average below is scale invariant
+                if peak > 1e150 or (peak > 0 and peak < 1e-150):
+                    wealth[t] /= peak
+            means = (wealth[1:] @ crps.T) / wealth[1:].sum(axis=1)[:, None]
+            yield from means[:days]
+            wealth[0] = wealth[days]
 
 
 def _dirichlet_columns(seed: int, n: int, samples: int) -> np.ndarray:

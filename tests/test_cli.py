@@ -161,6 +161,27 @@ def test_backtest_manifest(data_csv, tmp_path):
     assert manifest["version"] == __version__
 
 
+def test_negative_zero_fee_writes_the_zero_fee_outputs(data_csv, tmp_path):
+    # -0.0 passes the fee bound and enters as +0.0: no "-0.0" cost cell,
+    # manifest fee or sweep row is written
+    def outputs(fee):
+        files = {}
+        for command, flag in (("backtest", "--fee"), ("sweep-fees", "--fees")):
+            out = tmp_path / f"{command}{fee}"
+            assert run_cli(command, "--data", data_csv, "--strategy", "eg",
+                           flag, fee, "--out", out) == 0
+            for path in out.iterdir():
+                text = path.read_text()
+                if path.name == "manifest.json":
+                    manifest = json.loads(text)
+                    del manifest["generated_at"]
+                    text = json.dumps(manifest, indent=2, sort_keys=True)
+                files[command, path.name] = text
+        return files
+
+    assert outputs("-0") == outputs("0")
+
+
 def test_backtest_weights_csv_matches_engine(data_csv, tmp_path):
     out = tmp_path / "out"
     run_cli("backtest", "--data", data_csv, "--strategy", "pamr", "--out", out)

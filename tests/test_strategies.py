@@ -1,5 +1,6 @@
 """Classic strategies against independent scalar-loop oracles."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -229,6 +230,87 @@ def test_up_matches_oracle_wide_with_a_partial_chunk():
     w = last_day(UniversalSampler(samples, seed=3), prices)
     np.testing.assert_allclose(w, oracles.up_oracle(prices, samples, 3),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n, samples", [(4, 30_000), (50, 40_000)])
+def test_up_rows_do_not_depend_on_where_the_run_ends(n, samples):
+    # UP runs the days after the first in blocks of k (4 and 3 here), and
+    # both block products take all k rows however few days are left: runs
+    # cut at every day of three full blocks and a part keep every row's
+    # bytes
+    k = strategies._BLOCK_FLOATS // (samples + n)
+    assert 2 <= k <= 4
+    prices = make_prices(3 * k + 3, n, seed=n).prices
+    full = all_days(UniversalSampler(samples, seed=5), prices)
+    for t in range(1, len(prices)):
+        cut = UniversalSampler(samples, seed=5).run(prices, 1, t)
+        assert cut.tobytes() == full[:t].tobytes(), t
+
+
+def test_up_rescale_inside_a_later_block_keeps_weights_invariant():
+    # six flat days, then the first two assets trade relatives of 1e40 and
+    # 1e-40 each day: prices stay in range, but sample wealth first passes
+    # the rescale trigger on the second day of the third block and would
+    # overflow by the end without it
+    n, samples = 3, 30_000
+    k = strategies._BLOCK_FLOATS // (samples + n)
+    rels = np.ones((4 * k + 2, n))
+    rels[6::2, :2] = [1e40, 1e-40]
+    rels[7::2, :2] = [1e-40, 1e40]
+    prices = np.vstack([np.ones(n), np.cumprod(rels, axis=0)])
+    crps = np.random.default_rng(4).dirichlet(np.ones(n), size=samples)
+    log_w = np.cumsum(np.log(rels @ crps.T), axis=0)
+    first = int(np.argmax(log_w.max(axis=1) > np.log(1e150)))
+    assert (first // k, first % k) == (2, 1)
+    assert log_w[-1].max() > np.log(np.finfo(float).max)
+    got = all_days(UniversalSampler(samples, seed=4), prices)
+    stable = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    expected = (stable @ crps) / stable.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(got[1:], expected, atol=1e-9)
+    assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("samples", [1, strategies._BLOCK_FLOATS + 1])
+def test_up_runs_with_one_sample_and_with_one_day_blocks(samples):
+    # one sample is its own weighted mean; more samples than a block holds
+    # leave blocks of one day (k = 1)
+    n = 3
+    prices = make_prices(6, n, seed=9).prices
+    crps = np.random.default_rng(6).dirichlet(np.ones(n), size=samples)
+    wealth = np.vstack([np.ones(samples), np.cumprod(
+        (prices[1:] / prices[:-1]) @ crps.T, axis=0)])
+    got = all_days(UniversalSampler(samples, seed=6), prices)
+    np.testing.assert_allclose(got, (wealth @ crps) / wealth.sum(
+        axis=1, keepdims=True), atol=1e-12)
+    for t in range(1, len(prices) + 1):
+        assert last_day(UniversalSampler(samples, seed=6),
+                        prices[:t]).tobytes() == got[t - 1].tobytes()
+
+
+def test_up_memory_is_one_block_above_samples_and_outputs(monkeypatch):
+    # a 1309-day, 50-asset run at 10,000 samples holds its samples and its
+    # output, the wealth row carried between blocks and one block of at
+    # most _BLOCK_FLOATS floats of sample wealth and relatives; the 64 KB
+    # allow for the block's (k, n) means and Python's own objects. The
+    # draw's temporaries are numpy's: the peak counts from after it
+    real = strategies._dirichlet_columns
+
+    def drawn(*args):
+        crps = real(*args)
+        tracemalloc.reset_peak()
+        return crps
+
+    monkeypatch.setattr(strategies, "_dirichlet_columns", drawn)
+    days, n, samples = 1309, 50, 10_000
+    prices = make_prices(days, n, seed=112).prices
+    tracemalloc.start()
+    try:
+        UniversalSampler(samples).run(prices, 1, days)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = n * samples + days * n + samples + strategies._BLOCK_FLOATS
+    assert peak <= 8 * floats + 65_536
 
 
 def test_up_seed_changes_output(walk):
