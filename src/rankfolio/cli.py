@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
 
@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .data import load_csv, summary_stats, write_csv_rows, write_text_atomic
 from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
-                     config_as_dict, make_strategy, parse_field, reprice,
-                     resolve_window, run_backtest)
+                     make_strategy, parse_field, reprice, resolve_window,
+                     run_backtest)
 from .metrics import CSV_COLUMNS, MetricsReport
 from .strategies import CLASSIC_NAMES
 
@@ -148,11 +148,13 @@ def write_manifest(out_dir: Path, command: str, data_path: str,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "data_file": str(data_path),
         "data_sha256": digest,
-        "config": config_as_dict(config),
+        "config": asdict(config),
         **extra,
     }
+    # the config's tuples are written as lists, its dates as ISO strings
     write_text_atomic(out_dir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                      json.dumps(manifest, indent=2, sort_keys=True,
+                                 default=date.isoformat) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -399,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sweep-fees", help="re-cost one strategy over a fee grid")
     _add_run_flags(sub)
-    sub.add_argument("--fees", help="comma list of fee rates (default: built-in grid)")
+    sub.add_argument("--fees", help="comma list of fee rates (default: built-in "
+                     "grid); write a list that starts with '-' as --fees=LIST")
     sub.set_defaults(handler=cmd_sweep_fees)
 
     sub = commands.add_parser("plotdata", help="emit plot-ready CSV series")

@@ -473,16 +473,3 @@ def reprice(matrix: PriceMatrix, result: BacktestResult,
         cost, net = turnover_cost(result.gross, result.turnover, fee_rate)
         return replace(result, cost=cost, net=net, wealth=compound(net),
                        config=replace(result.config, fee_rate=fee_rate))
-
-
-def config_as_dict(config: BacktestConfig) -> dict:
-    """JSON-friendly view of a config (dates to ISO strings, tuples to lists)."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, date):
-            value = value.isoformat()
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out

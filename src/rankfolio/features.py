@@ -82,15 +82,6 @@ def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
     return ranks ** power
 
 
-def check_history(t: int, lookback: int, feature_window: int) -> None:
-    """Raise unless a t-day history prefix holds a ``lookback``-row
-    training set over ``feature_window``-day feature windows."""
-    needed = lookback + feature_window + 1
-    if t < needed:
-        raise ValueError(f"insufficient history: day {t} < lookback + "
-                         f"feature_window + 1 = {needed}")
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Per-dimension z-score transform with std floored at EPS."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import (_STACK_CELLS, Normalizer, RankPower, check_history,
-                       rank_transform, scores_to_weights, window_features)
+from .features import (_STACK_CELLS, Normalizer, RankPower, rank_transform,
+                       scores_to_weights, window_features)
 from .mlp import mlp_train
-from .strategies import Strategy, _run_prices
+from .strategies import Strategy
 
 # The learners fit their refits in stacks of up to this many consecutive
 # refits, counted from the run's first refit: the MLP trains each stack in
@@ -125,9 +125,8 @@ class RankForecastStrategy(Strategy):
         self.first_day = lookback + feature_window + 1
 
     def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
+        prices = self._history(prices, t_first, t_last)
         lookback, fw = self.lookback, self.feature_window
-        check_history(t_first, lookback, fw)
         days = t_last - t_first + 1
         # row j holds day t_first - lookback + j, the last row day t_last;
         # day t_last has no target yet

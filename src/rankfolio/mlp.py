@@ -65,11 +65,9 @@ class _Workspace:
     """The arrays that one forward and backward pass over ``x`` writes: each
     layer's output, the loss gradient w.r.t. each layer's pre-activation
     (the output layer's holds the residual first), each hidden layer's ReLU
-    mask and the squared residuals. ``mlp_train`` makes one per batch length
-    and reuses it every step. With fresh arrays each step, glibc handed the
-    top of the heap back and faulted it in again on the next step in some
-    runs and not others: a 1309 x 10 ``backtest --strategy mlp`` on a 2-core
-    Xeon VM took 4,000 to 440,000 page faults and 1.5 to 3.4 s."""
+    mask and the squared residuals. ``mlp_train`` makes one for the full
+    batch and reuses it every step: fresh arrays each step let the heap
+    shrink and fault back in, so a run's time varied twofold."""
 
     def __init__(self, model: MlpModel, x: np.ndarray):
         lead = (*np.broadcast_shapes(x.shape[:-2], model.weights[0].shape[:-2]),
@@ -184,24 +182,16 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
     # runs along a contiguous axis, as the mean of a flat list does
     epoch_losses = np.empty((*lead, len(starts)))
     curves = np.empty((epochs, *lead))
-    # batch length -> (features, targets, workspace) that its steps write
-    # into: a step makes no array the size of a batch
-    batches = {rows: (x, y, _Workspace(model, x))} if size == rows else {}
+    # the full batch's steps all write into one workspace; a minibatch's
+    # step makes fresh arrays
+    bx, by = x, y
+    work = _Workspace(model, x) if size == rows else None
     for epoch in range(epochs):
         perm = rng.permutation(rows) if size < rows else None
         for j, start in enumerate(starts):
-            if perm is None:
-                bx, by, work = batches[rows]
-            else:
+            if perm is not None:
                 batch = perm[start: start + size]
-                if len(batch) not in batches:
-                    bx = np.empty((*x.shape[:-2], len(batch), x.shape[-1]))
-                    by = np.empty((*y.shape[:-2], len(batch), y.shape[-1]))
-                    batches[len(batch)] = bx, by, _Workspace(model, bx)
-                bx, by, work = batches[len(batch)]
-                # the indices are in range: "clip" only spares take a buffer
-                np.take(x, batch, axis=-2, out=bx, mode="clip")
-                np.take(y, batch, axis=-2, out=by, mode="clip")
+                bx, by = x[..., batch, :], y[..., batch, :]
             loss = loss_and_gradients(model, bx, by, grad_views, work)[0]
             if not np.isfinite(loss).all():
                 bad = np.ravel(loss)[np.argmin(np.isfinite(loss))]

@@ -61,15 +61,15 @@ class _Block:
 
     def __init__(self, relatives):
         self.relatives = relatives
-        self.stacked = isinstance(relatives, np.ndarray)
+        self.one_shape = isinstance(relatives, np.ndarray)
 
     def take(self, rows: np.ndarray) -> _Block:
         rel = self.relatives
-        return _Block(rel[rows] if self.stacked else [rel[i] for i in rows])
+        return _Block(rel[rows] if self.one_shape else [rel[i] for i in rows])
 
     def at(self, w: np.ndarray):
         """Each problem's floored portfolio relatives and objective."""
-        if self.stacked:  # one BLAS gemv per problem
+        if self.one_shape:  # one BLAS gemv per problem
             port = np.maximum(np.matmul(self.relatives, w[:, :, None])[:, :, 0],
                               RELATIVE_FLOOR)
             return port, np.log(port).sum(axis=1)
@@ -79,7 +79,7 @@ class _Block:
 
     def gradient(self, port, rows: np.ndarray) -> np.ndarray:
         """The objective's gradient of problems ``rows`` at their ``port``."""
-        if self.stacked:  # divides a copy of the rows in place
+        if self.one_shape:  # divides a copy of the rows in place
             scaled = self.relatives[rows]
             scaled /= port[rows][:, :, None]
             return scaled.sum(axis=1)
@@ -88,7 +88,7 @@ class _Block:
 
     def corners(self) -> np.ndarray:
         """Each problem's objective at every single-asset corner."""
-        if self.stacked:
+        if self.one_shape:
             return np.log(np.maximum(self.relatives, RELATIVE_FLOOR)).sum(axis=1)
         return np.array([np.log(np.maximum(rel, RELATIVE_FLOOR)).sum(axis=0)
                          for rel in self.relatives])
@@ -138,10 +138,12 @@ def log_optimal_stack(relatives, tol: float = 1e-10,
     gradient ascent from the uniform start until a step moves the weights
     less than ``tol`` or after ``max_iter`` iterations, restarted from the
     best single-asset corner when that beats it. The problems ascend in
-    lockstep, and each row has the bytes of its problem solved alone; one
-    warning for the block when a solution sits on ``RELATIVE_FLOOR``."""
-    if isinstance(relatives, np.ndarray) and relatives.ndim == 3:
-        relatives = relatives.astype(np.float64, copy=False)
+    lockstep, as one stack when they share one shape, and each row has the
+    bytes of its problem solved alone; one warning for the block when a
+    solution sits on ``RELATIVE_FLOOR``."""
+    if isinstance(relatives, np.ndarray) or len({np.shape(rel)
+                                                 for rel in relatives}) == 1:
+        relatives = np.asarray(relatives, dtype=np.float64)
     else:
         relatives = [np.asarray(rel, dtype=np.float64) for rel in relatives]
     count = len(relatives)

@@ -83,7 +83,7 @@ class Strategy:
         """Weights of days t_first..t_last (1-based), one row each, from
         ``prices[:t_last]``; each call starts afresh. A recursion replays
         ``_replay`` from day 1 and keeps the rows from t_first."""
-        prices = _run_prices(prices, t_first, t_last)
+        prices = self._history(prices, t_first, t_last)
         out = np.empty((t_last - t_first + 1, prices.shape[1]))
         # zip stops at the last row of ``out``, so day t_last is the last
         # day the recursion computes
@@ -95,21 +95,26 @@ class Strategy:
         """The weights of day 1, 2, ... of ``prices``, one row at a time."""
         raise NotImplementedError
 
-
-def _run_prices(prices: np.ndarray, t_first: int, t_last: int) -> np.ndarray:
-    """``prices[:t_last]`` as float64, checked for a valid run window."""
-    prices = np.asarray(prices, dtype=np.float64)
-    if prices.ndim != 2 or not 1 <= t_first <= t_last <= prices.shape[0]:
-        raise ValueError("run needs a 2-d price array and 1 <= t_first "
-                         "<= t_last <= its row count")
-    return prices[:t_last]
+    def _history(self, prices, t_first: int, t_last: int) -> np.ndarray:
+        """The prices a run sees, ``prices[:t_last + hindsight]`` as float64,
+        checked for a run window that starts no earlier than ``first_day``."""
+        prices = np.asarray(prices, dtype=np.float64)
+        if (prices.ndim != 2
+                or not 1 <= t_first <= t_last <= len(prices) - self.hindsight):
+            raise ValueError("run needs a 2-d price array and 1 <= t_first "
+                             "<= t_last <= its row count - hindsight")
+        if t_first < self.first_day:
+            raise ValueError(f"insufficient history: day {t_first} is before "
+                             f"day {self.first_day}, the first this strategy "
+                             f"can trade")
+        return prices[:t_last + self.hindsight]
 
 
 class BuyAndHold(Strategy):
     """Uniform buy at the first trading day, then drift with prices."""
 
     def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
+        prices = self._history(prices, t_first, t_last)
         growth = prices[t_first - 1:] / prices[t_first - 1]
         return growth / growth.sum(axis=1, keepdims=True)
 
@@ -132,9 +137,7 @@ class BestCRP(Strategy):
     hindsight = True
 
     def run(self, prices, t_first, t_last):
-        if t_first > t_last:
-            raise ValueError("run needs t_first <= t_last")
-        prices = _run_prices(prices, t_first, t_last + 1)
+        prices = self._history(prices, t_first, t_last)
         target = log_optimal_portfolio(prices[t_first:]
                                        / prices[t_first - 1: t_last])
         return np.tile(target, (t_last - t_first + 1, 1))
@@ -426,19 +429,17 @@ class PatternMatcher(Strategy):
     Weights are uniform until ``min_candidates`` candidates exist, or when
     no window matches. A day's weights depend on the price prefix alone, so
     ``run`` builds the windows of the whole run once and slices them per
-    day, and solves the days' log-optimal problems in lockstep blocks: one
-    (B, m, n) stack when every set has one size (``stacked``: BNN's sets
-    all hold ``neighbors`` successors), else a ragged list (CORN's).
+    day, and solves the days' log-optimal problems in lockstep blocks; a
+    block whose sets share one size (BNN's ``neighbors`` successors, or a
+    one-day CORN block) is solved as one stack.
     """
-
-    stacked = False
 
     def __init__(self, window: int, min_candidates: int):
         self.window = window
         self.min_candidates = min_candidates
 
     def run(self, prices, t_first, t_last):
-        prices = _run_prices(prices, t_first, t_last)
+        prices = self._history(prices, t_first, t_last)
         out = np.tile(uniform_weights(prices.shape[1]), (t_last - t_first + 1, 1))
         first = max(t_first, self.window + 1 + self.min_candidates)
         if first > t_last:
@@ -449,8 +450,7 @@ class PatternMatcher(Strategy):
         matched = ((t - t_first, matches(t - 1 - self.window) + self.window)
                    for t in range(first, t_last + 1))
         for rows, sets in _blocks(matched, rels.shape[1], _BLOCK_FLOATS):
-            out[rows] = log_optimal_stack(rels[np.array(sets)] if self.stacked
-                                          else [rels[s] for s in sets])
+            out[rows] = log_optimal_stack([rels[s] for s in sets])
         return out
 
     def _matcher(self, windows: np.ndarray):
@@ -495,8 +495,6 @@ class Bnn(PatternMatcher):
     from them, earliest first among ties: the windows, and their order,
     of a scan of every window.
     """
-
-    stacked = True
 
     def __init__(self, neighbors: int = 10, window: int = 5):
         super().__init__(window, min_candidates=neighbors)

@@ -24,8 +24,7 @@ import numpy as np
 
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import apply_decay
-from rankfolio.features import (check_history, rank_transform,
-                                window_features)
+from rankfolio.features import rank_transform, window_features
 from rankfolio.optim import RELATIVE_FLOOR, project_to_simplex
 
 
@@ -347,7 +346,8 @@ def training_set(prices, lookback, power, feature_window, trend="price"):
     on day t.
     """
     t = prices.shape[0]
-    check_history(t, lookback, feature_window)
+    if t < lookback + feature_window + 1:
+        raise ValueError(f"insufficient history: day {t}")
     s = t - lookback
     return (window_features(prices[s - feature_window: t - 1], feature_window,
                             trend),

@@ -17,7 +17,7 @@ import pytest
 
 import rankfolio
 from rankfolio.cli import (_fmt, build_config, build_parser, main,
-                           read_config_file, render_table)
+                           read_config_file, render_table, write_manifest)
 from rankfolio.data import load_csv, write_csv
 from rankfolio.engine import BacktestConfig, run_backtest
 from rankfolio.fetch import BASE_URL_ENV
@@ -159,6 +159,21 @@ def test_backtest_manifest(data_csv, tmp_path):
     assert manifest["data_sha256"] == digest
     from rankfolio import __version__
     assert manifest["version"] == __version__
+
+
+def test_write_manifest_echoes_the_config_as_json(tmp_path):
+    # every config field, its dates as ISO strings and its tuples as lists
+    data = tmp_path / "prices.csv"
+    data.write_text("date,a\n")
+    cfg = BacktestConfig(start=date(2024, 1, 2), mlp_hidden=(10, 5))
+    write_manifest(tmp_path, "backtest", str(data), cfg, {"strategy": "eg"})
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    echoed = manifest.pop("config")
+    assert echoed["start"] == "2024-01-02"
+    assert echoed["end"] is None
+    assert echoed["mlp_hidden"] == [10, 5]
+    assert set(echoed) == {f.name for f in fields(cfg)}
+    assert manifest["strategy"] == "eg"
 
 
 def test_negative_zero_fee_writes_the_zero_fee_outputs(data_csv, tmp_path):
@@ -515,6 +530,19 @@ def test_sweep_fee_zero_matches_backtest_metrics(data_csv, tmp_path):
     sweep_row = (out_s / "sweep_raw.csv").read_text().splitlines()[1]
     bt_row = (out_b / "metrics_raw.csv").read_text().splitlines()[1]
     assert sweep_row.split(",")[1:] == bt_row.split(",")[1:]
+
+
+def test_sweep_fees_list_starting_with_minus_is_passed_with_equals(data_csv,
+                                                                    tmp_path):
+    # argparse takes "-0,0.001" after a space for a flag; --fees=LIST
+    # passes it, and -0 is the zero fee
+    def sweep(fees, name):
+        out = tmp_path / name
+        assert run_cli("sweep-fees", "--data", data_csv, "--strategy", "eg",
+                       f"--fees={fees}", "--out", out) == 0
+        return [(out / f).read_bytes() for f in ("sweep.csv", "sweep_raw.csv")]
+
+    assert sweep("-0,0.001", "minus") == sweep("0,0.001", "plus")
 
 
 def test_sweep_default_grid(data_csv, tmp_path):

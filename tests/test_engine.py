@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
-                              apply_decay, compound, config_as_dict,
-                              make_strategy, reprice, resolve_window,
-                              run_backtest, turnover_cost)
+                              apply_decay, compound, make_strategy, reprice,
+                              resolve_window, run_backtest, turnover_cost)
 from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
@@ -720,13 +719,3 @@ def test_report_and_basis(prices_mid):
     assert gross_report.annualized_return > report.annualized_return
     with pytest.raises(ValueError):
         result.report("weird")
-
-
-def test_config_as_dict_serializable():
-    import json
-    cfg = BacktestConfig(start=date(2024, 1, 2), mlp_hidden=(10, 5))
-    d = config_as_dict(cfg)
-    assert d["start"] == "2024-01-02"
-    assert d["end"] is None
-    assert d["mlp_hidden"] == [10, 5]
-    json.dumps(d)

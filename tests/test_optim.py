@@ -373,8 +373,9 @@ def test_property_log_optimal_stack_matches_loop(data):
     # few levels, zero and the floor among them, make floored rows and ties
     # common; a max_iter of 1 or 2 stops many ascents short of a dominating
     # corner, so the corner restart runs. A block is one (B, m, n) array or
-    # a ragged list of (m_b, n) matrices, and an equal-shape block gives the
-    # same bytes in both forms.
+    # a list of (m_b, n) matrices. A list whose problems share one shape is
+    # solved as one stack: it gives the array's bytes, whether its problems
+    # are arrays or nested lists.
     n = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     if data.draw(st.booleans()):
@@ -389,10 +390,10 @@ def test_property_log_optimal_stack_matches_loop(data):
     if len(set(rows)) == 1:
         stacked = np.array(block)
         assert_log_optimal_stack_matches(stacked, **kwargs)
-        as_array, as_list = (
+        as_array, as_list, as_nested = (
             solve_recording_warnings(log_optimal_stack, b, **kwargs)[0]
-            for b in (stacked, block))
-        assert as_array.tobytes() == as_list.tobytes()
+            for b in (stacked, block, [p.tolist() for p in block]))
+        assert as_array.tobytes() == as_list.tobytes() == as_nested.tobytes()
 
 
 # --- geometric median ---------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfolio import strategies
+from rankfolio import optim, strategies
 from rankfolio.engine import ML_NAMES, BacktestConfig, make_strategy
 from rankfolio.features import scores_to_weights
 from rankfolio.optim import log_optimal_portfolio
@@ -644,6 +644,26 @@ def test_bnn_neighbors_run_equals_day_rows_across_gram_blocks(
     config = BacktestConfig()
     got = make_strategy("bnn", config).run(long_walk, 1, 299)
     want = day_rows("bnn", config, long_walk, 1, 299)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_corn_one_day_blocks_solve_as_stacks_of_one(long_walk, monkeypatch):
+    # at a budget of one float every CORN block holds one day, and
+    # log_optimal_stack solves its one problem as a stack; every day's row
+    # matches the per-day reference
+    stacked = []
+    real = optim._Block
+
+    def recording(relatives):
+        stacked.append(isinstance(relatives, np.ndarray))
+        return real(relatives)
+
+    monkeypatch.setattr(strategies, "_BLOCK_FLOATS", 1)
+    monkeypatch.setattr(optim, "_Block", recording)
+    config = BacktestConfig()
+    got = make_strategy("corn", config).run(long_walk, 1, 299)
+    assert stacked and all(stacked)
+    want = day_rows("corn", config, long_walk, 1, 299)
     assert got.tobytes() == want.tobytes()
 
 
