@@ -10,8 +10,6 @@ Both come for all of a run's days from stacked passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -80,22 +78,6 @@ def rank_transform(returns: np.ndarray, power: RankPower) -> np.ndarray:
     np.put_along_axis(ranks, np.argsort(r, axis=-1, kind="stable"),
                       np.arange(1.0, r.shape[-1] + 1.0), axis=-1)
     return ranks ** power
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Per-dimension z-score transform with std floored at EPS."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "Normalizer":
-        f = np.asarray(features, dtype=np.float64)
-        return cls(mean=f.mean(axis=0), std=np.maximum(f.std(axis=0), EPS))
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
 
 def scores_to_weights(scores: np.ndarray) -> np.ndarray:

@@ -1,17 +1,12 @@
 """Learners (an MLP and brute-force kNN regression) and the rank-forecast
-trading strategy they drive.
-
-A learner owns its feature standardization: ``fit`` receives a stack of raw
-training blocks (features and targets), ``predict`` the index of a block and
-a stack of raw feature rows, which it scores with that block's model. The
-interface is deliberately minimal so other regressors can slot in later.
+trading strategy they drive, which standardizes every array they see.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .features import (_STACK_CELLS, Normalizer, RankPower, rank_transform,
+from .features import (_STACK_CELLS, EPS, RankPower, rank_transform,
                        scores_to_weights, window_features)
 from .mlp import mlp_train
 from .strategies import Strategy
@@ -39,9 +34,8 @@ class MlpLearner(Learner):
     the blocks of one fit train in lockstep as one stack. ``predict`` runs
     one forward pass per row: a batched pass differs in the last bits."""
 
-    def __init__(self, hidden: tuple[int, ...] = (20, 20), epochs: int = 200,
-                 learning_rate: float = 1e-3, batch_size: int = 0,
-                 seed: int = 10):
+    def __init__(self, hidden: tuple[int, ...], epochs: int,
+                 learning_rate: float, batch_size: int, seed: int):
         self.hidden = tuple(hidden)
         self.epochs = epochs
         self.learning_rate = learning_rate
@@ -49,18 +43,15 @@ class MlpLearner(Learner):
         self.seed = seed
 
     def fit(self, features, targets):
-        self.normalizers = [Normalizer.fit(f) for f in features]
         self.models = mlp_train(
-            np.stack([n.transform(f) for n, f in zip(self.normalizers, features)]),
-            targets, hidden=self.hidden, epochs=self.epochs,
+            features, targets, hidden=self.hidden, epochs=self.epochs,
             learning_rate=self.learning_rate, batch_size=self.batch_size,
             seed=self.seed,
         ).unstack()
 
     def predict(self, block, rows):
         model = self.models[block]
-        return np.array([model.forward(z) for z in
-                         self.normalizers[block].transform(rows)])
+        return np.array([model.forward(row) for row in rows])
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
@@ -68,8 +59,7 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
     """Mean target over the k training rows nearest each query (Euclidean):
     an (r, d) stack of queries gives (r, targets) rows, one query one row.
 
-    Distance ties resolve to the earliest training row. Features are expected
-    to be standardized consistently by the caller.
+    Distance ties resolve to the earliest training row.
     """
     d2 = ((train_features - queries[..., None, :]) ** 2).sum(axis=-1)
     order = np.argsort(d2, axis=-1, kind="stable")[..., :k]
@@ -77,22 +67,20 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
 
 
 class KnnLearner(Learner):
-    """Stores each standardized training block; predicts by neighbor average."""
+    """Stores the training blocks; predicts by neighbor average."""
 
-    def __init__(self, k: int = 15):
+    def __init__(self, k: int):
         self.k = k
 
     def fit(self, features, targets):
-        self.normalizers = [Normalizer.fit(f) for f in features]
-        self._features = [n.transform(f) for n, f in zip(self.normalizers, features)]
+        self._features = np.array(features, dtype=np.float64)
         self._targets = np.array(targets, dtype=np.float64)
 
     def predict(self, block, rows):
         x, y = self._features[block], self._targets[block]
-        z = self.normalizers[block].transform(rows)
         step = max(1, _STACK_CELLS // x.size)  # query rows per stack
-        return np.concatenate([knn_predict(x, y, z[a: a + step], self.k)
-                               for a in range(0, len(z), step)])
+        return np.concatenate([knn_predict(x, y, rows[a: a + step], self.k)
+                               for a in range(0, len(rows), step)])
 
 
 class RankForecastStrategy(Strategy):
@@ -105,17 +93,18 @@ class RankForecastStrategy(Strategy):
     per block, so the MLP trains each block's networks in lockstep.
 
     ``run`` featurizes and ranks every day once, in one stacked pass each.
-    The block a refit on day t sees equals the one-refit reference
-    ``training_set(prices[:t], ...)`` in ``tests/oracles.py``, so a row
-    depends only on the price prefix and the refit schedule. Each
-    refit scores the days it serves in one ``predict`` call.
+    The block a refit on day t sees is the one-refit reference
+    ``training_set(prices[:t], ...)`` in ``tests/oracles.py``, z-scored by
+    its own column means and deviations (floored at ``EPS``), so a row
+    depends only on the price prefix and the refit schedule. Each refit
+    scores the days it serves in one ``predict`` call, on rows scaled by
+    the same statistics.
     """
 
     decays = True
 
-    def __init__(self, learner: Learner, lookback: int = 80,
-                 refit_interval: int = 10, rank_power: RankPower = 2,
-                 feature_window: int = 20, trend: str = "price"):
+    def __init__(self, learner: Learner, lookback: int, refit_interval: int,
+                 rank_power: RankPower, feature_window: int, trend: str):
         self.learner = learner
         self.lookback = lookback
         self.refit_interval = refit_interval
@@ -138,10 +127,14 @@ class RankForecastStrategy(Strategy):
         refits = range(0, days, self.refit_interval)
         for s in range(0, len(refits), _REFIT_BLOCK):
             block = refits[s: s + _REFIT_BLOCK]
-            self.learner.fit(np.stack([feats[i: i + lookback] for i in block]),
+            train = np.stack([feats[i: i + lookback] for i in block])
+            mean = train.mean(axis=1)
+            std = np.maximum(train.std(axis=1), EPS)
+            self.learner.fit((train - mean[:, None]) / std[:, None],
                              np.stack([targets[i: i + lookback] for i in block]))
             for b, i in enumerate(block):
                 j = min(i + self.refit_interval, days)
+                rows = feats[i + lookback: j + lookback]
                 out[i: j] = scores_to_weights(
-                    self.learner.predict(b, feats[i + lookback: j + lookback]))
+                    self.learner.predict(b, (rows - mean[b]) / std[b]))
         return out

@@ -11,7 +11,8 @@ the engine the rest: ``first_day``, the earliest day a run may start,
 also sees the price after t_last, because it holds the best constant
 portfolio of the window it trades. No classic ``decays``: the engine
 smooths a classic's weights only when the config asks for it. Constructors
-take their settings as given: ``BacktestConfig`` bounds each one.
+take their settings as given: ``BacktestConfig`` holds every default and
+bounds each setting.
 
 Strategies defined by a recursion (UCRP, UP, EG, Anticor, PAMR, CWMR, OLMAR,
 RMR) are a ``_replay`` generator, its state in its locals, that yields the
@@ -159,7 +160,7 @@ class UniversalSampler(Strategy):
     ends.
     """
 
-    def __init__(self, samples: int = 10_000, seed: int = 10):
+    def __init__(self, samples: int, seed: int):
         self.samples = samples
         self.seed = seed
 
@@ -205,7 +206,7 @@ def _dirichlet_columns(seed: int, n: int, samples: int) -> np.ndarray:
 class ExponentiatedGradient(Strategy):
     """Multiplicative update toward yesterday's winners."""
 
-    def __init__(self, eta: float = 0.05):
+    def __init__(self, eta: float):
         self.eta = eta
 
     def _replay(self, prices):
@@ -232,7 +233,7 @@ class Anticor(Strategy):
     transfer, which needs the previous day's weights, runs per day.
     """
 
-    def __init__(self, window: int = 5):
+    def __init__(self, window: int):
         self.window = window
 
     def _replay(self, prices):
@@ -280,7 +281,7 @@ class Anticor(Strategy):
 class Pamr(Strategy):
     """Passive-aggressive mean reversion: bet against yesterday's move."""
 
-    def __init__(self, eps: float = 0.5):
+    def __init__(self, eps: float):
         self.eps = eps
 
     def _replay(self, prices):
@@ -306,7 +307,7 @@ class Cwmr(Strategy):
     each active update so confidence never collapses entirely.
     """
 
-    def __init__(self, confidence: float = 0.95, eps: float = 0.5):
+    def __init__(self, confidence: float, eps: float):
         self.phi = NormalDist().inv_cdf(confidence)
         self.eps = eps
 
@@ -375,7 +376,7 @@ class Olmar(Strategy):
     from their means.
     """
 
-    def __init__(self, window: int = 5, eps: float = 10.0):
+    def __init__(self, window: int, eps: float):
         self.window = window
         self.eps = eps
 
@@ -398,9 +399,6 @@ class Olmar(Strategy):
 
 class Rmr(Olmar):
     """Robust median reversion: like OLMAR with an L1-median price target."""
-
-    def __init__(self, window: int = 5, eps: float = 5.0):
-        super().__init__(window, eps)
 
     @staticmethod
     def _targets(windows):
@@ -496,7 +494,7 @@ class Bnn(PatternMatcher):
     of a scan of every window.
     """
 
-    def __init__(self, neighbors: int = 10, window: int = 5):
+    def __init__(self, neighbors: int, window: int):
         super().__init__(window, min_candidates=neighbors)
         self.neighbors = neighbors
 
@@ -554,7 +552,7 @@ class Corn(PatternMatcher):
     window matches or too little history exists.
     """
 
-    def __init__(self, rho: float = 0.1, window: int = 5):
+    def __init__(self, rho: float, window: int):
         super().__init__(window, min_candidates=1)
         self.rho = rho
 

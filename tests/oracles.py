@@ -6,10 +6,10 @@ sort-and-threshold, explicit transfer loops instead of matrix algebra), so a
 bug in the production code is unlikely to be mirrored by the oracle. The
 rest are the program's former formulations (the CSV loader that converted
 and checked one cell at a time, one day's returns, features, one refit's
-training set, MLP training, the numpy simplex projection, the one-problem
-log-optimal solver and its full line search, L1 median, the per-day
-Anticor, BNN, CORN, OLMAR, PAMR and RMR updates, the weight decay over a
-list of recent rows), kept as byte-for-byte references for the code that
+training set and its z-score, MLP training, the numpy simplex projection,
+the one-problem log-optimal solver and its full line search, L1 median, the
+per-day Anticor, BNN, CORN, OLMAR, PAMR and RMR updates, the weight decay
+over a list of recent rows), kept as byte-for-byte references for the code that
 replaced them.
 """
 
@@ -352,6 +352,17 @@ def training_set(prices, lookback, power, feature_window, trend="price"):
     return (window_features(prices[s - feature_window: t - 1], feature_window,
                             trend),
             rank_transform(prices[s:] / prices[s - 1: t - 1] - 1.0, power))
+
+
+def zscore(block, rows=None):
+    """``rows`` (default: ``block`` itself) less the column means of one
+    training block, over its column deviations floored at 1e-12: the former
+    per-block ``Normalizer``. Byte-for-byte reference for the standardized
+    training blocks and predicted rows of ``RankForecastStrategy.run``."""
+    block = np.asarray(block, dtype=np.float64)
+    std = np.maximum(block.std(axis=0), 1e-12)
+    return (np.asarray(block if rows is None else rows, dtype=np.float64)
+            - block.mean(axis=0)) / std
 
 
 def mlp_train_loop(features, targets, hidden=(20, 20), epochs=200,

@@ -835,6 +835,19 @@ def test_extreme_prices_exit_1_with_one_error_line(tmp_path, days, price_a,
     assert not out.exists()  # nothing written, manifest.json included
 
 
+def test_out_of_memory_exits_1_with_one_error_line(data_csv, tmp_path, capsys,
+                                                   monkeypatch):
+    # a huge up_samples runs out of memory inside the run; no real memory
+    # is allocated here
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("rankfolio.cli.run_backtest", no_memory)
+    assert run_cli("backtest", "--data", data_csv, "--strategy", "up",
+                   "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory: "]
+
+
 # --- plotdata ----------------------------------------------------------------------------
 
 def test_plotdata_series(data_csv, tmp_path):

@@ -1,5 +1,6 @@
 """Engine accounting, decay, windows, repricing, and no-lookahead."""
 
+import inspect
 from dataclasses import fields, replace
 from datetime import date, datetime
 
@@ -289,6 +290,17 @@ def test_parse_strategy():
             make_strategy(strategy_id, cfg)
 
 
+def test_strategy_constructors_take_no_defaults():
+    # BacktestConfig holds every default, and make_strategy passes each one
+    for name in CLASSIC_NAMES + ML_NAMES:
+        built = [make_strategy(name, BacktestConfig())]
+        if name in ML_NAMES:
+            built.append(built[0].learner)
+        for cls in map(type, built):
+            params = inspect.signature(cls).parameters.values()
+            assert all(p.default is p.empty for p in params), cls.__name__
+
+
 def test_known_strategy():
     cfg = BacktestConfig()
     for strategy_id in CLASSIC_NAMES + ML_NAMES + ("mlp:4", "knn:return"):
@@ -555,7 +567,8 @@ def test_decays_attribute_picks_the_smoothed_strategies(monkeypatch):
         decays = True
 
     monkeypatch.setattr("rankfolio.engine.make_strategy",
-                        lambda strategy_id, config: DecayedOlmar())
+                        lambda strategy_id, config: DecayedOlmar(
+                            config.olmar_window, config.olmar_eps))
     result = run_backtest(make_prices(50, 3, seed=27), "olmar", cfg)
     expected = np.empty_like(result.raw_weights)
     expected[0] = result.raw_weights[0]

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rankfolio import features
-from rankfolio.features import (EPS, FEATURES_PER_ASSET, Normalizer,
-                                rank_transform, scores_to_weights,
-                                window_features)
+from rankfolio.features import (FEATURES_PER_ASSET, rank_transform,
+                                scores_to_weights, window_features)
 
 from conftest import make_prices
 from oracles import features_loop, training_set
@@ -253,25 +252,6 @@ def test_training_set_prefix_equivalence():
     np.testing.assert_array_equal(a_t, b_t[:20])
     with pytest.raises(ValueError, match="insufficient history"):
         training_set(pm.prices[:30], 20, 2, 10)
-
-
-def test_normalizer_zscores_columns():
-    rng = np.random.default_rng(12)
-    x = rng.normal(5, 3, size=(40, 6))
-    norm = Normalizer.fit(x)
-    z = norm.transform(x)
-    np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
-
-
-def test_normalizer_constant_column_floored():
-    x = np.ones((10, 2))
-    x[:, 1] = np.arange(10)
-    norm = Normalizer.fit(x)
-    assert norm.std[0] == EPS
-    z = norm.transform(x)
-    assert np.isfinite(z).all()
-    np.testing.assert_array_equal(z[:, 0], np.zeros(10))
 
 
 def test_scores_to_weights():

@@ -47,11 +47,12 @@ def test_registry_names():
 
 def test_step_rejects_bad_history():
     # a one-day run on a 1-d or an empty price array
-    for make in (UniformCRP, BuyAndHold, Rmr, Bnn, Corn):
+    for name in ("ucrp", "bah", "rmr", "bnn", "corn"):
+        strategy = make_strategy(name, BacktestConfig())
         with pytest.raises(ValueError):
-            make().run(np.array([1.0, 2.0]), 1, 1)
+            strategy.run(np.array([1.0, 2.0]), 1, 1)
         with pytest.raises(ValueError):
-            make().run(np.empty((0, 2)), 1, 1)
+            strategy.run(np.empty((0, 2)), 1, 1)
 
 
 def test_replay_single_call_equals_daily_stepping(walk):
@@ -85,14 +86,11 @@ def test_replay_is_window_start_independent(walk):
 
 
 def test_all_outputs_on_simplex(walk):
-    makers = {
-        "bah": BuyAndHold, "ucrp": UniformCRP,
-        "up": lambda: UniversalSampler(50, seed=2),
-        "eg": ExponentiatedGradient, "anticor": Anticor, "pamr": Pamr,
-        "cwmr": Cwmr, "olmar": Olmar, "rmr": Rmr, "bnn": Bnn, "corn": Corn,
-    }
-    for name, make in makers.items():
-        for w in all_days(make(), walk):
+    config = BacktestConfig(up_samples=50, seed=2)
+    for name in CLASSIC_NAMES:
+        if name == "bcrp":  # a hindsight run cannot trade the last day
+            continue
+        for w in all_days(make_strategy(name, config), walk):
             assert w.min() >= -1e-12, name
             assert abs(w.sum() - 1.0) <= 1e-9, name
 
@@ -305,7 +303,7 @@ def test_up_memory_is_one_block_above_samples_and_outputs(monkeypatch):
     prices = make_prices(days, n, seed=112).prices
     tracemalloc.start()
     try:
-        UniversalSampler(samples).run(prices, 1, days)
+        UniversalSampler(samples, 10).run(prices, 1, days)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,9 +519,9 @@ def day_rows(name, config, prices, t_first, t_last):
             learner = make_strategy(name, config).learner
             feats, targets = oracles.training_set(
                 prices[:t], config.lookback, config.rank_power, fw, trend)
-            learner.fit(feats[None], targets[None])
-        scores = learner.predict(0, oracles.features_loop(prices[t - fw: t],
-                                                          trend)[None])
+            learner.fit(oracles.zscore(feats)[None], targets[None])
+        row = oracles.features_loop(prices[t - fw: t], trend)
+        scores = learner.predict(0, oracles.zscore(feats, row[None]))
         rows.append(scores_to_weights(scores[0]))
     return np.array(rows)
 
@@ -707,6 +705,7 @@ def test_run_leaves_no_state_on_the_strategy(walk):
 
 def test_run_rejects_bad_window(walk):
     for t_first, t_last in ((0, 5), (6, 5), (1, walk.shape[0] + 1)):
-        for strategy in (UniformCRP(), Rmr(), Bnn(), Corn(), BestCRP()):
+        for name in ("ucrp", "rmr", "bnn", "corn", "bcrp"):
+            strategy = make_strategy(name, BacktestConfig())
             with pytest.raises(ValueError):
                 strategy.run(walk, t_first, t_last)
