@@ -221,7 +221,7 @@ def cmd_backtest(args) -> int:
 def _expand_strategy_list(spec: str) -> list[str]:
     requested: list[str] = []
     for token in spec.split(","):
-        token = token.strip().lower()
+        token = "".join(token.split()).lower()
         if token == "all":
             requested.extend(CLASSIC_NAMES)
         elif token:

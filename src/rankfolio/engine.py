@@ -11,7 +11,7 @@ backtest, on a fresh strategy, gives the weights of every trading day. It
 sees prices up to the last trading day only (bcrp, the ``hindsight``
 reference, one day more), and its row for day t depends only on prices for
 days 1..t: ``Strategy.run`` replays a recursion's ``_replay`` generator
-from day 1 (OLMAR's and RMR's targets come in blocks of windows), while
+from day 1 (OLMAR, RMR and PAMR get targets in blocks of windows), while
 buy-and-hold and the learners' refit schedule anchor at the first trading
 day. A row that is not finite fails the run. Each row is then optionally
 smoothed by an exponential decay over the run's own recent outputs (a
@@ -27,6 +27,7 @@ whose wealth is not finite.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
@@ -404,10 +405,9 @@ def resolve_window(matrix: PriceMatrix, config: BacktestConfig,
     if config.start is None:
         t_first = first_day
     else:
-        later = [i for i, d in enumerate(matrix.dates) if d >= config.start]
-        if not later:
+        t_first = bisect_left(matrix.dates, config.start) + 1
+        if t_first > total:
             raise ValueError(f"start {config.start.isoformat()} is after the data ends")
-        t_first = later[0] + 1
         if t_first < first_day:
             raise ValueError(
                 f"trading start day {t_first} is before day {first_day}, the "
@@ -417,10 +417,10 @@ def resolve_window(matrix: PriceMatrix, config: BacktestConfig,
     if config.end is None:
         t_last = total - 1
     else:
-        earlier = [i for i, d in enumerate(matrix.dates) if d <= config.end]
-        if not earlier:
+        t_last = bisect_right(matrix.dates, config.end)
+        if t_last == 0:
             raise ValueError(f"end {config.end.isoformat()} is before the data begins")
-        t_last = min(earlier[-1] + 1, total - 1)
+        t_last = min(t_last, total - 1)
     if t_first > t_last:
         raise ValueError(
             f"empty trading window (days {t_first}..{t_last} of {total})"
@@ -435,7 +435,7 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
     strategy = make_strategy(strategy_id, config)
     t_first, t_last = resolve_window(matrix, config, strategy.first_day)
     prices = matrix.prices
-    raw = strategy.run(prices[:t_last + strategy.hindsight], t_first, t_last)
+    raw = strategy.run(prices, t_first, t_last)
     finite = np.isfinite(raw).all(axis=1)
     if not finite.all():
         day = matrix.dates[t_first - 1 + int(np.argmin(finite))]

@@ -18,9 +18,10 @@ Strategies defined by a recursion (UCRP, UP, EG, Anticor, PAMR, CWMR, OLMAR,
 RMR) are a ``_replay`` generator, its state in its locals, that yields the
 weights of day 1, 2, ...; ``Strategy.run`` replays it from day 1 and keeps
 days t_first..t_last, so a row does not depend on where the trading window
-begins. Buy-and-hold buys at t_first instead. OLMAR and RMR share one
-``_replay``: a window's target is its mean, or L1 median, over its last
-price, solved for stacks of windows at once. BNN, CORN and Anticor do their
+begins. Buy-and-hold buys at t_first instead. OLMAR, RMR and PAMR share
+one ``_replay``: a window's target is its mean, or L1 median, over its last
+price, solved for stacks of windows at once; PAMR's windows span two days
+and its target is minus the day's relatives. BNN, CORN and Anticor do their
 price-only work once per run or block of days, and BNN and CORN solve their
 log-optimal problems in lockstep blocks. UP compounds and averages its
 samples in fixed-shape blocks of days. BNN narrows each day's neighbour
@@ -47,9 +48,9 @@ CLASSIC_NAMES = (
 # Directions with squared norm below this are treated as null updates.
 _NULL_DIRECTION = 1e-24
 
-# OLMAR and RMR compute the price targets (RMR's L1 medians) of this many
-# windows at a time, counted from the first window, so memory stays bounded
-# whatever the run length.
+# OLMAR, RMR and PAMR compute the price targets (RMR's L1 medians) of this
+# many windows at a time, counted from the first window, so memory stays
+# bounded whatever the run length.
 _MEDIAN_BLOCK = 256
 
 # Anticor computes its claims, and BNN its Gram-form distances, in blocks
@@ -278,23 +279,6 @@ class Anticor(Strategy):
         return claim, claim.sum(axis=2)
 
 
-class Pamr(Strategy):
-    """Passive-aggressive mean reversion: bet against yesterday's move."""
-
-    def __init__(self, eps: float):
-        self.eps = eps
-
-    def _replay(self, prices):
-        w = uniform_weights(prices.shape[1])
-        yield w
-        # a step that pushes w @ x down to eps is the reversion step that
-        # pushes w @ -x up to -eps, with every sign flipped exactly
-        x_hats = -(prices[1:] / prices[:-1])
-        for x_hat, dev, sq in zip(x_hats, *_deviations(x_hats)):
-            w = _reversion_update(w, x_hat, dev, sq, -self.eps)
-            yield w
-
-
 class Cwmr(Strategy):
     """Confidence-weighted mean reversion, deterministic diagonal variant.
 
@@ -346,34 +330,14 @@ class Cwmr(Strategy):
         return project_to_simplex(mu), s2
 
 
-def _deviations(x_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of a C-contiguous (B, n) stack less its mean, and the
-    squared norm of that; each row's bytes are those of its own
-    ``x - x.mean()`` and ``dev @ dev``."""
-    dev = x_hats - x_hats.mean(axis=1, keepdims=True)
-    # one BLAS dot per row, the same bytes as dev[i] @ dev[i]
-    return dev, np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0]
-
-
-def _reversion_update(w_prev: np.ndarray, x_hat: np.ndarray, dev: np.ndarray,
-                      sq: float, eps: float) -> np.ndarray:
-    """Passive-aggressive step pushing w @ x_hat up to eps along ``dev``,
-    x_hat less its mean, whose squared norm is ``sq``; then projection."""
-    gap = eps - float(w_prev @ x_hat)
-    if gap <= 0:
-        return w_prev
-    if sq < _NULL_DIRECTION:
-        return w_prev
-    return project_to_simplex(w_prev + (gap / sq) * dev)
-
-
 class Olmar(Strategy):
     """Moving-average reversion: chase the MA(window)-to-price ratio.
 
-    Window j holds days j+1..j+window; its target, the mean of its prices
-    over its last price, drives day j+window. ``_replay`` computes the
-    targets of ``_MEDIAN_BLOCK`` windows at a time, and their deviations
-    from their means.
+    Window j holds days j+1..j+window; its target x, the mean of its prices
+    over its last price, drives day j+window. A passive-aggressive step
+    pushes w @ x up to ``eps`` along x less its mean, then projects onto the
+    simplex. ``_replay`` computes the targets of ``_MEDIAN_BLOCK`` windows
+    at a time, and their deviations from their means.
     """
 
     def __init__(self, window: int, eps: float):
@@ -387,14 +351,36 @@ class Olmar(Strategy):
         windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
         for s in range(0, len(windows), _MEDIAN_BLOCK):
             x_hats = self._targets(windows[s: s + _MEDIAN_BLOCK])
-            for x_hat, dev, sq in zip(x_hats, *_deviations(x_hats)):
-                w = _reversion_update(w, x_hat, dev, sq, self.eps)
+            devs = x_hats - x_hats.mean(axis=1, keepdims=True)
+            # one BLAS dot per row, the same bytes as devs[i] @ devs[i]
+            sqs = np.matmul(devs[:, None, :], devs[:, :, None])[:, 0, 0]
+            for x_hat, dev, sq in zip(x_hats, devs, sqs):
+                gap = self.eps - float(w @ x_hat)
+                # a NaN gap or norm fails both tests and reaches the projection
+                if not (gap <= 0 or sq < _NULL_DIRECTION):
+                    w = project_to_simplex(w + (gap / sq) * dev)
                 yield w
 
     @staticmethod
     def _targets(windows: np.ndarray) -> np.ndarray:
         """The price targets of a (B, window, n) stack of windows."""
         return (windows / windows[:, -1:]).mean(axis=1)
+
+
+class Pamr(Olmar):
+    """Passive-aggressive mean reversion: bet against yesterday's move.
+
+    OLMAR over two-day windows with target -x, x the day's relatives, and
+    threshold -eps: pushing w @ -x up to -eps is pushing w @ x down to eps,
+    with every sign flipped exactly.
+    """
+
+    def __init__(self, eps: float):
+        super().__init__(2, -eps)
+
+    @staticmethod
+    def _targets(windows):
+        return -(windows[:, 1] / windows[:, 0])
 
 
 class Rmr(Olmar):

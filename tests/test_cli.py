@@ -328,6 +328,20 @@ def test_end_before_start_exits_2_before_any_output(tmp_path, capsys):
     assert "empty trading window (days 30..29 of 30)" in capsys.readouterr().err
 
 
+def test_learner_longer_than_the_data_exits_1_with_one_error_line(tmp_path,
+                                                                 capsys):
+    # mlp's first day, lookback + feature_window + 1 = 101, lies past a
+    # 50-day file; no start is given, so no date is looked up
+    data = tmp_path / "prices.csv"
+    write_csv(make_prices(50, 2, seed=5), data)
+    out = tmp_path / "o"
+    assert run_cli("backtest", "--data", data, "--strategy", "mlp",
+                   "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: empty trading window (days 101..49 of 50)"]
+    assert not out.exists()
+
+
 def test_removed_annualization_key_exits_2(data_csv, tmp_path, capsys):
     # annualized return is always days_per_year * mean; the key is gone
     conf = tmp_path / "c.conf"
@@ -387,6 +401,16 @@ def test_compare_all_token(data_csv, tmp_path):
     assert len(lines) == 13  # header + 12 classics
     assert [l.split(",")[0] for l in lines[1:]] == sorted(
         l.split(",")[0] for l in lines[1:])
+
+
+def test_compare_reads_each_id_once(data_csv, ml_config, tmp_path):
+    # spaces inside an id do not make another id: one row, one file
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--data", data_csv, "--config", ml_config,
+                   "--strategies", "knn:2,knn: 2,knn : 2", "--out", out) == 0
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["knn:2"]
+    assert sorted(p.name for p in out.glob("returns_*")) == ["returns_knn_2.csv"]
 
 
 def test_compare_unknown_strategy(data_csv, tmp_path):
@@ -823,8 +847,12 @@ def near_one(i):
      ["sweep-fees", "--strategy", "olmar"],
      "error: strategy 'ucrp' (the benchmark): "
      "wealth is not finite on day 1 of the run"),
+    # PAMR's step takes the same overflowing ratios
+    (30, lambda i: 1e-300 if i % 2 == 0 else 1e300, near_one,
+     ["sweep-fees", "--strategy", "pamr", "--benchmark", "pamr"],
+     "error: strategy 'pamr' gave non-finite weights on 2024-01-02"),
 ], ids=["olmar-alternating", "rmr-far-apart", "knn-growth",
-        "olmar-ucrp-benchmark"])
+        "olmar-ucrp-benchmark", "pamr-alternating"])
 def test_extreme_prices_exit_1_with_one_error_line(tmp_path, days, price_a,
                                                    price_b, argv, message):
     data = write_extreme_csv(tmp_path / "prices.csv", days, price_a, price_b)

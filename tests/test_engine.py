@@ -2,7 +2,7 @@
 
 import inspect
 from dataclasses import fields, replace
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -369,6 +369,24 @@ def test_resolve_window_start_end_dates():
     cfg5 = BacktestConfig(start=pm.dates[-1])
     with pytest.raises(ValueError, match="empty trading window"):
         resolve_window(pm, cfg5, first_day=1)
+
+
+def test_resolve_window_dates_between_rows():
+    # rows every other day: a start between two rows takes the later row and
+    # an end the earlier one, as a scan of every date does
+    walk = make_prices(10, 2, seed=1)
+    dates = tuple(date(2023, 1, 1) + timedelta(days=2 * i) for i in range(10))
+    pm = PriceMatrix(dates=dates, assets=walk.assets, prices=walk.prices)
+    for offset in range(-1, 21):
+        day = dates[0] + timedelta(days=offset)
+        later = [i for i, d in enumerate(dates) if d >= day]
+        earlier = [i for i, d in enumerate(dates) if d <= day]
+        if later and later[0] < 9:  # else no day is left to trade
+            assert resolve_window(pm, BacktestConfig(start=day), 1) \
+                == (later[0] + 1, 9), day
+        if earlier:
+            assert resolve_window(pm, BacktestConfig(end=day), 1) \
+                == (1, min(earlier[-1] + 1, 9)), day
 
 
 def test_resolve_window_ml_floor_enforced():
