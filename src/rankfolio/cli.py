@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 runtime failure (bad data, failed fetch), 2 usage
 error (bad flags, bad strategy id, bad config key).
 
 The four runner commands (backtest, compare, sweep-fees, plotdata) share
-one set-up, ``_shared_window``, so every strategy trades the same window as
-its benchmark; each command then writes only its own files.
+one set-up, ``_runs``, so every strategy trades the same window as its
+benchmark and every output names it by one spelling of its id; each command
+then writes only its own files.
 
 Percent-valued table columns are emitted times 100 with 2 decimals
 (round-half-even, Python's float formatting); a raw full-precision CSV is
@@ -165,19 +166,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _file_label(strategy_id: str) -> str:
-    return strategy_id.replace(":", "_")
+def _spell(strategy_id: str) -> str:  # case and white space do not matter
+    return "".join(strategy_id.split()).lower()
 
 
-def _shared_window(args, *strategy_ids: str):
-    """The set-up of every runner command: (config, prices, config pinned to
-    the shared window, the benchmark's run on that window).
+def _runs(args, *strategy_ids: str):
+    """The set-up of every runner command: (config, prices, the benchmark's
+    run, a lazy iterator of each id's run), all on one shared window.
 
-    Each id and the benchmark is built with ``make_strategy`` before any
-    prices load, so a bad id or setting is a usage error. The window starts
-    on the largest ``first_day`` among them, so every strategy trades the
-    same days as its benchmark.
+    The ids are spelled by ``_spell``, deduplicated, sorted and built with
+    the benchmark before any prices load, so a bad one is a usage error.
+    The window starts on the largest ``first_day`` among them. Each run is
+    made as the iterator reaches it, so a caller holds one at a time.
     """
+    strategy_ids = sorted({_spell(s) for s in strategy_ids})
     config = build_config(args)
     try:
         first_day = max(make_strategy(strategy_id, config).first_day
@@ -188,16 +190,15 @@ def _shared_window(args, *strategy_ids: str):
     t_first, t_last = resolve_window(matrix, config, first_day)
     window = replace(config, start=matrix.dates[t_first - 1],
                      end=matrix.dates[t_last - 1])
-    return config, matrix, window, run_backtest(matrix, config.benchmark, window)
+    return (config, matrix, run_backtest(matrix, config.benchmark, window),
+            (run_backtest(matrix, s, window) for s in strategy_ids))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_backtest(args) -> int:
-    strategy_id = args.strategy
-    config, matrix, window, bench = _shared_window(args, strategy_id)
-    result = run_backtest(matrix, strategy_id, window)
+    config, _, bench, (result,) = _runs(args, args.strategy)
     report = result.report("net", bench.net)
 
     out = _out_dir(args)
@@ -206,9 +207,9 @@ def cmd_backtest(args) -> int:
     write_dated_csv(out / "returns.csv", result.dates, _RETURN_SERIES,
                     _returns_rows(result))
     table = write_metrics_outputs(out, "metrics", "strategy",
-                                  [(strategy_id, report)])
+                                  [(result.strategy, report)])
     write_manifest(out, "backtest", args.data, config,
-                   {"strategy": strategy_id,
+                   {"strategy": result.strategy,
                     "trading_days": result.num_days,
                     "first_date": result.dates[0].isoformat(),
                     "last_date": result.dates[-1].isoformat()})
@@ -219,28 +220,22 @@ def cmd_backtest(args) -> int:
 
 
 def _expand_strategy_list(spec: str) -> list[str]:
-    requested: list[str] = []
-    for token in spec.split(","):
-        token = "".join(token.split()).lower()
-        if token == "all":
-            requested.extend(CLASSIC_NAMES)
-        elif token:
-            requested.append(token)
+    requested = [token for token in spec.split(",") if token.strip()]
     if not requested:
         raise UsageError("no strategies requested")
-    return sorted(dict.fromkeys(requested))
+    return [name for token in requested
+            for name in (CLASSIC_NAMES if _spell(token) == "all" else [token])]
 
 
 def cmd_compare(args) -> int:
-    strategies = _expand_strategy_list(args.strategies)
-    config, matrix, window, bench = _shared_window(args, *strategies)
+    config, _, bench, runs = _runs(args,
+                                   *_expand_strategy_list(args.strategies))
     rows, returns = [], {}
     # every row runs before anything is written, so a failing strategy
     # leaves no output; each row keeps its report and return series only
-    for strategy_id in strategies:
-        result = run_backtest(matrix, strategy_id, window)
-        rows.append((strategy_id, result.report("net", bench.net)))
-        label = _file_label(strategy_id)
+    for result in runs:
+        rows.append((result.strategy, result.report("net", bench.net)))
+        label = result.strategy.replace(":", "_")
         returns[f"returns_{label}.csv"] = result.dates, _returns_rows(result)
 
     out = _out_dir(args)
@@ -249,8 +244,8 @@ def cmd_compare(args) -> int:
     table = write_metrics_outputs(out, "compare", "strategy", rows)
     write_manifest(out, "compare", args.data, config,
                    {"strategies": [r[0] for r in rows],
-                    "first_date": window.start.isoformat(),
-                    "last_date": window.end.isoformat()})
+                    "first_date": bench.dates[0].isoformat(),
+                    "last_date": bench.dates[-1].isoformat()})
     print(table)
     return 0
 
@@ -274,11 +269,9 @@ def _parse_fees(text: str | None) -> list[float]:
 
 
 def cmd_sweep_fees(args) -> int:
-    strategy_id = args.strategy
     fees = _parse_fees(args.fees)
-    config, matrix, window, bench = _shared_window(args, strategy_id)
     # weights do not depend on fees, so run once and re-cost per fee
-    result = run_backtest(matrix, strategy_id, window)
+    config, matrix, bench, (result,) = _runs(args, args.strategy)
     rows = []
     for fee in fees:
         bench_net = reprice(matrix, bench, fee).net
@@ -288,15 +281,13 @@ def cmd_sweep_fees(args) -> int:
     out = _out_dir(args)
     table = write_metrics_outputs(out, "sweep", "fee", rows)
     write_manifest(out, "sweep-fees", args.data, config,
-                   {"strategy": strategy_id, "fees": fees})
+                   {"strategy": result.strategy, "fees": fees})
     print(table)
     return 0
 
 
 def cmd_plotdata(args) -> int:
-    strategy_id = args.strategy
-    config, matrix, window, bench = _shared_window(args, strategy_id)
-    result = run_backtest(matrix, strategy_id, window)
+    config, matrix, bench, (result,) = _runs(args, args.strategy)
 
     out = _out_dir(args)
     write_dated_csv(out / "plot_prices.csv", matrix.dates, matrix.assets,
@@ -306,7 +297,7 @@ def cmd_plotdata(args) -> int:
                     ["strategy_wealth", "benchmark_wealth", "cumulative_excess"],
                     np.column_stack([result.wealth, bench.wealth, excess]))
     write_manifest(out, "plotdata", args.data, config,
-                   {"strategy": strategy_id, "benchmark": config.benchmark})
+                   {"strategy": result.strategy, "benchmark": config.benchmark})
     print(f"wrote plot_prices.csv and plot_wealth.csv to {out}")
     return 0
 

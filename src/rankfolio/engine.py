@@ -1,9 +1,10 @@
 """Backtest engine: the strategy catalogue, weight decay, and accounting.
 
-``make_strategy`` is the one place a strategy id is read. An id is a classic
-name or ``mlp``/``knn`` with an optional ``:power`` suffix that replaces
-``rank_power`` and is parsed and bounded as that field is (so ``mlp:0`` is
-rejected); case and surrounding spaces do not matter.
+``_read_id`` is the one place a strategy id is read, for ``make_strategy``
+and the ``benchmark`` bound. An id is a classic name or ``mlp``/``knn`` with
+an optional ``:power`` suffix that replaces ``rank_power`` and is parsed and
+bounded as that field is (so ``mlp:0`` is rejected); case and surrounding
+spaces do not matter.
 
 Day indices are 1-based (day t is price row t-1); the trading window starts
 no earlier than the strategy's ``first_day``. One ``Strategy.run`` call per
@@ -123,6 +124,37 @@ def _rank_power_from(text: str) -> RankPower:
     return "return" if text.lower() == "return" else int(text)
 
 
+def _is_rank_power(power) -> bool:
+    return power == "return" or (_integer(power) and power >= 1)
+
+
+def _read_id(strategy_id: str, config: BacktestConfig) -> tuple[str, RankPower]:
+    """The strategy name an id names and the rank power it trains to under
+    ``config``; ValueError for an unknown id, a bad ``:power`` suffix, or
+    ``knn_k`` above ``lookback``. It builds no config, so the benchmark's
+    bound can call it."""
+    name, sep, power = str(strategy_id).partition(":")
+    name = name.strip().lower()
+    if name not in ML_NAMES and (sep or name not in CLASSIC_NAMES):
+        raise ValueError(
+            f"unknown strategy {strategy_id!r} "
+            f"(choose from {', '.join(CLASSIC_NAMES + ML_NAMES)}; "
+            f"ml strategies accept a :power suffix)")
+    rank_power = config.rank_power
+    if sep:
+        try:  # the config's own parser and bound judge the power
+            rank_power = _rank_power_from(power.strip())
+        except ValueError:
+            rank_power = None
+        if not _is_rank_power(rank_power):
+            raise ValueError(f"bad rank power in {strategy_id!r}: "
+                             f"it must be an integer >= 1 or 'return'")
+    if name == "knn" and not _passes(lambda k: k <= config.lookback,
+                                     config.knn_k):
+        raise ValueError(f"knn_k must be in 1..lookback ({config.lookback})")
+    return name, rank_power
+
+
 def _param(default, bound=None, *, parse=None, flag=None, help=None):
     """A config field that declares its own bound (a check of the config
     and the field's name, such as ``_bound`` makes), its parser of stripped
@@ -143,11 +175,12 @@ def parse_field(config_field: Field, text: str):
 class BacktestConfig:
     """Run parameters; defaults match the headline experimental setup.
 
-    Every field but ``benchmark`` declares its bound, and some a parser and
-    a run flag (see ``_param``); ``__post_init__`` checks the bounds, so the
-    strategies and learners built from a config do not check their settings
-    again. ``end`` is not before ``start``. ``knn_k <= lookback`` ties two
-    fields and is checked where knn is built (``make_strategy``).
+    Every field declares its bound, and some a parser and a run flag (see
+    ``_param``); ``__post_init__`` checks the bounds, so the strategies and
+    learners built from a config do not check their settings again. ``end``
+    is not before ``start``, and ``benchmark`` is an id ``make_strategy``
+    can build from the config. ``knn_k <= lookback`` ties two fields and is
+    checked where knn is built (``make_strategy``).
     """
 
     lookback: int = _param(80, _at_least(1), flag="--lookback",
@@ -164,9 +197,7 @@ class BacktestConfig:
         0.0, lambda config, _: check_fee_rate(config.fee_rate),
         flag="--fee", help="proportional fee per unit turnover")
     rank_power: RankPower = _param(
-        2, _bound(lambda power: power == "return" or (
-            _integer(power) and power >= 1),
-            "must be an integer >= 1 or 'return'"),
+        2, _bound(_is_rank_power, "must be an integer >= 1 or 'return'"),
         parse=_rank_power_from, flag="--rank-power",
         help="rank target transform for ml strategies: an integer >= 1 or "
              "return")
@@ -187,8 +218,9 @@ class BacktestConfig:
     decay_classic: bool = _param(  # smooth classic strategies too
         False, _bound(lambda flag: isinstance(flag, (bool, np.bool_)),
                       "must be a boolean"), parse=_parse_bool)
-    benchmark: str = _param("ucrp", flag="--benchmark",
-                            help="information-ratio benchmark strategy")
+    benchmark: str = _param(
+        "ucrp", lambda config, _: _read_id(config.benchmark, config),
+        flag="--benchmark", help="information-ratio benchmark strategy")
 
     mlp_hidden: tuple[int, ...] = _param(
         (20, 20), _bound(lambda sizes: all(_integer(units) and units >= 1
@@ -346,13 +378,7 @@ class BacktestResult:
 def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
     """The strategy an id names, built from ``config``; ValueError for an
     unknown id, a bad ``:power`` suffix, or ``knn_k`` above ``lookback``."""
-    name, sep, power = strategy_id.partition(":")
-    name = name.strip().lower()
-    if name not in ML_NAMES and (sep or name not in CLASSIC_NAMES):
-        raise ValueError(
-            f"unknown strategy {strategy_id!r} "
-            f"(choose from {', '.join(CLASSIC_NAMES + ML_NAMES)}; "
-            f"ml strategies accept a :power suffix)")
+    name, rank_power = _read_id(strategy_id, config)
     classics = {
         "bah": BuyAndHold,
         "ucrp": UniformCRP,
@@ -369,17 +395,7 @@ def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
     }
     if name in classics:
         return classics[name]()
-    if sep:
-        try:  # the config's own parser and bound judge the power
-            config = replace(config, rank_power=_rank_power_from(power.strip()))
-        except ValueError:
-            raise ValueError(
-                f"bad rank power in {strategy_id!r}: "
-                f"it must be an integer >= 1 or 'return'") from None
     if name == "knn":
-        if config.knn_k > config.lookback:
-            raise ValueError(
-                f"knn_k must be in 1..lookback ({config.lookback})")
         learner = KnnLearner(k=config.knn_k)
     else:
         learner = MlpLearner(hidden=config.mlp_hidden,
@@ -389,7 +405,7 @@ def make_strategy(strategy_id: str, config: BacktestConfig) -> Strategy:
                              seed=config.seed)
     return RankForecastStrategy(
         learner, lookback=config.lookback,
-        refit_interval=config.refit_interval, rank_power=config.rank_power,
+        refit_interval=config.refit_interval, rank_power=rank_power,
         feature_window=config.feature_window, trend=config.trend_feature,
     )
 

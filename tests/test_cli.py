@@ -1,12 +1,16 @@
 """Command line behavior: files, formats, exit codes, precedence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from dataclasses import fields, replace
 from datetime import date, timedelta
 from http.server import HTTPServer
@@ -14,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankfolio
 from rankfolio.cli import (_fmt, build_config, build_parser, main,
@@ -413,6 +419,26 @@ def test_compare_reads_each_id_once(data_csv, ml_config, tmp_path):
     assert sorted(p.name for p in out.glob("returns_*")) == ["returns_knn_2.csv"]
 
 
+@pytest.mark.parametrize("command, typed, spelled", [
+    ("backtest", "KNN : 2", "knn:2"),
+    ("sweep-fees", "KNN : 2", "knn:2"),
+    ("plotdata", "KNN : 2", "knn:2"),
+    ("backtest", "k nn", "knn"),  # compare --strategies "k nn" runs knn too
+])
+def test_every_runner_spells_an_id_as_compare_does(data_csv, ml_config,
+                                                   tmp_path, command, typed,
+                                                   spelled):
+    # manifests and metrics rows name a strategy without white space, in
+    # lower case, whichever command ran it
+    out = tmp_path / "out"
+    assert run_cli(command, "--data", data_csv, "--config", ml_config,
+                   "--strategy", typed, "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["strategy"] == spelled
+    if command == "backtest":
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [spelled]
+
+
 def test_compare_unknown_strategy(data_csv, tmp_path):
     assert run_cli("compare", "--data", data_csv, "--strategies", "ucrp,zzz",
                    "--out", tmp_path / "x") == 2
@@ -801,14 +827,15 @@ def test_flat_prices_report_blank_sharpe(tmp_path):
     assert [row.split(",")[0] for row in compared] == sorted(CLASSIC_NAMES)
 
 
-def write_extreme_csv(path, days, price_a, price_b):
-    """A two-asset CSV whose prices on day i are price_a(i) and price_b(i),
-    written with repr so that extreme magnitudes keep every digit."""
+def write_price_rows(path, prices):
+    """A CSV of ``prices`` written with repr, so that extreme magnitudes keep
+    every digit."""
     start = date(2024, 1, 1)
-    path.write_text("date,A,B\n" + "".join(
-        f"{(start + timedelta(days=i)).isoformat()},{price_a(i)!r},"
-        f"{price_b(i)!r}\n" for i in range(days)))
-    return path
+    path.write_text(
+        "date," + ",".join(f"A{j}" for j in range(prices.shape[1])) + "\n"
+        + "".join(f"{(start + timedelta(days=i)).isoformat()},"
+                  + ",".join(map(repr, row.tolist())) + "\n"
+                  for i, row in enumerate(prices)))
 
 
 def run_cli_process(*argv):
@@ -855,12 +882,77 @@ def near_one(i):
         "olmar-ucrp-benchmark", "pamr-alternating"])
 def test_extreme_prices_exit_1_with_one_error_line(tmp_path, days, price_a,
                                                    price_b, argv, message):
-    data = write_extreme_csv(tmp_path / "prices.csv", days, price_a, price_b)
+    data = tmp_path / "prices.csv"
+    write_price_rows(data, np.array([[price_a(i), price_b(i)]
+                                     for i in range(days)]))
     out = tmp_path / "o"
     done = run_cli_process(*argv, "--data", data, "--out", out)
     assert done.returncode == 1
     assert done.stderr.splitlines() == [message]  # no warning, no traceback
     assert not out.exists()  # nothing written, manifest.json included
+
+
+@st.composite
+def degenerate_prices(draw):
+    """A 2-40 day by 1-4 asset price matrix from one degenerate family."""
+    family = draw(st.sampled_from(
+        ["flat", "constant ratio", "one asset", "two days", "extreme scales",
+         "alternating", "crash", "random walk"]))
+    days = 2 if family == "two days" else draw(st.integers(2, 40))
+    assets = 1 if family == "one asset" else draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = rng.uniform(0.5, 200.0, assets)
+    prices = start * np.cumprod(
+        np.vstack([np.ones(assets),
+                   1.0 + rng.normal(0.0, 0.05, (days - 1, assets))]), axis=0)
+    column = draw(st.integers(0, assets - 1))
+    if family == "flat":
+        prices = np.tile(start, (days, 1))
+    elif family == "constant ratio":
+        ratio = draw(st.floats(0.5, 2.0))
+        prices = start * ratio ** np.arange(days)[:, None]
+    elif family == "extreme scales":
+        prices *= np.where(np.arange(assets) % 2 == 0, 1e-302, 1e298)
+    elif family == "alternating":
+        prices[:, column] = np.where(np.arange(days) % 2 == 0, 1e-300, 1e300)
+    elif family == "crash":
+        prices[draw(st.integers(1, days - 1)):, column] = 1e-12
+    return prices
+
+
+@given(degenerate_prices())
+@settings(max_examples=60, deadline=None)
+def test_property_runners_on_degenerate_prices_end_cleanly(prices):
+    # every runner, on the default config, either writes finite per-day
+    # series or fails with one error line and no manifest; a traceback
+    # would raise out of main
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "prices.csv"
+        write_price_rows(data, prices)
+        for i, argv in enumerate([("compare", "--strategies", "all"),
+                                  ("sweep-fees", "--strategy", "olmar"),
+                                  ("plotdata", "--strategy", "up"),
+                                  ("backtest", "--strategy", "bnn")]):
+            out = Path(tmp) / f"out{i}"
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = run_cli(*argv, "--data", data, "--out", out)
+            assert code in (0, 1), argv
+            if code == 1:
+                lines = stderr.getvalue().splitlines() + [
+                    str(w.message) for w in caught]
+                assert len(lines) == 1 and lines[0].startswith("error: "), argv
+                assert not (out / "manifest.json").exists(), argv
+                continue
+            for table in out.glob("*.csv"):
+                header, *rows = table.read_text().splitlines()
+                if not header.startswith("date,"):
+                    continue
+                for row in rows:
+                    cells = [float(cell) for cell in row.split(",")[1:]]
+                    assert all(map(math.isfinite, cells)), (argv, table.name)
 
 
 def test_out_of_memory_exits_1_with_one_error_line(data_csv, tmp_path, capsys,

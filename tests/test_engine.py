@@ -112,6 +112,12 @@ def test_config_validation():
     (dict(pamr_eps="x"), "pamr_eps must be finite"),
     (dict(fee_rate=None), r"fee rate must be in \[0, 0\.5\), got None"),
     (dict(corn_rho=[1]), r"corn_rho must be in \[-1, 1\]"),
+    # the benchmark is judged by make_strategy's rule and message
+    (dict(benchmark="nope"), r"unknown strategy 'nope' \(choose from"),
+    (dict(benchmark="ucrp:2"), "unknown strategy 'ucrp:2'"),
+    (dict(benchmark=None), "unknown strategy None"),
+    (dict(benchmark="mlp:0"), "bad rank power in 'mlp:0'"),
+    (dict(benchmark="knn", lookback=10), r"knn_k must be in 1\.\.lookback \(10\)"),
 ])
 def test_bound_messages_name_the_key(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -149,11 +155,18 @@ def test_integer_fields_take_numpy_integers():
 
 
 def test_every_setting_declares_its_bound():
-    # the benchmark is an id that make_strategy reads; every other field,
-    # the dates among them, is bounded where it is declared
+    # every field, the dates and the benchmark among them, is bounded where
+    # it is declared
     unbounded = {f.name for f in fields(BacktestConfig)
                  if "bound" not in f.metadata}
-    assert unbounded == {"benchmark"}
+    assert unbounded == set()
+
+
+def test_benchmark_takes_every_id_make_strategy_builds():
+    # a :power suffix is judged without building a config, whose bounds
+    # would judge the benchmark again
+    for strategy_id in CLASSIC_NAMES + ML_NAMES + ("mlp:3", " KNN:return "):
+        assert BacktestConfig(benchmark=strategy_id).benchmark == strategy_id
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -5,11 +5,13 @@
 ``git archive REV src`` is unpacked into a temporary directory, and the
 seed-112 price CSVs of 1309 days by 10 and by 50 assets are written with
 ``perfbench/workloads.write_prices``. The revision's ``src`` and this
-checkout's then run the same commands with ``python -m rankfolio``:
-``compare --strategies all`` and ``sweep-fees --strategy olmar`` at both
-scales, and ``backtest`` of mlp, knn and bcrp at 1309 x 10. Each output file
-is printed with ``equal`` or ``differs (max rel diff X)``. X is ``inf`` when
-a difference is not numeric: a file on one side only, another shape, or
+checkout's then run the same commands with ``python -m rankfolio``, in the
+temporary directory: ``compare --strategies all``, ``sweep-fees --strategy
+olmar`` and ``backtest --strategy knn`` at both scales, ``backtest`` of mlp
+and bcrp, ``plotdata --strategy olmar`` and a ``knn:return`` backtest whose
+config file sets ``trend_feature = return``, each at 1309 x 10. Each output
+file is printed with ``equal`` or ``differs (max rel diff X)``. X is ``inf``
+when a difference is not numeric: a file on one side only, another shape, or
 other text. ``manifest.json`` is compared without ``generated_at`` and
 ``data_file``. The exit status is 1 on any difference or failed command.
 """
@@ -35,6 +37,10 @@ COMMANDS = (
     ("backtest_mlp_10", 10, ("backtest", "--strategy", "mlp")),
     ("backtest_knn_10", 10, ("backtest", "--strategy", "knn")),
     ("backtest_bcrp_10", 10, ("backtest", "--strategy", "bcrp")),
+    ("plotdata_olmar_10", 10, ("plotdata", "--strategy", "olmar")),
+    ("backtest_knn_50", 50, ("backtest", "--strategy", "knn")),
+    ("backtest_knn_return_10", 10,
+     ("backtest", "--strategy", "knn:return", "--config", "return.conf")),
 )
 
 # manifest fields that differ between any two runs
@@ -94,14 +100,15 @@ def compare_trees(base: Path, head: Path) -> dict[str, str]:
 
 
 def _run_all(src: Path, data: dict[int, Path], out: Path) -> bool:
-    """Runs every command on one tree's ``src``; False if any fails."""
+    """Runs every command on one tree's ``src`` in the directory that holds
+    ``out``; False if any fails."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     ok = True
     for label, assets, argv in COMMANDS:
         done = subprocess.run(
             [sys.executable, "-m", "rankfolio", *argv,
              "--data", str(data[assets]), "--out", str(out / label)],
-            env=env, capture_output=True, text=True)
+            env=env, cwd=out.parent, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"{out.name}/{label}: exit {done.returncode}: "
                   f"{done.stderr.strip()}")
@@ -126,6 +133,8 @@ def main(argv: list[str]) -> int:
         for assets in (10, 50):
             data[assets] = tmp / f"prices_{DAYS}x{assets}.csv"
             write_prices(data[assets], DAYS, assets, DEFAULT_SEED)
+        # the config file of backtest_knn_return_10
+        (tmp / "return.conf").write_text("trend_feature = return\n")
         ok = _run_all(tmp / "rev" / "src", data, tmp / "base")
         ok = _run_all(ROOT / "src", data, tmp / "head") and ok
         verdicts = compare_trees(tmp / "base", tmp / "head")
