@@ -31,7 +31,7 @@ from . import __version__
 from .data import load_csv, summary_stats, write_csv_rows, write_text_atomic
 from .engine import (FEE_GRID, BacktestConfig, BacktestResult, check_fee_rate,
                      make_strategy, parse_field, reprice, resolve_window,
-                     run_backtest)
+                     run_backtest, spell_id)
 from .metrics import CSV_COLUMNS, MetricsReport
 from .strategies import CLASSIC_NAMES
 
@@ -166,20 +166,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _spell(strategy_id: str) -> str:  # case and white space do not matter
-    return "".join(strategy_id.split()).lower()
-
-
 def _runs(args, *strategy_ids: str):
     """The set-up of every runner command: (config, prices, the benchmark's
     run, a lazy iterator of each id's run), all on one shared window.
 
-    The ids are spelled by ``_spell``, deduplicated, sorted and built with
+    The ids are spelled by ``spell_id``, deduplicated, sorted and built with
     the benchmark before any prices load, so a bad one is a usage error.
     The window starts on the largest ``first_day`` among them. Each run is
     made as the iterator reaches it, so a caller holds one at a time.
     """
-    strategy_ids = sorted({_spell(s) for s in strategy_ids})
+    strategy_ids = sorted({spell_id(s) for s in strategy_ids})
     config = build_config(args)
     try:
         first_day = max(make_strategy(strategy_id, config).first_day
@@ -223,8 +219,8 @@ def _expand_strategy_list(spec: str) -> list[str]:
     requested = [token for token in spec.split(",") if token.strip()]
     if not requested:
         raise UsageError("no strategies requested")
-    return [name for token in requested
-            for name in (CLASSIC_NAMES if _spell(token) == "all" else [token])]
+    return [name for token in requested for name in
+            (CLASSIC_NAMES if spell_id(token) == "all" else [token])]
 
 
 def cmd_compare(args) -> int:

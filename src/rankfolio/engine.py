@@ -3,8 +3,8 @@
 ``_read_id`` is the one place a strategy id is read, for ``make_strategy``
 and the ``benchmark`` bound. An id is a classic name or ``mlp``/``knn`` with
 an optional ``:power`` suffix that replaces ``rank_power`` and is parsed and
-bounded as that field is (so ``mlp:0`` is rejected); case and surrounding
-spaces do not matter.
+bounded as that field is (so ``mlp:0`` is rejected); case and white space
+do not matter, and ``spell_id`` writes an id the one way it is stored.
 
 Day indices are 1-based (day t is price row t-1); the trading window starts
 no earlier than the strategy's ``first_day``. One ``Strategy.run`` call per
@@ -128,13 +128,18 @@ def _is_rank_power(power) -> bool:
     return power == "return" or (_integer(power) and power >= 1)
 
 
+def spell_id(strategy_id: str) -> str:
+    """A strategy id without white space, in lower case: the spelling that
+    configs, manifests and metrics rows use."""
+    return "".join(strategy_id.split()).lower()
+
+
 def _read_id(strategy_id: str, config: BacktestConfig) -> tuple[str, RankPower]:
     """The strategy name an id names and the rank power it trains to under
     ``config``; ValueError for an unknown id, a bad ``:power`` suffix, or
     ``knn_k`` above ``lookback``. It builds no config, so the benchmark's
     bound can call it."""
-    name, sep, power = str(strategy_id).partition(":")
-    name = name.strip().lower()
+    name, sep, power = spell_id(str(strategy_id)).partition(":")
     if name not in ML_NAMES and (sep or name not in CLASSIC_NAMES):
         raise ValueError(
             f"unknown strategy {strategy_id!r} "
@@ -143,7 +148,7 @@ def _read_id(strategy_id: str, config: BacktestConfig) -> tuple[str, RankPower]:
     rank_power = config.rank_power
     if sep:
         try:  # the config's own parser and bound judge the power
-            rank_power = _rank_power_from(power.strip())
+            rank_power = _rank_power_from(power)
         except ValueError:
             rank_power = None
         if not _is_rank_power(rank_power):
@@ -179,8 +184,9 @@ class BacktestConfig:
     ``_param``); ``__post_init__`` checks the bounds, so the strategies and
     learners built from a config do not check their settings again. ``end``
     is not before ``start``, and ``benchmark`` is an id ``make_strategy``
-    can build from the config. ``knn_k <= lookback`` ties two fields and is
-    checked where knn is built (``make_strategy``).
+    can build from the config, stored as ``spell_id`` spells it.
+    ``knn_k <= lookback`` ties two fields and is checked where knn is built
+    (``make_strategy``).
     """
 
     lookback: int = _param(80, _at_least(1), flag="--lookback",
@@ -262,6 +268,7 @@ class BacktestConfig:
             if "bound" in f.metadata:
                 f.metadata["bound"](self, f.name)
         self.fee_rate += 0.0  # -0.0 passes its bound; keep it as +0.0
+        self.benchmark = spell_id(self.benchmark)
 
 
 def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,

@@ -5,7 +5,8 @@ asset-minor) over the window of days before t: the last daily return,
 trailing return volatility, trailing Sharpe, and the rank correlation of
 price against time. Targets are the next day's cross-sectional return ranks
 (ascending, 1 = worst) to a power, or the raw returns in ``return`` mode.
-Both come for all of a run's days from stacked passes.
+Both come for all of a run's days from stacked passes; the trend block
+ranks each window's days from prefix counts, in O(m) work per day.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ FEATURES_PER_ASSET = 4
 # back to uniform; also the floor for standardization divisors.
 EPS = 1e-12
 
-# Cells in the largest temporary of a stacked pass: the features' (rows, m,
-# m, n) rank comparison, a knn prediction's (rows, lookback, d) differences.
+# Bounds a stacked pass's chunks: a knn prediction's (rows, lookback, d)
+# differences, and rows x m x m x n for a feature chunk of m-day windows, of
+# which its (rows + m - 1, 2m, n) neighbour signs are at most 4/m: it holds
+# at least m rows, so the days it shares with the next chunk cost at most 2x.
 _STACK_CELLS = 1 << 18
 
 RankPower = int | str
@@ -34,20 +37,23 @@ def window_features(prices: np.ndarray, window: int,
 
     Each chunk of rows is reduced as a contiguous (rows, window - 1, n) stack
     that adds each row in a lone window's order, so a row has its window's
-    own bytes. Centred on their mean, average ranks are (#less - #greater) / 2
-    from one (rows, m, m, n) comparison: exact half-integers, so the trend
-    block's sums are exact.
+    own bytes. Centred on their mean, a window's average ranks are
+    (#less - #greater) / 2: exact half-integers, so the trend block's sums
+    are exact. Each day of an m-day trend window is compared once with its
+    2m - 2 neighbours, and the window's count for each of its days is the
+    difference of two prefix sums of those signs over the offsets: O(m n)
+    work per window, not a comparison of every pair of its days.
     """
     n = prices.shape[1]
-    rets = sliding_window_view(prices[1:] / prices[:-1] - 1.0,
-                               (window - 1, n))[:, 0]
-    basis = (rets if trend == "return"
-             else sliding_window_view(prices, (window, n))[:, 0])
-    m = basis.shape[1]
-    ic = np.arange(m) - 0.5 * (m - 1)  # the centred time index
+    returns = prices[1:] / prices[:-1] - 1.0
+    rets = sliding_window_view(returns, (window - 1, n))[:, 0]
+    series = returns if trend == "return" else prices
+    m = window - (trend == "return")  # days of a trend window
+    u = np.arange(m)
+    ic = u - 0.5 * (m - 1)  # the centred time index
     out = np.zeros((rets.shape[0], FEATURES_PER_ASSET * n))
     last, vol, sharpe, corr = np.split(out, FEATURES_PER_ASSET, axis=1)
-    step = max(1, _STACK_CELLS // (m * m * n))
+    step = max(m, _STACK_CELLS // (m * m * n))
     for a in range(0, out.shape[0], step):
         rows = slice(a, a + step)
         r = np.ascontiguousarray(rets[rows])
@@ -57,9 +63,20 @@ def window_features(prices: np.ndarray, window: int,
             vol[rows] = np.sqrt(((r - mean[:, None]) ** 2).sum(axis=1)
                                 / (window - 2))
         np.divide(mean, vol[rows], out=sharpe[rows], where=vol[rows] > 0)
-        # below[r, i, k, j]: column j is lower on day k than on day i
-        below = basis[rows, None] < basis[rows, :, None]
-        rc = 0.5 * (below.sum(axis=2) - below.sum(axis=1))
+        s = series[a: a + step + m - 1]  # the days of the chunk's windows
+        pad = np.full((s.shape[0] + 2 * m - 1, n), np.nan)
+        pad[m: m + s.shape[0]] = s
+        # sign[p, e]: 1 where day p is above day p + e - m, -1 where below,
+        # 0 for a tie, a NaN or the padding
+        near = sliding_window_view(pad, (2 * m, n))[:, 0]
+        sign = np.greater(s[:, None], near).view(np.int8)
+        sign -= s[:, None] < near
+        prefix = np.cumsum(sign, axis=1, dtype=np.min_scalar_type(-2 * m))
+        # day u of window r is day p = r + u; its window-mates sit at
+        # offsets -u .. m - 1 - u, one run of prefix sums
+        p = np.arange(s.shape[0] - m + 1)[:, None] + u
+        rc = 0.5 * np.subtract(prefix[p, 2 * m - 1 - u],
+                               prefix[p, m - 1 - u], dtype=float)
         denom = np.sqrt((rc * rc).sum(axis=1) * float(ic @ ic))
         np.divide(ic @ rc, denom, out=corr[rows], where=denom != 0.0)
     return out

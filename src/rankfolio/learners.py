@@ -98,7 +98,8 @@ class RankForecastStrategy(Strategy):
     its own column means and deviations (floored at ``EPS``), so a row
     depends only on the price prefix and the refit schedule. Each refit
     scores the days it serves in one ``predict`` call, on rows scaled by
-    the same statistics.
+    the same statistics, and a block's raw scores become weights in one
+    ``scores_to_weights`` call, which weights each row alone.
     """
 
     decays = True
@@ -135,6 +136,7 @@ class RankForecastStrategy(Strategy):
             for b, i in enumerate(block):
                 j = min(i + self.refit_interval, days)
                 rows = feats[i + lookback: j + lookback]
-                out[i: j] = scores_to_weights(
-                    self.learner.predict(b, (rows - mean[b]) / std[b]))
+                out[i: j] = self.learner.predict(b, (rows - mean[b]) / std[b])
+            # j ends the block's last refit
+            out[block[0]: j] = scores_to_weights(out[block[0]: j])
         return out

@@ -439,6 +439,25 @@ def test_every_runner_spells_an_id_as_compare_does(data_csv, ml_config,
         assert [row.split(",")[0] for row in rows] == [spelled]
 
 
+@pytest.mark.parametrize("command, strategy, bench_id", [
+    ("backtest", "ucrp", "k nn"),  # used to exit 2: unknown strategy 'k nn'
+    ("plotdata", "U CRP", " UCRP "),  # used to write "benchmark": "UCRP"
+])
+def test_benchmark_is_spelled_as_strategy_ids_are(data_csv, ml_config,
+                                                  tmp_path, command, strategy,
+                                                  bench_id):
+    out = tmp_path / "out"
+    assert run_cli(command, "--data", data_csv, "--config", ml_config,
+                   "--strategy", strategy, "--benchmark", bench_id,
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    spelled = "".join(bench_id.split()).lower()
+    assert manifest["config"]["benchmark"] == spelled
+    assert manifest["strategy"] == "ucrp"
+    if command == "plotdata":
+        assert manifest["benchmark"] == spelled
+
+
 def test_compare_unknown_strategy(data_csv, tmp_path):
     assert run_cli("compare", "--data", data_csv, "--strategies", "ucrp,zzz",
                    "--out", tmp_path / "x") == 2

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from rankfolio.data import PriceMatrix
 from rankfolio.engine import (FEE_GRID, ML_NAMES, BacktestConfig, account,
                               apply_decay, compound, make_strategy, reprice,
-                              resolve_window, run_backtest, turnover_cost)
+                              resolve_window, run_backtest, spell_id,
+                              turnover_cost)
 from rankfolio.learners import KnnLearner, MlpLearner, RankForecastStrategy
 from rankfolio.optim import log_optimal_portfolio
 from rankfolio.strategies import CLASSIC_NAMES, BestCRP, Olmar
@@ -164,9 +165,12 @@ def test_every_setting_declares_its_bound():
 
 def test_benchmark_takes_every_id_make_strategy_builds():
     # a :power suffix is judged without building a config, whose bounds
-    # would judge the benchmark again
+    # would judge the benchmark again; the id is stored spelled
     for strategy_id in CLASSIC_NAMES + ML_NAMES + ("mlp:3", " KNN:return "):
-        assert BacktestConfig(benchmark=strategy_id).benchmark == strategy_id
+        assert (BacktestConfig(benchmark=strategy_id).benchmark
+                == spell_id(strategy_id))
+    spelled = BacktestConfig(benchmark=" K nn : Return ").benchmark
+    assert spelled == "knn:return"
 
 
 @pytest.mark.parametrize("kwargs, message", [

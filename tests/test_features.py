@@ -1,5 +1,6 @@
 """Feature blocks, rank targets, and training-set assembly."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -137,17 +138,18 @@ def test_property_features_bit_exact_vs_loop_reference(window, trend):
             == features_loop(window, trend).tobytes())
 
 
-@pytest.mark.parametrize("cells", [1, 20_000, None])
+@pytest.mark.parametrize("cells", [1, 20_000, 100_000, None])
 @pytest.mark.parametrize("trend", ["price", "return"])
 def test_stacked_features_match_loop_reference_across_chunks(monkeypatch,
                                                              trend, cells):
-    # the 281 windows of a 300-day run at 10 assets, in chunks of one row,
-    # of 5 rows (20,000 cells at 3,610-4,000 per row) and of the default
+    # the 281 windows of a 300-day run at 10 assets, in chunks of m rows
+    # (the floor, which budgets of 1 and 20,000 cells fall to), of 25 or 27
+    # rows (100,000 cells at 3,610-4,000 per row) and of the default
     # budget's; each chunk edge sits between two exact rows
     if cells is not None:
         monkeypatch.setattr(features, "_STACK_CELLS", cells)
     m = 20 if trend == "price" else 19
-    assert 281 > 2 * max(1, features._STACK_CELLS // (m * m * 10))
+    assert 281 > 2 * max(m, features._STACK_CELLS // (m * m * 10))
     prices = make_prices(300, 10, seed=112).prices
     rows = window_features(prices, 20, trend)
     assert rows.shape == (281, FEATURES_PER_ASSET * 10)
@@ -169,6 +171,31 @@ def test_property_stacked_features_bit_exact_vs_loop_reference(
     for i, row in enumerate(rows):
         assert (row.tobytes()
                 == features_loop(prices[i: i + window], trend).tobytes())
+
+
+@pytest.mark.parametrize("window", [60, 150])
+@pytest.mark.parametrize("trend", ["price", "return"])
+def test_long_windows_match_loop_reference_on_a_tie_heavy_walk(trend, window):
+    # a walk rounded to a few price levels: long runs of tied days
+    prices = np.round(make_prices(400, 3, seed=31).prices, -1)
+    prices[:, 2] = prices[0, 2]  # one flat column
+    rows = window_features(prices, window, trend)
+    assert rows.shape[0] == 400 - window + 1
+    for i, row in enumerate(rows):
+        assert (row.tobytes()
+                == features_loop(prices[i: i + window], trend).tobytes())
+
+
+def test_stacked_pass_memory_stays_bounded():
+    # the peak of a 1309 x 50, window-20 pass; its output alone is 2.1 MB
+    prices = make_prices(1309, 50, seed=112).prices
+    tracemalloc.start()
+    try:
+        window_features(prices, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_rank_transform_stack_ranks_each_row():

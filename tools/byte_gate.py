@@ -8,12 +8,15 @@ seed-112 price CSVs of 1309 days by 10 and by 50 assets are written with
 checkout's then run the same commands with ``python -m rankfolio``, in the
 temporary directory: ``compare --strategies all``, ``sweep-fees --strategy
 olmar`` and ``backtest --strategy knn`` at both scales, ``backtest`` of mlp
-and bcrp, ``plotdata --strategy olmar`` and a ``knn:return`` backtest whose
-config file sets ``trend_feature = return``, each at 1309 x 10. Each output
-file is printed with ``equal`` or ``differs (max rel diff X)``. X is ``inf``
-when a difference is not numeric: a file on one side only, another shape, or
-other text. ``manifest.json`` is compared without ``generated_at`` and
-``data_file``. The exit status is 1 on any difference or failed command.
+and bcrp, ``plotdata --strategy olmar``, a ``knn:return`` backtest whose
+config file sets ``trend_feature = return``, and knn backtests with
+``--feature-window 2`` (the shortest window) and ``--feature-window 60`` (a
+window whose feature chunks hold the floor of one window length of rows),
+each at 1309 x 10. Each output file is printed with ``equal`` or ``differs
+(max rel diff X)``. X is ``inf`` when a difference is not numeric: a file on
+one side only, another shape, or other text. ``manifest.json`` is compared
+without ``generated_at`` and ``data_file``. The exit status is 1 on any
+difference or failed command.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ COMMANDS = (
     ("backtest_knn_50", 50, ("backtest", "--strategy", "knn")),
     ("backtest_knn_return_10", 10,
      ("backtest", "--strategy", "knn:return", "--config", "return.conf")),
+    ("backtest_knn_fw2_10", 10,
+     ("backtest", "--strategy", "knn", "--feature-window", "2")),
+    ("backtest_knn_fw60_10", 10,
+     ("backtest", "--strategy", "knn", "--feature-window", "60")),
 )
 
 # manifest fields that differ between any two runs
