@@ -140,15 +140,15 @@ def _returns_rows(result: BacktestResult) -> np.ndarray:
 
 
 def write_manifest(out_dir: Path, command: str, data_path: str,
-                   config: BacktestConfig, extra: dict) -> None:
-    digest = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()
+                   data_sha256: str, config: BacktestConfig,
+                   extra: dict) -> None:
     manifest = {
         "tool": "rankfolio",
         "version": __version__,
         "command": command,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "data_file": str(data_path),
-        "data_sha256": digest,
+        "data_sha256": data_sha256,
         "config": asdict(config),
         **extra,
     }
@@ -167,8 +167,9 @@ def _out_dir(args) -> Path:
 
 
 def _runs(args, *strategy_ids: str):
-    """The set-up of every runner command: (config, prices, the benchmark's
-    run, a lazy iterator of each id's run), all on one shared window.
+    """The set-up of every runner command: (config, prices, the SHA-256 of
+    the bytes they were read from, the benchmark's run, a lazy iterator of
+    each id's run), all on one shared window.
 
     The ids are spelled by ``spell_id``, deduplicated, sorted and built with
     the benchmark before any prices load, so a bad one is a usage error.
@@ -182,11 +183,13 @@ def _runs(args, *strategy_ids: str):
                         for strategy_id in (*strategy_ids, config.benchmark))
     except ValueError as exc:
         raise UsageError(str(exc))
-    matrix = load_csv(args.data)
+    digest = hashlib.sha256()
+    matrix = load_csv(args.data, digest)
     t_first, t_last = resolve_window(matrix, config, first_day)
     window = replace(config, start=matrix.dates[t_first - 1],
                      end=matrix.dates[t_last - 1])
-    return (config, matrix, run_backtest(matrix, config.benchmark, window),
+    return (config, matrix, digest.hexdigest(),
+            run_backtest(matrix, config.benchmark, window),
             (run_backtest(matrix, s, window) for s in strategy_ids))
 
 
@@ -194,7 +197,7 @@ def _runs(args, *strategy_ids: str):
 # commands
 
 def cmd_backtest(args) -> int:
-    config, _, bench, (result,) = _runs(args, args.strategy)
+    config, _, sha, bench, (result,) = _runs(args, args.strategy)
     report = result.report("net", bench.net)
 
     out = _out_dir(args)
@@ -204,7 +207,7 @@ def cmd_backtest(args) -> int:
                     _returns_rows(result))
     table = write_metrics_outputs(out, "metrics", "strategy",
                                   [(result.strategy, report)])
-    write_manifest(out, "backtest", args.data, config,
+    write_manifest(out, "backtest", args.data, sha, config,
                    {"strategy": result.strategy,
                     "trading_days": result.num_days,
                     "first_date": result.dates[0].isoformat(),
@@ -224,8 +227,8 @@ def _expand_strategy_list(spec: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    config, _, bench, runs = _runs(args,
-                                   *_expand_strategy_list(args.strategies))
+    config, _, sha, bench, runs = _runs(
+        args, *_expand_strategy_list(args.strategies))
     rows, returns = [], {}
     # every row runs before anything is written, so a failing strategy
     # leaves no output; each row keeps its report and return series only
@@ -238,7 +241,7 @@ def cmd_compare(args) -> int:
     for name, (dates, series) in returns.items():
         write_dated_csv(out / name, dates, _RETURN_SERIES, series)
     table = write_metrics_outputs(out, "compare", "strategy", rows)
-    write_manifest(out, "compare", args.data, config,
+    write_manifest(out, "compare", args.data, sha, config,
                    {"strategies": [r[0] for r in rows],
                     "first_date": bench.dates[0].isoformat(),
                     "last_date": bench.dates[-1].isoformat()})
@@ -267,7 +270,7 @@ def _parse_fees(text: str | None) -> list[float]:
 def cmd_sweep_fees(args) -> int:
     fees = _parse_fees(args.fees)
     # weights do not depend on fees, so run once and re-cost per fee
-    config, matrix, bench, (result,) = _runs(args, args.strategy)
+    config, matrix, sha, bench, (result,) = _runs(args, args.strategy)
     rows = []
     for fee in fees:
         bench_net = reprice(matrix, bench, fee).net
@@ -276,14 +279,14 @@ def cmd_sweep_fees(args) -> int:
 
     out = _out_dir(args)
     table = write_metrics_outputs(out, "sweep", "fee", rows)
-    write_manifest(out, "sweep-fees", args.data, config,
+    write_manifest(out, "sweep-fees", args.data, sha, config,
                    {"strategy": result.strategy, "fees": fees})
     print(table)
     return 0
 
 
 def cmd_plotdata(args) -> int:
-    config, matrix, bench, (result,) = _runs(args, args.strategy)
+    config, matrix, sha, bench, (result,) = _runs(args, args.strategy)
 
     out = _out_dir(args)
     write_dated_csv(out / "plot_prices.csv", matrix.dates, matrix.assets,
@@ -292,7 +295,7 @@ def cmd_plotdata(args) -> int:
     write_dated_csv(out / "plot_wealth.csv", result.dates,
                     ["strategy_wealth", "benchmark_wealth", "cumulative_excess"],
                     np.column_stack([result.wealth, bench.wealth, excess]))
-    write_manifest(out, "plotdata", args.data, config,
+    write_manifest(out, "plotdata", args.data, sha, config,
                    {"strategy": result.strategy, "benchmark": config.benchmark})
     print(f"wrote plot_prices.csv and plot_wealth.csv to {out}")
     return 0

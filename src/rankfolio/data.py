@@ -9,8 +9,10 @@ but duplicate dates are an error.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import islice
@@ -74,7 +76,7 @@ class PriceMatrix:
         return self.prices.shape[1]
 
 
-def load_csv(path: str | Path) -> PriceMatrix:
+def load_csv(path: str | Path, digest=None) -> PriceMatrix:
     """Read a price matrix from ``path``.
 
     Raises ValueError with the offending line number and column name for
@@ -82,55 +84,116 @@ def load_csv(path: str | Path) -> PriceMatrix:
     unparseable numbers, non-positive or non-finite prices, and duplicate
     dates; the first fault in file order is reported. A cell is a number in
     Python ``float``'s grammar. Rows are sorted by date.
+
+    The file is read once. numpy's C reader parses a plain file. A file it
+    refuses, or one with a fault, is parsed again from the same bytes by a
+    ``csv.reader`` loop: it alone reads quoted cells and the rest of
+    ``float``'s grammar (``1_000.5``, fullwidth digits), and it names the
+    first fault. Both give the same matrix. ``digest``, a hashlib object,
+    is updated with the bytes read, since a pipe cannot be read twice.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [cell.strip() for cell in header]
-        if not header or header[0] != "date":
-            raise ValueError(f"{path}: line 1: first column must be 'date'")
-        assets = header[1:]
-        if not assets:
-            raise ValueError(f"{path}: line 1: no asset columns")
-        if "" in assets:
-            raise ValueError(f"{path}: line 1: empty asset name in column "
-                             f"{assets.index('') + 2}")
-        if len(set(assets)) != len(assets):
-            raise ValueError(f"{path}: line 1: duplicate asset columns")
+    raw = path.read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    text = io.TextIOWrapper(io.BytesIO(raw), newline="")  # as open() reads
+    try:
+        return _load_plain(path, raw, text.encoding)
+    except ValueError:
+        pass
+    return _load_rows(path, text)
 
-        # rows are converted as they are read and their prices checked as
-        # one block: at the end, or before a malformed line's error, which
-        # must not hide a bad price on an earlier line
-        dates: list[date] = []
-        linenos: list[int] = []
-        rows: list[np.ndarray] = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            where = f"{path}: line {lineno}"
+
+def _assets(path: Path, header: list[str]) -> list[str]:
+    """The asset names of the header's cells, or ValueError naming its
+    fault."""
+    header = [cell.strip() for cell in header]
+    if not header or header[0] != "date":
+        raise ValueError(f"{path}: line 1: first column must be 'date'")
+    assets = header[1:]
+    if not assets:
+        raise ValueError(f"{path}: line 1: no asset columns")
+    if "" in assets:
+        raise ValueError(f"{path}: line 1: empty asset name in column "
+                         f"{assets.index('') + 2}")
+    if len(set(assets)) != len(assets):
+        raise ValueError(f"{path}: line 1: duplicate asset columns")
+    return assets
+
+
+def _ordinal(cell: str) -> int:
+    return date.fromisoformat(cell.strip()).toordinal()
+
+
+# a byte that is not a line end: loadtxt warns on a file with no data row
+_ROW_BYTE = re.compile(rb"[^\r\n]")
+
+# numpy's float parser strips these as white space around a number, and
+# float() does not
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+
+
+def _load_plain(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
+    """The matrix in ``raw``, parsed by ``np.loadtxt`` with each date as its
+    ordinal and checked by ``PriceMatrix``. Any ValueError sends the text
+    to the csv loop: a header csv might not split at its commas alone, no
+    data row, a separator byte, a line loadtxt refuses (a quoted cell,
+    ``1_000.5``, a blank-looking row, a lone CR), or a fault."""
+    buf = io.BytesIO(raw)
+    header = buf.readline().decode(encoding)
+    header = header.removesuffix("\n").removesuffix("\r")
+    if (any(c in header for c in '"\r\x00')
+            or not _ROW_BYTE.search(raw, buf.tell())
+            or any(byte in raw for byte in _SEPARATORS)):
+        raise ValueError("not a plain file")
+    assets = _assets(path, header.split(","))
+    block = np.loadtxt(buf, dtype=np.float64, delimiter=",", comments=None,
+                       converters={0: _ordinal}, ndmin=2, encoding=encoding)
+    order = np.argsort(block[:, 0])
+    days = block[order, 0].astype(int).tolist()
+    return PriceMatrix(dates=tuple(map(date.fromordinal, days)),
+                       assets=tuple(assets), prices=block[order, 1:])
+
+
+def _load_rows(path: Path, text) -> PriceMatrix:
+    """The matrix in ``text``, read row by row by ``csv.reader``, or the
+    ValueError of its first fault in file order."""
+    reader = csv.reader(text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    assets = _assets(path, header)
+
+    # rows are converted as they are read and their prices checked as one
+    # block: at the end, or before a malformed line's error, which must not
+    # hide a bad price on an earlier line
+    dates: list[date] = []
+    linenos: list[int] = []
+    rows: list[np.ndarray] = []
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        where = f"{path}: line {lineno}"
+        try:
+            if len(cells) != len(assets) + 1:
+                raise ValueError(f"{where}: expected {len(assets) + 1} "
+                                 f"fields, got {len(cells)}")
             try:
-                if len(cells) != len(header):
-                    raise ValueError(f"{where}: expected {len(header)} "
-                                     f"fields, got {len(cells)}")
-                try:
-                    day = date.fromisoformat(cells[0].strip())
-                except ValueError:
-                    raise ValueError(f"{where}: bad date {cells[0]!r}") from None
-                try:
-                    values = np.array(cells[1:], dtype=np.float64)
-                except ValueError:  # the cells before the bad one come first
-                    values = np.array([_price(where, sym, cell) for sym, cell
-                                       in zip(assets, cells[1:])])
+                day = date.fromisoformat(cells[0].strip())
             except ValueError:
-                _check_prices(path, assets, linenos, np.array(rows))
-                raise
-            dates.append(day)
-            linenos.append(lineno)
-            rows.append(values)
+                raise ValueError(f"{where}: bad date {cells[0]!r}") from None
+            try:
+                values = np.array(cells[1:], dtype=np.float64)
+            except ValueError:  # the cells before the bad one come first
+                values = np.array([_price(where, sym, cell) for sym, cell
+                                   in zip(assets, cells[1:])])
+        except ValueError:
+            _check_prices(path, assets, linenos, np.array(rows))
+            raise
+        dates.append(day)
+        linenos.append(lineno)
+        rows.append(values)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")

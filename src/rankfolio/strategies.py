@@ -350,16 +350,23 @@ class Olmar(Strategy):
         yield from repeat(w, m - 1)
         windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
         for s in range(0, len(windows), _MEDIAN_BLOCK):
-            x_hats = self._targets(windows[s: s + _MEDIAN_BLOCK])
-            devs = x_hats - x_hats.mean(axis=1, keepdims=True)
-            # one BLAS dot per row, the same bytes as devs[i] @ devs[i]
-            sqs = np.matmul(devs[:, None, :], devs[:, :, None])[:, 0, 0]
-            for x_hat, dev, sq in zip(x_hats, devs, sqs):
-                gap = self.eps - float(w @ x_hat)
-                # a NaN gap or norm fails both tests and reaches the projection
-                if not (gap <= 0 or sq < _NULL_DIRECTION):
-                    w = project_to_simplex(w + (gap / sq) * dev)
-                yield w
+            w = yield from self._block(w, windows[s: s + _MEDIAN_BLOCK])
+
+    def _block(self, w, windows):
+        """Yield the weights of the days that ``windows`` drive, from the
+        weights ``w`` of the day before; return the last. The block's
+        arrays die with this generator, before the next block's exist."""
+        x_hats = self._targets(windows)
+        devs = x_hats - x_hats.mean(axis=1, keepdims=True)
+        # one BLAS dot per row, the same bytes as devs[i] @ devs[i]
+        sqs = np.matmul(devs[:, None, :], devs[:, :, None])[:, 0, 0]
+        for x_hat, dev, sq in zip(x_hats, devs, sqs):
+            gap = self.eps - float(w @ x_hat)
+            # a NaN gap or norm fails both tests and reaches the projection
+            if not (gap <= 0 or sq < _NULL_DIRECTION):
+                w = project_to_simplex(w + (gap / sq) * dev)
+            yield w
+        return w
 
     @staticmethod
     def _targets(windows: np.ndarray) -> np.ndarray:

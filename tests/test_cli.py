@@ -167,12 +167,28 @@ def test_backtest_manifest(data_csv, tmp_path):
     assert manifest["version"] == __version__
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_manifest_hashes_the_bytes_read_from_a_pipe(data_csv, tmp_path):
+    # the digest is taken from the loader's one read: hashing the path
+    # again after the run read the drained pipe, the digest of no bytes
+    body = data_csv.read_bytes()
+    read, write = os.pipe()
+    os.write(write, body)
+    os.close(write)
+    try:
+        assert run_cli("backtest", "--data", f"/dev/fd/{read}",
+                       "--strategy", "ucrp", "--out", tmp_path / "out") == 0
+    finally:
+        os.close(read)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["data_sha256"] == hashlib.sha256(body).hexdigest()
+
+
 def test_write_manifest_echoes_the_config_as_json(tmp_path):
     # every config field, its dates as ISO strings and its tuples as lists
-    data = tmp_path / "prices.csv"
-    data.write_text("date,a\n")
     cfg = BacktestConfig(start=date(2024, 1, 2), mlp_hidden=(10, 5))
-    write_manifest(tmp_path, "backtest", str(data), cfg, {"strategy": "eg"})
+    write_manifest(tmp_path, "backtest", "prices.csv", "0" * 64, cfg,
+                   {"strategy": "eg"})
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     echoed = manifest.pop("config")
     assert echoed["start"] == "2024-01-02"

@@ -1,6 +1,9 @@
 """Price matrix loading, validation, and return extraction."""
 
+import csv
 import os
+import tracemalloc
+import warnings
 from datetime import date
 
 import numpy as np
@@ -124,25 +127,32 @@ def test_load_from_a_pipe_quotes_a_bad_price_by_its_value():
         os.close(read)
 
 
-# cells that parse (Python float's grammar: underscores, padding, a sign, a
-# quoted cell) and cells that the loader rejects, and dates likewise; the
-# pool of good dates is small, so drawn rows repeat and disorder dates
-GOOD_CELLS = ("1_000.5", " 7 ", "+2", '"5"', "0.25", "3e2")
-BAD_CELLS = ("1e999", "nan", "-inf", "0", "-3", "abc", "")
+# cells that parse (Python float's grammar: underscores, padding, a sign,
+# fullwidth digits, a quoted cell) and cells that the loader rejects, and
+# dates likewise; the pool of good dates is small, so drawn rows repeat and
+# disorder dates. Plain cells are the ones numpy's C reader reads too.
+PLAIN_CELLS = ("0.25", "3e2", "7", "+2", " 7 ", "1.5E-3")
+GOOD_CELLS = ("1_000.5", '"5"', "\uff11\uff12.5", *PLAIN_CELLS)
+# numpy's float parser reads "5\x1c" as 5, and float() rejects it
+BAD_CELLS = ("1e999", "nan", "-inf", "Infinity", "0", "-3", "abc", "",
+             "5\x1c")
 GOOD_DATES = ("2024-01-01", "2024-01-02", " 2024-01-03", "2024-01-04")
 BAD_DATES = ("2024-13-01", "x", "")
+# line ends: a lone CR ends a line for csv; a form feed or \x1c does not,
+# though str.splitlines splits there
+LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0c", "\x1c")
 
 
 @st.composite
 def csv_texts(draw):
-    """CSV text of 1-3 assets whose lines may be blank, ragged, or carry a
-    bad date or bad cells; several faults on different lines pin which one
-    is reported."""
+    """CSV text of 1-3 assets whose lines may be blank, ragged, commented
+    out, end in a comma, or carry a bad date or bad cells, and end in any
+    line end; several faults on different lines pin which one is reported."""
     assets = draw(st.integers(1, 3))
     lines = ["date," + ",".join("ABC"[:assets])]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("row", "row", "blank", "ragged",
-                                     "bad date", "bad cells")))
+                                     "bad date", "bad cells", "#", ",")))
         if kind == "blank":
             lines.append(draw(st.sampled_from(("", "  "))))
             continue
@@ -151,16 +161,39 @@ def csv_texts(draw):
         width = assets + (draw(st.sampled_from((-1, 1))) if kind == "ragged"
                           else 0)
         cells = GOOD_CELLS + (BAD_CELLS if kind == "bad cells" else ())
-        lines.append(",".join([day, *(draw(st.sampled_from(cells))
-                                      for _ in range(width))]))
-    return "\n".join(lines) + "\n"
+        line = ",".join([day, *(draw(st.sampled_from(cells))
+                                for _ in range(width))])
+        lines.append({"#": "#" + line, ",": line + ","}.get(kind, line))
+    # the header ends at a line end: run into a row, it could take a blank
+    # cell as an asset name, which the oracle does not check
+    ends = [draw(st.sampled_from(LINE_ENDS[:4])),
+            *(draw(st.sampled_from(LINE_ENDS)) for _ in lines[1:])]
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
-@given(csv_texts())
-@settings(max_examples=400, deadline=None)
+@st.composite
+def plain_csv_texts(draw):
+    """CSV text that numpy's C reader reads: 1-3 assets, rows of distinct
+    dates in any order with plain cells, LF or CRLF line ends, and blank
+    lines."""
+    assets = draw(st.integers(1, 3))
+    days = draw(st.lists(st.dates(date(2000, 1, 1), date(2030, 12, 31)),
+                         min_size=1, max_size=6, unique=True))
+    lines = ["date," + ",".join("ABC"[:assets])]
+    for day in days:
+        if draw(st.booleans()):
+            lines.append("")
+        lines.append(",".join([day.isoformat(), *(
+            draw(st.sampled_from(PLAIN_CELLS)) for _ in range(assets))]))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end
+
+
+@given(st.one_of(csv_texts(), plain_csv_texts()))
+@settings(max_examples=600, deadline=None)
 def test_property_load_csv_matches_the_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "drawn.csv"
-    path.write_text(text)
+    path.write_text(text, newline="")
 
     def outcome(load):
         try:
@@ -168,7 +201,44 @@ def test_property_load_csv_matches_the_loop(tmp_path_factory, text):
         except ValueError as exc:
             return str(exc)
         return matrix.dates, matrix.assets, matrix.prices.tobytes()
-    assert outcome(load_csv) == outcome(load_csv_loop)
+    # neither reader may warn: loadtxt does on a file without data rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(load_csv) == outcome(load_csv_loop)
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """A plain 1309 x 50 price file, as the benchmark writes."""
+    path = tmp_path_factory.mktemp("wide") / "prices.csv"
+    write_csv(make_prices(1309, 50, seed=112), path)
+    return path
+
+
+def test_a_plain_file_never_reaches_the_csv_loop(wide_csv, monkeypatch):
+    # a silent fallback would keep the bytes and lose the C reader's speed
+    expected = load_csv_loop(wide_csv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader read a plain file")
+    monkeypatch.setattr(csv, "reader", refuse)
+    matrix = load_csv(wide_csv)
+    assert matrix.dates == expected.dates
+    assert matrix.assets == expected.assets
+    assert matrix.prices.tobytes() == expected.prices.tobytes()
+
+
+def test_load_csv_memory_of_a_wide_file(wide_csv):
+    # the file's bytes, numpy's parse of them and the sorted copy of the
+    # prices: about 2 MiB
+    load_csv(wide_csv)
+    tracemalloc.start()
+    try:
+        load_csv(wide_csv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_load_rejects_ragged_row(tmp_path):

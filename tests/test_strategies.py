@@ -312,10 +312,11 @@ def test_up_memory_is_one_block_above_samples_and_outputs(monkeypatch):
 
 
 def test_pamr_memory_is_its_output_and_one_block_of_windows():
-    # a 1309-day, 50-asset run holds its output and at most five
-    # (_MEDIAN_BLOCK, n) arrays: one block's targets and deviations, the
-    # previous block's until they are replaced, and the division's
-    # temporary; the 64 KB allow for Python's own objects
+    # a 1309-day, 50-asset run holds its output and at most three
+    # (_MEDIAN_BLOCK, n) arrays: one block's targets and deviations, or its
+    # targets and the division's temporary; the previous block's are gone
+    # before the next block's targets exist. The 64 KB allow for Python's
+    # own objects
     days, n = 1309, 50
     prices = make_prices(days, n, seed=112).prices
     tracemalloc.start()
@@ -324,7 +325,7 @@ def test_pamr_memory_is_its_output_and_one_block_of_windows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (days * n + 5 * strategies._MEDIAN_BLOCK * n) + 65_536
+    assert peak <= 8 * (days * n + 3 * strategies._MEDIAN_BLOCK * n) + 65_536
 
 
 def test_up_seed_changes_output(walk):

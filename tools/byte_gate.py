@@ -4,23 +4,26 @@
 
 ``git archive REV src`` is unpacked into a temporary directory, and the
 seed-112 price CSVs of 1309 days by 10 and by 50 assets are written with
-``perfbench/workloads.write_prices``. The revision's ``src`` and this
-checkout's then run the same commands with ``python -m rankfolio``, in the
-temporary directory: ``compare --strategies all``, ``sweep-fees --strategy
-olmar`` and ``backtest --strategy knn`` at both scales, ``backtest`` of mlp
-and bcrp, ``plotdata --strategy olmar``, a ``knn:return`` backtest whose
-config file sets ``trend_feature = return``, and knn backtests with
-``--feature-window 2`` (the shortest window) and ``--feature-window 60`` (a
-window whose feature chunks hold the floor of one window length of rows),
-each at 1309 x 10. Each output file is printed with ``equal`` or ``differs
-(max rel diff X)``. X is ``inf`` when a difference is not numeric: a file on
-one side only, another shape, or other text. ``manifest.json`` is compared
-without ``generated_at`` and ``data_file``. The exit status is 1 on any
-difference or failed command.
+``perfbench/workloads.write_prices``, with the 1309 x 10 prices also spelled
+as only the csv loop of ``load_csv`` reads them: every cell quoted, CRLF
+line ends. The revision's ``src`` and this checkout's then run the same 13
+commands with ``python -m rankfolio``, in the temporary directory:
+``compare --strategies all``, ``sweep-fees --strategy olmar`` and
+``backtest --strategy knn`` at both scales, ``backtest`` of mlp and bcrp,
+``plotdata --strategy olmar``, a ``knn:return`` backtest whose config file
+sets ``trend_feature = return``, knn backtests with ``--feature-window 2``
+(the shortest window) and ``--feature-window 60`` (a window whose feature
+chunks hold the floor of one window length of rows), each at 1309 x 10,
+and a knn backtest on the quoted spelling. Each output file is printed with
+``equal`` or ``differs (max rel diff X)``. X is ``inf`` when a difference is
+not numeric: a file on one side only, another shape, or other text.
+``manifest.json`` is compared without ``generated_at`` and ``data_file``.
+The exit status is 1 on any difference or failed command.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -31,23 +34,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (output directory, price CSV's asset count, CLI arguments)
+# (output directory, price CSV, CLI arguments)
 COMMANDS = (
-    ("compare_all_10", 10, ("compare", "--strategies", "all")),
-    ("sweep_fees_olmar_10", 10, ("sweep-fees", "--strategy", "olmar")),
-    ("compare_all_50", 50, ("compare", "--strategies", "all")),
-    ("sweep_fees_olmar_50", 50, ("sweep-fees", "--strategy", "olmar")),
-    ("backtest_mlp_10", 10, ("backtest", "--strategy", "mlp")),
-    ("backtest_knn_10", 10, ("backtest", "--strategy", "knn")),
-    ("backtest_bcrp_10", 10, ("backtest", "--strategy", "bcrp")),
-    ("plotdata_olmar_10", 10, ("plotdata", "--strategy", "olmar")),
-    ("backtest_knn_50", 50, ("backtest", "--strategy", "knn")),
-    ("backtest_knn_return_10", 10,
+    ("compare_all_10", "prices_10.csv", ("compare", "--strategies", "all")),
+    ("sweep_fees_olmar_10", "prices_10.csv",
+     ("sweep-fees", "--strategy", "olmar")),
+    ("compare_all_50", "prices_50.csv", ("compare", "--strategies", "all")),
+    ("sweep_fees_olmar_50", "prices_50.csv",
+     ("sweep-fees", "--strategy", "olmar")),
+    ("backtest_mlp_10", "prices_10.csv", ("backtest", "--strategy", "mlp")),
+    ("backtest_knn_10", "prices_10.csv", ("backtest", "--strategy", "knn")),
+    ("backtest_bcrp_10", "prices_10.csv", ("backtest", "--strategy", "bcrp")),
+    ("plotdata_olmar_10", "prices_10.csv",
+     ("plotdata", "--strategy", "olmar")),
+    ("backtest_knn_50", "prices_50.csv", ("backtest", "--strategy", "knn")),
+    ("backtest_knn_return_10", "prices_10.csv",
      ("backtest", "--strategy", "knn:return", "--config", "return.conf")),
-    ("backtest_knn_fw2_10", 10,
+    ("backtest_knn_fw2_10", "prices_10.csv",
      ("backtest", "--strategy", "knn", "--feature-window", "2")),
-    ("backtest_knn_fw60_10", 10,
+    ("backtest_knn_fw60_10", "prices_10.csv",
      ("backtest", "--strategy", "knn", "--feature-window", "60")),
+    ("backtest_knn_quoted_10", "prices_10_quoted.csv",
+     ("backtest", "--strategy", "knn")),
 )
 
 # manifest fields that differ between any two runs
@@ -106,15 +114,23 @@ def compare_trees(base: Path, head: Path) -> dict[str, str]:
     return verdicts
 
 
-def _run_all(src: Path, data: dict[int, Path], out: Path) -> bool:
+def _write_quoted(plain: Path, quoted: Path) -> None:
+    """Spell the price CSV ``plain`` with every cell quoted and CRLF line
+    ends."""
+    with open(plain, newline="") as src, open(quoted, "w", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL,
+                   lineterminator="\r\n").writerows(csv.reader(src))
+
+
+def _run_all(src: Path, out: Path) -> bool:
     """Runs every command on one tree's ``src`` in the directory that holds
-    ``out``; False if any fails."""
+    ``out`` and the price CSVs; False if any fails."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     ok = True
-    for label, assets, argv in COMMANDS:
+    for label, prices, argv in COMMANDS:
         done = subprocess.run(
             [sys.executable, "-m", "rankfolio", *argv,
-             "--data", str(data[assets]), "--out", str(out / label)],
+             "--data", str(out.parent / prices), "--out", str(out / label)],
             env=env, cwd=out.parent, capture_output=True, text=True)
         if done.returncode != 0:
             print(f"{out.name}/{label}: exit {done.returncode}: "
@@ -136,14 +152,14 @@ def main(argv: list[str]) -> int:
         (tmp / "rev").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive,
                        check=True)
-        data = {}
         for assets in (10, 50):
-            data[assets] = tmp / f"prices_{DAYS}x{assets}.csv"
-            write_prices(data[assets], DAYS, assets, DEFAULT_SEED)
+            write_prices(tmp / f"prices_{assets}.csv", DAYS, assets,
+                         DEFAULT_SEED)
+        _write_quoted(tmp / "prices_10.csv", tmp / "prices_10_quoted.csv")
         # the config file of backtest_knn_return_10
         (tmp / "return.conf").write_text("trend_feature = return\n")
-        ok = _run_all(tmp / "rev" / "src", data, tmp / "base")
-        ok = _run_all(ROOT / "src", data, tmp / "head") and ok
+        ok = _run_all(tmp / "rev" / "src", tmp / "base")
+        ok = _run_all(ROOT / "src", tmp / "head") and ok
         verdicts = compare_trees(tmp / "base", tmp / "head")
     for name, verdict in verdicts.items():
         print(f"{name}: {verdict}")
