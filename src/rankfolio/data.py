@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -89,19 +89,21 @@ def load_csv(path: str | Path, digest=None) -> PriceMatrix:
     refuses, or one with a fault, is parsed again from the same bytes by a
     ``csv.reader`` loop: it alone reads quoted cells and the rest of
     ``float``'s grammar (``1_000.5``, fullwidth digits), and it names the
-    first fault. Both give the same matrix. ``digest``, a hashlib object,
-    is updated with the bytes read, since a pipe cannot be read twice.
+    first fault, a byte that does not decode and a record that ``csv``
+    refuses among them. Both give the same matrix. ``digest``, a hashlib
+    object, is updated with the bytes read, since a pipe cannot be read
+    twice.
     """
     path = Path(path)
     raw = path.read_bytes()
     if digest is not None:
         digest.update(raw)
-    text = io.TextIOWrapper(io.BytesIO(raw), newline="")  # as open() reads
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # as open() reads
     try:
-        return _load_plain(path, raw, text.encoding)
+        return _load_plain(path, raw, encoding)
     except ValueError:
         pass
-    return _load_rows(path, text)
+    return _load_rows(path, raw, encoding)
 
 
 def _assets(path: Path, header: list[str]) -> list[str]:
@@ -155,27 +157,45 @@ def _load_plain(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
                        assets=tuple(assets), prices=block[order, 1:])
 
 
-def _load_rows(path: Path, text) -> PriceMatrix:
-    """The matrix in ``text``, read row by row by ``csv.reader``, or the
-    ValueError of its first fault in file order."""
-    reader = csv.reader(text)
+def _records(path: Path, raw: bytes, encoding: str):
+    """(line number, cells) of each ``csv.reader`` record of ``raw``, whose
+    lines are decoded one at a time where ``open(path, newline="")`` ends
+    them; a line that does not decode, or a record that ``csv`` refuses
+    (such as a field over ``csv.field_size_limit()``), is a ValueError
+    naming its line."""
+    reader = csv.reader(line.decode(encoding)
+                        for line in raw.splitlines(keepends=True))
+    for lineno in count(1):
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        yield lineno, cells
+
+
+def _load_rows(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
+    """The matrix in ``raw``, read record by record by ``csv.reader``, or
+    the ValueError of its first fault in file order."""
+    records = _records(path, raw, encoding)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
     assets = _assets(path, header)
 
     # rows are converted as they are read and their prices checked as one
-    # block: at the end, or before a malformed line's error, which must not
+    # block: at the end, or before a later line's error, which must not
     # hide a bad price on an earlier line
     dates: list[date] = []
     linenos: list[int] = []
     rows: list[np.ndarray] = []
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells or (len(cells) == 1 and not cells[0].strip()):
-            continue
-        where = f"{path}: line {lineno}"
-        try:
+    try:
+        for lineno, cells in records:
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            where = f"{path}: line {lineno}"
             if len(cells) != len(assets) + 1:
                 raise ValueError(f"{where}: expected {len(assets) + 1} "
                                  f"fields, got {len(cells)}")
@@ -188,12 +208,12 @@ def _load_rows(path: Path, text) -> PriceMatrix:
             except ValueError:  # the cells before the bad one come first
                 values = np.array([_price(where, sym, cell) for sym, cell
                                    in zip(assets, cells[1:])])
-        except ValueError:
-            _check_prices(path, assets, linenos, np.array(rows))
-            raise
-        dates.append(day)
-        linenos.append(lineno)
-        rows.append(values)
+            dates.append(day)
+            linenos.append(lineno)
+            rows.append(values)
+    except ValueError:
+        _check_prices(path, assets, linenos, np.array(rows))
+        raise
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -225,14 +245,15 @@ def _check_prices(path: Path, assets: list[str], linenos: list[int],
                   block: np.ndarray) -> None:
     """Raise the error of the first non-finite or non-positive price of
     ``block``, whose rows were read from lines ``linenos`` of ``path``.
-    The error quotes the cell as written, read again from a regular file;
-    a pipe cannot be read twice, so from one it quotes the value."""
+    The error quotes the cell as written, read again from a regular file
+    (whose later lines need not decode); a pipe cannot be read twice, so
+    from one it quotes the value."""
     bad = ~(np.isfinite(block) & (block > 0))
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), len(assets))
         lineno, cell = linenos[row], str(block[row, col])
         if path.is_file():
-            with open(path, newline="") as fh:
+            with open(path, newline="", errors="surrogateescape") as fh:
                 cell = next(islice(csv.reader(fh), lineno - 1, None))[col + 1]
         _price(f"{path}: line {lineno}", assets[col], cell)
 

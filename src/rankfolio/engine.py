@@ -271,6 +271,25 @@ class BacktestConfig:
         self.benchmark = spell_id(self.benchmark)
 
 
+def _decay_terms(alpha: float, length: int) -> tuple[list[float], list[float]]:
+    """The decay blend's coefficients ``alpha ** j`` for j = 1..length, and
+    its divisors after 0..length terms, summed in the blend's order."""
+    coefs = [alpha ** j for j in range(1, length + 1)]
+    denoms = [1.0]
+    for coef in coefs:
+        denoms.append(denoms[-1] + coef)
+    return coefs, denoms
+
+
+def _blend(row: np.ndarray, recent, coefs: list[float],
+           denoms: list[float]) -> None:
+    """Smooth ``row`` in place with the ``recent`` rows, most recent first,
+    up to ``len(coefs)`` of them: the one copy of the decay arithmetic."""
+    for coef, previous in zip(coefs, recent):
+        row += coef * previous
+    row /= denoms[min(len(coefs), len(recent))]
+
+
 def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,
                 alpha: float, length: int) -> np.ndarray:
     """Exponentially decayed blend of the prediction with recent outputs.
@@ -279,13 +298,10 @@ def apply_decay(previous: list[np.ndarray] | np.ndarray, predicted: np.ndarray,
     or a run's rows); during warm-up fewer than ``length`` entries exist and
     the divisor shrinks to match, keeping the result a convex combination.
     """
-    smoothed = np.asarray(predicted, dtype=np.float64).copy()
-    denom = 1.0
-    for i in range(1, min(length, len(previous)) + 1):
-        coef = alpha ** i
-        smoothed += coef * previous[i - 1]
-        denom += coef
-    return smoothed / denom
+    smoothed = np.array(predicted, dtype=np.float64)
+    _blend(smoothed, previous,
+           *_decay_terms(alpha, min(length, len(previous))))
+    return smoothed
 
 
 def account(weights: np.ndarray,
@@ -466,10 +482,12 @@ def run_backtest(matrix: PriceMatrix, strategy_id: str,
                          f"on {day.isoformat()}")
     held_weights = raw.copy()
     if (strategy.decays or config.decay_classic) and config.decay_len > 0:
-        for i, predicted in enumerate(raw):  # recent rows, most recent first
-            recent = held_weights[max(0, i - config.decay_len):i][::-1]
-            held_weights[i] = apply_decay(recent, predicted, config.decay_alpha,
-                                          config.decay_len)
+        # apply_decay's terms and kernel, run on each row in place: the
+        # same bytes as apply_decay on a list of the earlier held rows
+        terms = _decay_terms(config.decay_alpha,
+                             min(config.decay_len, len(raw)))
+        for i, row in enumerate(held_weights):  # recent rows, most recent first
+            _blend(row, held_weights[i - 1::-1] if i else (), *terms)
 
     with _naming_the_run(strategy_id, config):
         gross, turnover = account(held_weights, prices[t_first - 1: t_last + 1])

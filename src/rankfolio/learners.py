@@ -59,9 +59,16 @@ def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,
     """Mean target over the k training rows nearest each query (Euclidean):
     an (r, d) stack of queries gives (r, targets) rows, one query one row.
 
-    Distance ties resolve to the earliest training row.
+    Distance ties resolve to the earliest training row. The differences are
+    formed and squared in one (r, rows, d) scratch array: each query
+    repeated once per training row, then the training rows subtracted in
+    runs of rows x d cells, not one run of d cells per training row as a
+    broadcast against the queries makes.
     """
-    d2 = ((train_features - queries[..., None, :]) ** 2).sum(axis=-1)
+    diff = np.repeat(queries[..., None, :], len(train_features), axis=-2)
+    diff = diff.astype(np.result_type(train_features, queries), copy=False)
+    np.subtract(train_features, diff, out=diff)
+    d2 = np.square(diff, out=diff).sum(axis=-1)
     order = np.argsort(d2, axis=-1, kind="stable")[..., :k]
     return train_targets[order].mean(axis=-2)
 
@@ -131,8 +138,10 @@ class RankForecastStrategy(Strategy):
             train = np.stack([feats[i: i + lookback] for i in block])
             mean = train.mean(axis=1)
             std = np.maximum(train.std(axis=1), EPS)
-            self.learner.fit((train - mean[:, None]) / std[:, None],
-                             np.stack([targets[i: i + lookback] for i in block]))
+            train -= mean[:, None]
+            train /= std[:, None]
+            self.learner.fit(train, np.stack([targets[i: i + lookback]
+                                              for i in block]))
             for b, i in enumerate(block):
                 j = min(i + self.refit_interval, days)
                 rows = feats[i + lookback: j + lookback]

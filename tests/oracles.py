@@ -711,6 +711,9 @@ def load_csv_loop(path):
         assets = header[1:]
         if not assets:
             raise ValueError(f"{path}: line 1: no asset columns")
+        if "" in assets:
+            raise ValueError(f"{path}: line 1: empty asset name in column "
+                             f"{assets.index('') + 2}")
         if len(set(assets)) != len(assets):
             raise ValueError(f"{path}: line 1: duplicate asset columns")
 

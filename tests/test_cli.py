@@ -1,6 +1,7 @@
 """Command line behavior: files, formats, exit codes, precedence."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -268,6 +269,29 @@ def test_exit_codes(data_csv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("backtest")  # argparse handles missing --data
     assert exc.value.code == 2
+
+
+def test_over_long_cell_exits_1_with_one_error_line(tmp_path, capsys):
+    # csv refuses a field over csv.field_size_limit(); its csv.Error, not a
+    # ValueError, used to end the command in a traceback
+    data = tmp_path / "big.csv"
+    data.write_text('date,A\n2024-01-01,"1.' + "0" * 140_000 + '"\n')
+    assert run_cli("validate", "--data", data) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: line 2: field larger than field limit "
+        f"({csv.field_size_limit()})"]
+
+
+@pytest.mark.skipif(io.TextIOWrapper(io.BytesIO()).encoding.lower()
+                    not in ("utf-8", "utf8"),
+                    reason="byte 0xff decodes in this locale's encoding")
+def test_undecodable_byte_names_the_file_and_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"date,A,B\n2024-01-01,1,2\n2024-01-02,1,\xff\n")
+    assert run_cli("validate", "--data", data) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {data}: line 3: 'utf-8' codec can't decode byte 0xff in "
+        f"position 13: invalid start byte"]
 
 
 # every config field with a run flag: (its flag, a valid value other than its

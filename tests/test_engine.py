@@ -614,9 +614,11 @@ def test_decays_attribute_picks_the_smoothed_strategies(monkeypatch):
 
 @pytest.mark.parametrize("strategy, decay_classic", [("knn", False),
                                                      ("olmar", True)])
-@pytest.mark.parametrize("decay_len", [0, 1, 3, 500])
+@pytest.mark.parametrize("decay_len", [0, 1, 2, 3, 4, 500])
 def test_decay_matches_list_reference(strategy, decay_classic, decay_len):
-    # decay_len 500 outlasts the run, so every day blends all earlier rows
+    # the run smooths its rows in place, and the oracle through apply_decay
+    # on a list: both must give the same bytes. decay_len 500 outlasts the
+    # run, so every day blends all earlier rows
     pm = make_prices(70, 3, seed=28)
     for alpha in (0.0, *np.random.default_rng(decay_len).uniform(0, 1, 3)):
         cfg = BacktestConfig(decay_alpha=alpha, decay_len=decay_len,

@@ -1,5 +1,7 @@
 """Nearest-neighbor regression against an exhaustive oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,24 @@ def test_matches_exhaustive_oracle_byte_exact():
             got = knn_predict(feats, targets, q, k)
             want = oracles.knn_oracle(feats, targets, q, k)
             assert got.tobytes() == want.tobytes()
+
+
+def test_scoring_a_refit_holds_one_difference_stack():
+    # one refit's 10 queries against 80 training rows of 40 features: the
+    # differences are squared where they lie, so the peak is one (10, 80,
+    # 40) float64 stack and small arrays, not the differences and their
+    # squares side by side (2x)
+    rng = np.random.default_rng(3)
+    train = rng.normal(size=(80, 40))
+    targets = rng.normal(size=(80, 10))
+    queries = rng.normal(size=(10, 40))
+    tracemalloc.start()
+    try:
+        knn_predict(train, targets, queries, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 10 * 80 * 40
 
 
 def test_k_equals_one_returns_nearest_row():

@@ -6,17 +6,19 @@
 seed-112 price CSVs of 1309 days by 10 and by 50 assets are written with
 ``perfbench/workloads.write_prices``, with the 1309 x 10 prices also spelled
 as only the csv loop of ``load_csv`` reads them: every cell quoted, CRLF
-line ends. The revision's ``src`` and this checkout's then run the same 13
+line ends. The revision's ``src`` and this checkout's then run the same 14
 commands with ``python -m rankfolio``, in the temporary directory:
 ``compare --strategies all``, ``sweep-fees --strategy olmar`` and
 ``backtest --strategy knn`` at both scales, ``backtest`` of mlp and bcrp,
 ``plotdata --strategy olmar``, a ``knn:return`` backtest whose config file
 sets ``trend_feature = return``, knn backtests with ``--feature-window 2``
 (the shortest window) and ``--feature-window 60`` (a window whose feature
-chunks hold the floor of one window length of rows), each at 1309 x 10,
-and a knn backtest on the quoted spelling. Each output file is printed with
-``equal`` or ``differs (max rel diff X)``. X is ``inf`` when a difference is
-not numeric: a file on one side only, another shape, or other text.
+chunks hold the floor of one window length of rows) and with
+``--decay-len 3 --decay-alpha 0.55`` (a decay blend of three earlier
+rows), each at 1309 x 10, and a knn backtest on the quoted spelling. Each
+output file is printed with ``equal`` or ``differs (max rel diff X)``. X is
+``inf`` when a difference is not numeric: a file on one side only, another
+shape, or other text.
 ``manifest.json`` is compared without ``generated_at`` and ``data_file``.
 The exit status is 1 on any difference or failed command.
 """
@@ -54,6 +56,9 @@ COMMANDS = (
      ("backtest", "--strategy", "knn", "--feature-window", "2")),
     ("backtest_knn_fw60_10", "prices_10.csv",
      ("backtest", "--strategy", "knn", "--feature-window", "60")),
+    ("backtest_knn_decay3_10", "prices_10.csv",
+     ("backtest", "--strategy", "knn", "--decay-len", "3",
+      "--decay-alpha", "0.55")),
     ("backtest_knn_quoted_10", "prices_10_quoted.csv",
      ("backtest", "--strategy", "knn")),
 )
