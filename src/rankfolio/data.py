@@ -15,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import count, islice
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +88,11 @@ def load_csv(path: str | Path, digest=None) -> PriceMatrix:
     The file is read once. numpy's C reader parses a plain file. A file it
     refuses, or one with a fault, is parsed again from the same bytes by a
     ``csv.reader`` loop: it alone reads quoted cells and the rest of
-    ``float``'s grammar (``1_000.5``, fullwidth digits), and it names the
-    first fault, a byte that does not decode and a record that ``csv``
-    refuses among them. Both give the same matrix. ``digest``, a hashlib
-    object, is updated with the bytes read, since a pipe cannot be read
-    twice.
+    ``float``'s grammar (``1_000.5``, fullwidth digits). It checks each cell
+    as it reads it, so it names the first fault, quoting a cell as written
+    even from a pipe; a byte that does not decode and a record that ``csv``
+    refuses are faults too. Both give the same matrix. ``digest``, a hashlib
+    object, is updated with the bytes read, since a pipe cannot be read twice.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -176,8 +176,9 @@ def _records(path: Path, raw: bytes, encoding: str):
 
 
 def _load_rows(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
-    """The matrix in ``raw``, read record by record by ``csv.reader``, or
-    the ValueError of its first fault in file order."""
+    """The matrix in ``raw``, read record by record by ``csv.reader`` with
+    each price checked by ``_price`` as it is read, or the ValueError of its
+    first fault in file order."""
     records = _records(path, raw, encoding)
     try:
         _, header = next(records)
@@ -185,47 +186,32 @@ def _load_rows(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
         raise ValueError(f"{path}: empty file") from None
     assets = _assets(path, header)
 
-    # rows are converted as they are read and their prices checked as one
-    # block: at the end, or before a later line's error, which must not
-    # hide a bad price on an earlier line
     dates: list[date] = []
-    linenos: list[int] = []
     rows: list[np.ndarray] = []
-    try:
-        for lineno, cells in records:
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            where = f"{path}: line {lineno}"
-            if len(cells) != len(assets) + 1:
-                raise ValueError(f"{where}: expected {len(assets) + 1} "
-                                 f"fields, got {len(cells)}")
-            try:
-                day = date.fromisoformat(cells[0].strip())
-            except ValueError:
-                raise ValueError(f"{where}: bad date {cells[0]!r}") from None
-            try:
-                values = np.array(cells[1:], dtype=np.float64)
-            except ValueError:  # the cells before the bad one come first
-                values = np.array([_price(where, sym, cell) for sym, cell
-                                   in zip(assets, cells[1:])])
-            dates.append(day)
-            linenos.append(lineno)
-            rows.append(values)
-    except ValueError:
-        _check_prices(path, assets, linenos, np.array(rows))
-        raise
+    for lineno, cells in records:
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        where = f"{path}: line {lineno}"
+        if len(cells) != len(assets) + 1:
+            raise ValueError(f"{where}: expected {len(assets) + 1} "
+                             f"fields, got {len(cells)}")
+        try:
+            day = date.fromisoformat(cells[0].strip())
+        except ValueError:
+            raise ValueError(f"{where}: bad date {cells[0]!r}") from None
+        dates.append(day)
+        rows.append(np.array([_price(where, sym, cell) for sym, cell
+                              in zip(assets, cells[1:])]))
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    block = np.array(rows)
-    _check_prices(path, assets, linenos, block)
     order = sorted(range(len(dates)), key=dates.__getitem__)
     dates = [dates[i] for i in order]
     for d1, d2 in zip(dates, dates[1:]):
         if d1 == d2:
             raise ValueError(f"{path}: duplicate date {d1.isoformat()}")
     return PriceMatrix(dates=tuple(dates), assets=tuple(assets),
-                       prices=block[order])
+                       prices=np.array(rows)[order])
 
 
 def _price(where: str, sym: str, cell: str) -> float:
@@ -239,23 +225,6 @@ def _price(where: str, sym: str, cell: str) -> float:
     if value <= 0:
         raise ValueError(f"{where}, column {sym}: non-positive price {value}")
     return value
-
-
-def _check_prices(path: Path, assets: list[str], linenos: list[int],
-                  block: np.ndarray) -> None:
-    """Raise the error of the first non-finite or non-positive price of
-    ``block``, whose rows were read from lines ``linenos`` of ``path``.
-    The error quotes the cell as written, read again from a regular file
-    (whose later lines need not decode); a pipe cannot be read twice, so
-    from one it quotes the value."""
-    bad = ~(np.isfinite(block) & (block > 0))
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(assets))
-        lineno, cell = linenos[row], str(block[row, col])
-        if path.is_file():
-            with open(path, newline="", errors="surrogateescape") as fh:
-                cell = next(islice(csv.reader(fh), lineno - 1, None))[col + 1]
-        _price(f"{path}: line {lineno}", assets[col], cell)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -42,6 +42,7 @@ from .data import PriceMatrix
 from .features import RankPower
 from .learners import KnnLearner, MlpLearner, RankForecastStrategy
 from .metrics import MetricsReport, compute_report
+from .optim import row_dots
 from .strategies import (CLASSIC_NAMES, Anticor, BestCRP, Bnn, BuyAndHold,
                          Corn, Cwmr, ExponentiatedGradient, Olmar, Pamr, Rmr,
                          Strategy, UniformCRP, UniversalSampler)
@@ -317,8 +318,7 @@ def account(weights: np.ndarray,
     drifted holdings are worth nothing.
     """
     returns = prices[1:] / prices[:-1] - 1.0
-    # one BLAS dot per row, the same bytes as weights[i] @ returns[i]
-    gross = np.matmul(weights[:, None, :], returns[:, :, None])[:, 0, 0]
+    gross = row_dots(weights, returns)
     drifted = weights * (1.0 + returns)
     totals = drifted.sum(axis=1)
     if (totals <= 0).any():

@@ -46,6 +46,13 @@ def _project_rows(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta[:, None], 0.0)
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a[i] @ b[i]`` for two (B, n) arrays: a stacked matmul
+    makes one BLAS dot per row, so the bytes are those of ``@`` on one pair
+    of rows, and ``sqrt(row_dots(d, d))`` those of ``np.linalg.norm(d[i])``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def log_optimal_portfolio(relatives: np.ndarray, tol: float = 1e-10,
                           max_iter: int = 10_000) -> np.ndarray:
     """Weights maximizing sum(log(relatives @ w)) over the simplex, for an
@@ -112,8 +119,7 @@ def _ascend_block(block: _Block, w: np.ndarray, tol: float,
         cand = _project_rows(w + step[:, None] * grad)
         cand_port, fc = block.at(cand)
         d = cand - w
-        # per problem sqrt(d @ d), the bytes of np.linalg.norm(d)
-        moved = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        moved = np.sqrt(row_dots(d, d))
         up = fc > fw
         w[up], fw[up] = cand[up], fc[up]
         step[up] *= 2.0
@@ -215,9 +221,8 @@ def geometric_median(points: np.ndarray, tol: float = 1e-9,
                 continue
             y_next[i] = (max(0.0, 1.0 - eta / r) * t_point
                          + min(1.0, eta / r) * y[i])
-        # per window sqrt(step @ step), the bytes of np.linalg.norm(step)
         step = y_next - y
-        moved = np.sqrt(np.matmul(step[:, None, :], step[:, :, None])[:, 0, 0])
+        moved = np.sqrt(row_dots(step, step))
         done = stopped | (moved < tol)
         result[live[done]] = y_next[done]
         keep = ~done

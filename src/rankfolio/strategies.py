@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .optim import (geometric_median, log_optimal_portfolio,
-                    log_optimal_stack, project_to_simplex)
+                    log_optimal_stack, project_to_simplex, row_dots)
 
 # Canonical registry names of the classic strategies (CLI-facing).
 CLASSIC_NAMES = (
@@ -358,8 +358,7 @@ class Olmar(Strategy):
         arrays die with this generator, before the next block's exist."""
         x_hats = self._targets(windows)
         devs = x_hats - x_hats.mean(axis=1, keepdims=True)
-        # one BLAS dot per row, the same bytes as devs[i] @ devs[i]
-        sqs = np.matmul(devs[:, None, :], devs[:, :, None])[:, 0, 0]
+        sqs = row_dots(devs, devs)
         for x_hat, dev, sq in zip(x_hats, devs, sqs):
             gap = self.eps - float(w @ x_hat)
             # a NaN gap or norm fails both tests and reaches the projection

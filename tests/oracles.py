@@ -696,8 +696,8 @@ def decay_loop(raw, alpha, length):
 
 def load_csv_loop(path):
     """A price matrix read from a CSV one Python float at a time, each cell
-    checked as it is converted, as ``load_csv`` did before it converted
-    rows with numpy and checked the prices as one block."""
+    checked as it is converted, from a file opened as text: the reference
+    for both of ``load_csv``'s readers."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -2,9 +2,11 @@
 
 import csv
 import os
+import sys
 import tracemalloc
 import warnings
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,10 @@ from rankfolio.data import PriceMatrix, load_csv, summary_stats, write_csv
 
 from conftest import make_prices
 from oracles import load_csv_loop, returns_at
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from byte_gate import _write_quoted  # noqa: E402
 
 
 def test_roundtrip(tmp_path, prices_mid):
@@ -112,21 +118,6 @@ def test_load_rejects_blank_asset_names(tmp_path, header, column):
         load_csv(path)
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_load_from_a_pipe_quotes_a_bad_price_by_its_value():
-    # a pipe cannot be read again for the cell as written: reading it twice
-    # used to raise StopIteration, and a named pipe would wait for a writer
-    read, write = os.pipe()
-    os.write(write, b"date,A,B\n2024-01-01,5,1e999\n")
-    os.close(write)
-    try:
-        with pytest.raises(ValueError, match=r"line 2, column B: non-finite "
-                                             r"price 'inf'$"):
-            load_csv(f"/dev/fd/{read}")
-    finally:
-        os.close(read)
-
-
 # cells that parse (Python float's grammar: underscores, padding, a sign,
 # fullwidth digits, a quoted cell) and cells that the loader rejects, and
 # dates likewise; the pool of good dates is small, so drawn rows repeat and
@@ -141,6 +132,29 @@ BAD_DATES = ("2024-13-01", "x", "")
 # line ends: a lone CR ends a line for csv; a form feed or \x1c does not,
 # though str.splitlines splits there
 LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0c", "\x1c")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("cell", BAD_CELLS)
+def test_a_bad_price_reads_the_same_from_a_file_and_a_pipe(tmp_path, cell):
+    # a pipe cannot be read twice, so its fault is judged from the one read:
+    # the message quotes the cell as written, as the loop reference does
+    data = f"date,A,B\n2024-01-01,5,{cell}\n".encode()
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as reference:
+        load_csv_loop(path)
+    expected = str(reference.value).removeprefix(f"{path}: ")
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    try:
+        for source in (str(path), f"/dev/fd/{read}"):
+            with pytest.raises(ValueError) as got:
+                load_csv(source)
+            assert str(got.value) == f"{source}: {expected}"
+    finally:
+        os.close(read)
 
 
 @st.composite
@@ -227,17 +241,30 @@ def test_a_plain_file_never_reaches_the_csv_loop(wide_csv, monkeypatch):
     assert matrix.prices.tobytes() == expected.prices.tobytes()
 
 
+def load_peak(path):
+    """The tracemalloc peak of a second ``load_csv(path)``, in bytes."""
+    load_csv(path)
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_csv_memory_of_a_wide_file(wide_csv):
     # the file's bytes, numpy's parse of them and the sorted copy of the
     # prices: about 2 MiB
-    load_csv(wide_csv)
-    tracemalloc.start()
-    try:
-        load_csv(wide_csv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert load_peak(wide_csv) < 3 * 2**20
+
+
+def test_load_csv_memory_of_a_quoted_wide_file(wide_csv, tmp_path):
+    # the csv loop reads a quoted file: its rows are held as float64 arrays,
+    # not lists of Python floats (about 4.2 MiB), so it keeps the plain
+    # file's bound
+    quoted = tmp_path / "quoted.csv"
+    _write_quoted(wide_csv, quoted)
+    assert load_peak(quoted) < 3 * 2**20
 
 
 def test_a_bad_price_comes_before_a_later_undecodable_line(tmp_path):
