@@ -15,7 +15,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -158,21 +157,26 @@ def _load_plain(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
 
 
 def _records(path: Path, raw: bytes, encoding: str):
-    """(line number, cells) of each ``csv.reader`` record of ``raw``, whose
-    lines are decoded one at a time where ``open(path, newline="")`` ends
-    them; a line that does not decode, or a record that ``csv`` refuses
-    (such as a field over ``csv.field_size_limit()``), is a ValueError
-    naming its line."""
+    """(the line it starts on, cells) of each ``csv.reader`` record of
+    ``raw``, whose lines are decoded one at a time where ``open(path,
+    newline="")`` ends them; a line that does not decode, or a record that
+    ``csv`` refuses (such as a field over ``csv.field_size_limit()``), is a
+    ValueError naming the line being read."""
     reader = csv.reader(line.decode(encoding)
                         for line in raw.splitlines(keepends=True))
-    for lineno in count(1):
+    while True:
+        start = reader.line_num + 1  # a quoted cell may span lines
         try:
             cells = next(reader)
         except StopIteration:
             return
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        yield lineno, cells
+        except csv.Error as exc:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # before csv counts the line
+            raise ValueError(
+                f"{path}: line {reader.line_num + 1}: {exc}") from None
+        yield start, cells
 
 
 def _load_rows(path: Path, raw: bytes, encoding: str) -> PriceMatrix:
@@ -265,24 +269,13 @@ def summary_stats(matrix: PriceMatrix) -> dict[str, dict[str, float]]:
     if matrix.num_days < 2:
         raise ValueError("need at least 2 days of prices")
     rets = matrix.prices[1:] / matrix.prices[:-1] - 1.0
-    out: dict[str, dict[str, float]] = {}
-    for j, sym in enumerate(matrix.assets):
-        col = rets[:, j]
-        count = col.size
-        mean = float(col.mean())
-        if count >= 2:
-            std = float(math.sqrt(((col - mean) ** 2).sum() / (count - 1)))
-        else:
-            std = float("nan")
-        q25, q50, q75 = (float(q) for q in np.percentile(col, [25.0, 50.0, 75.0]))
-        out[sym] = {
-            "count": float(count),
-            "mean": mean,
-            "std": std,
-            "min": float(col.min()),
-            "25%": q25,
-            "50%": q50,
-            "75%": q75,
-            "max": float(col.max()),
-        }
-    return out
+    n = matrix.num_assets
+    # one return has no sample deviation: NaN, without numpy's warning
+    std = rets.std(axis=0, ddof=1) if len(rets) > 1 else np.full(n, np.nan)
+    stats = np.vstack([np.full(n, float(len(rets))), rets.mean(axis=0), std,
+                       rets.min(axis=0),
+                       np.percentile(rets, [25.0, 50.0, 75.0], axis=0),
+                       rets.max(axis=0)])
+    names = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
+    return {sym: dict(zip(names, column.tolist()))
+            for sym, column in zip(matrix.assets, stats.T)}

@@ -14,17 +14,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import optim
+
 FEATURES_PER_ASSET = 4
 
 # Below this sum, clipped scores are considered all-zero and weights fall
 # back to uniform; also the floor for standardization divisors.
 EPS = 1e-12
-
-# Bounds a stacked pass's chunks: a knn prediction's (rows, lookback, d)
-# differences, and rows x m x m x n for a feature chunk of m-day windows, of
-# which its (rows + m - 1, 2m, n) neighbour signs are at most 4/m: it holds
-# at least m rows, so the days it shares with the next chunk cost at most 2x.
-_STACK_CELLS = 1 << 18
 
 RankPower = int | str
 
@@ -53,7 +49,11 @@ def window_features(prices: np.ndarray, window: int,
     ic = u - 0.5 * (m - 1)  # the centred time index
     out = np.zeros((rets.shape[0], FEATURES_PER_ASSET * n))
     last, vol, sharpe, corr = np.split(out, FEATURES_PER_ASSET, axis=1)
-    step = max(m, _STACK_CELLS // (m * m * n))
+    # rows per chunk: it holds about 8 (rows, m, n) arrays at once (the
+    # return stack and its deviations, the signs and their prefix sums, the
+    # gathered counts and the ranks), and at least m rows, so the days it
+    # shares with the next chunk cost at most 2x
+    step = max(m, optim.SCRATCH_FLOATS // 8 // (m * n))
     for a in range(0, out.shape[0], step):
         rows = slice(a, a + step)
         r = np.ascontiguousarray(rets[rows])

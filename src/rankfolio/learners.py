@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import (_STACK_CELLS, EPS, RankPower, rank_transform,
-                       scores_to_weights, window_features)
+from . import optim
+from .features import (EPS, RankPower, rank_transform, scores_to_weights,
+                       window_features)
 from .mlp import mlp_train
 from .strategies import Strategy
 
@@ -85,7 +86,8 @@ class KnnLearner(Learner):
 
     def predict(self, block, rows):
         x, y = self._features[block], self._targets[block]
-        step = max(1, _STACK_CELLS // x.size)  # query rows per stack
+        # query rows per stack: its one (r, rows, d) array fills the budget
+        step = max(1, optim.SCRATCH_FLOATS // x.size)
         return np.concatenate([knn_predict(x, y, rows[a: a + step], self.k)
                                for a in range(0, len(rows), step)])
 

@@ -28,7 +28,6 @@ class MlpModel:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    seed: int
     loss_curve: list[float] = field(default_factory=list)
 
     @classmethod
@@ -42,7 +41,7 @@ class MlpModel:
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
+        return cls(layer_sizes=sizes, weights=weights, biases=biases)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Batch forward pass; accepts (m, d) or a single length-d vector."""
@@ -57,7 +56,7 @@ class MlpModel:
         """The networks of a stacked model (weights (B, fan_in, fan_out)),
         each with views into this model's parameters and its own loss curve."""
         return [MlpModel(self.layer_sizes, [w[b] for w in self.weights],
-                         [c[b] for c in self.biases], self.seed, curve)
+                         [c[b] for c in self.biases], curve)
                 for b, curve in enumerate(self.loss_curve)]
 
 
@@ -142,10 +141,9 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray,
     return loss, w_grads, b_grads
 
 
-def mlp_train(features: np.ndarray, targets: np.ndarray,
-              hidden: tuple[int, ...] = (20, 20), epochs: int = 200,
-              learning_rate: float = 1e-3, batch_size: int = 0,
-              seed: int = 10) -> MlpModel:
+def mlp_train(features: np.ndarray, targets: np.ndarray, *,
+              hidden: tuple[int, ...], epochs: int, learning_rate: float,
+              batch_size: int, seed: int) -> MlpModel:
     """Train fresh networks on (already standardized) features.
 
     ``features`` (..., rows, d) and ``targets`` (..., rows, k) hold one
@@ -168,7 +166,7 @@ def mlp_train(features: np.ndarray, targets: np.ndarray,
     sizes, lead = init.layer_sizes, x.shape[:-2]
     flat = np.concatenate([np.append(w, b) for w, b in zip(init.weights, init.biases)])
     theta = np.tile(flat, (*lead, 1))
-    model = MlpModel(sizes, *_layer_views(sizes, theta), seed)
+    model = MlpModel(sizes, *_layer_views(sizes, theta))
     grad, step, scale = np.empty((3, *theta.shape))
     grad_views = _layer_views(sizes, grad)
     m, v = np.zeros((2, *theta.shape))  # Adam moments

@@ -11,6 +11,12 @@ import numpy as np
 # non-positive entry cannot produce -inf mid line search.
 RELATIVE_FLOOR = 1e-12
 
+# The scratch budget of every stacked pass, in floats (1 MB): a pass cuts
+# its work into blocks of this many floats over the number of block-sized
+# arrays it holds at once, so its memory stays bounded whatever the run
+# length. No row depends on its block. Passes read it here when they run.
+SCRATCH_FLOATS = 1 << 17
+
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex.

@@ -36,6 +36,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from . import optim
 from .optim import (geometric_median, log_optimal_portfolio,
                     log_optimal_stack, project_to_simplex, row_dots)
 
@@ -48,26 +49,11 @@ CLASSIC_NAMES = (
 # Directions with squared norm below this are treated as null updates.
 _NULL_DIRECTION = 1e-24
 
-# OLMAR, RMR and PAMR compute the price targets (RMR's L1 medians) of this
-# many windows at a time, counted from the first window, so memory stays
-# bounded whatever the run length.
-_MEDIAN_BLOCK = 256
-
-# Anticor computes its claims, and BNN its Gram-form distances, in blocks
-# of days sized so that the block (n x n claims a day, or one distance per
-# window a day) holds at most this many floats: memory stays bounded
-# whatever the asset count and run length.
-_STACK_FLOATS = 16_384
-
-# BNN and CORN solve their log-optimal problems in lockstep blocks of days
-# whose relatives hold at most this many floats (1 MB), and UP compounds
-# its samples in blocks of days whose sample wealth and relatives hold at
-# most this many: memory stays bounded whatever the run length.
+# UP compounds its samples in blocks of days whose sample wealth and
+# relatives hold at most this many floats (1 MB). A BLAS row's bytes depend
+# on the row count of its product, so this value fixes UP's output bytes:
+# it is UP's alone, and a change of ``optim.SCRATCH_FLOATS`` must not move it.
 _BLOCK_FLOATS = 131_072
-
-# UP draws its Dirichlet samples this many at a time, straight into its
-# asset-major array, so no second full copy of them is ever held.
-_DIRICHLET_CHUNK = 1024
 
 
 def uniform_weights(n: int) -> np.ndarray:
@@ -193,13 +179,14 @@ class UniversalSampler(Strategy):
 
 def _dirichlet_columns(seed: int, n: int, samples: int) -> np.ndarray:
     """``default_rng(seed).dirichlet(np.ones(n), size=samples).T``, as a
-    C-contiguous (n, samples) array. The draws come in chunks of
-    ``_DIRICHLET_CHUNK`` rows, which take the generator's stream in the same
-    order as one full draw and so give the same bytes."""
+    C-contiguous (n, samples) array. The draws come in chunks, which take
+    the generator's stream in the same order as one full draw and so give
+    the same bytes whatever the chunk size."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, samples))
-    for lo in range(0, samples, _DIRICHLET_CHUNK):
-        hi = min(lo + _DIRICHLET_CHUNK, samples)
+    chunk = max(1, optim.SCRATCH_FLOATS // n)  # rows of one (chunk, n) draw
+    for lo in range(0, samples, chunk):
+        hi = min(lo + chunk, samples)
         out[:, lo:hi] = rng.dirichlet(np.ones(n), size=hi - lo).T
     return out
 
@@ -242,7 +229,8 @@ class Anticor(Strategy):
         w = uniform_weights(n)
         yield from repeat(w, 2 * m)
         log_rel = np.log(prices[1:] / prices[:-1])
-        size = max(1, _STACK_FLOATS // (n * n))
+        # days per block: ``_claims`` holds about 8 (size, n, n) arrays
+        size = max(1, optim.SCRATCH_FLOATS // 8 // (n * n))
         # day t compares log_rel rows t-2m-1..t-m-2 with rows t-m-1..t-2
         for first in range(2 * m + 1, days + 1, size):
             claims, outgoing = self._claims(
@@ -336,8 +324,9 @@ class Olmar(Strategy):
     Window j holds days j+1..j+window; its target x, the mean of its prices
     over its last price, drives day j+window. A passive-aggressive step
     pushes w @ x up to ``eps`` along x less its mean, then projects onto the
-    simplex. ``_replay`` computes the targets of ``_MEDIAN_BLOCK`` windows
-    at a time, and their deviations from their means.
+    simplex. ``_replay`` computes the targets of a block of windows at a
+    time, counted from the first window, and their deviations from their
+    means.
     """
 
     def __init__(self, window: int, eps: float):
@@ -349,8 +338,11 @@ class Olmar(Strategy):
         w = uniform_weights(n)
         yield from repeat(w, m - 1)
         windows = np.lib.stride_tricks.sliding_window_view(prices, (m, n))[:, 0]
-        for s in range(0, len(windows), _MEDIAN_BLOCK):
-            w = yield from self._block(w, windows[s: s + _MEDIAN_BLOCK])
+        # windows per block: OLMAR's targets hold one (size, m, n) array,
+        # RMR's medians two, and three while they drop converged windows
+        size = max(1, optim.SCRATCH_FLOATS // 2 // (m * n))
+        for s in range(0, len(windows), size):
+            w = yield from self._block(w, windows[s: s + size])
 
     def _block(self, w, windows):
         """Yield the weights of the days that ``windows`` drive, from the
@@ -439,7 +431,9 @@ class PatternMatcher(Strategy):
         # each day's row and successor set, made as it is solved
         matched = ((t - t_first, matches(t - 1 - self.window) + self.window)
                    for t in range(first, t_last + 1))
-        for rows, sets in _blocks(matched, rels.shape[1], _BLOCK_FLOATS):
+        # a block's relatives fill the budget
+        for rows, sets in _blocks(matched, rels.shape[1],
+                                  optim.SCRATCH_FLOATS):
             out[rows] = log_optimal_stack([rels[s] for s in sets])
         return out
 
@@ -478,12 +472,11 @@ class Bnn(PatternMatcher):
 
     The search filters, then ranks exactly. Gram-form squared distances
     ``sq[c] + sq[i] - 2 windows[c] . windows[i]`` come from one matrix
-    product per block of days of at most ``_STACK_FLOATS`` floats; a day
-    keeps every window within a rounding bound of its k-th Gram-form
-    distance. Only those windows get the exact distance
-    ``((windows[i] - windows[c]) ** 2).sum()``, and the nearest are picked
-    from them, earliest first among ties: the windows, and their order,
-    of a scan of every window.
+    product per block of days; a day keeps every window within a rounding
+    bound of its k-th Gram-form distance. Only those windows get the exact
+    distance ``((windows[i] - windows[c]) ** 2).sum()``, and the nearest are
+    picked from them, earliest first among ties: the windows, and their
+    order, of a scan of every window.
     """
 
     def __init__(self, neighbors: int, window: int):
@@ -506,7 +499,9 @@ class Bnn(PatternMatcher):
         # is within 2 slack of the Gram-form k-th; else every day scans all.
         filtered = np.isfinite(8 * top[-1])
         scale, tiny = 8 * (width + 4) * np.finfo(float).eps, np.finfo(float).tiny
-        rows = max(1, _STACK_FLOATS // count)  # days per Gram block
+        # days per Gram block: the product and the three arrays that form
+        # the distances from it take half the budget, beside a solve block
+        rows = max(1, optim.SCRATCH_FLOATS // 8 // count)
         first, gram = -1, None  # the cached block's first day, distances
 
         def candidates(c):

@@ -718,7 +718,9 @@ def load_csv_loop(path):
             raise ValueError(f"{path}: line 1: duplicate asset columns")
 
         rows = []
-        for lineno, cells in enumerate(reader, start=2):
+        start = reader.line_num + 1  # the line the next record starts on
+        for cells in reader:
+            lineno, start = start, reader.line_num + 1
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             if len(cells) != len(header):

@@ -277,6 +277,23 @@ def test_a_bad_price_comes_before_a_later_undecodable_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ('2024-01-01,"5\n"\n2024-01-02,abc\n',
+     "line 4, column A: bad number 'abc'"),
+    ('2024-01-01,"-5\n"\n', "line 2, column A: non-positive price -5.0"),
+    ('2024-01-01,"5\n\n"\n2024-01-02\n', "line 5: expected 2 fields, got 1"),
+], ids=["after", "within", "ragged"])
+def test_a_record_is_named_by_the_line_it_starts_on(tmp_path, rows, message):
+    # a quoted cell may hold a line break, so a record may span lines and
+    # the records after it start further down than their count
+    path = tmp_path / "p.csv"
+    path.write_text("date,A\n" + rows, newline="")
+    for load in (load_csv, load_csv_loop):
+        with pytest.raises(ValueError) as got:
+            load(path)
+        assert str(got.value) == f"{path}: {message}"
+
+
 def test_load_rejects_ragged_row(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,X,Y\n2024-01-01,5\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rankfolio import features
+from rankfolio import optim
 from rankfolio.features import (FEATURES_PER_ASSET, rank_transform,
                                 scores_to_weights, window_features)
 
@@ -138,18 +138,18 @@ def test_property_features_bit_exact_vs_loop_reference(window, trend):
             == features_loop(window, trend).tobytes())
 
 
-@pytest.mark.parametrize("cells", [1, 20_000, 100_000, None])
+@pytest.mark.parametrize("budget", [1, 20_000, 100_000, None])
 @pytest.mark.parametrize("trend", ["price", "return"])
 def test_stacked_features_match_loop_reference_across_chunks(monkeypatch,
-                                                             trend, cells):
+                                                             trend, budget):
     # the 281 windows of a 300-day run at 10 assets, in chunks of m rows
-    # (the floor, which budgets of 1 and 20,000 cells fall to), of 25 or 27
-    # rows (100,000 cells at 3,610-4,000 per row) and of the default
-    # budget's; each chunk edge sits between two exact rows
-    if cells is not None:
-        monkeypatch.setattr(features, "_STACK_CELLS", cells)
+    # (the floor, which budgets of 1 and 20,000 floats fall to), of 62 or
+    # 65 rows (100,000 floats at 8 x 1,520-1,600 a row) and of the default
+    # budget's 81 or 86; each chunk edge sits between two exact rows
+    if budget is not None:
+        monkeypatch.setattr(optim, "SCRATCH_FLOATS", budget)
     m = 20 if trend == "price" else 19
-    assert 281 > 2 * max(m, features._STACK_CELLS // (m * m * 10))
+    assert 281 > 2 * max(m, optim.SCRATCH_FLOATS // (8 * m * 10))
     prices = make_prices(300, 10, seed=112).prices
     rows = window_features(prices, 20, trend)
     assert rows.shape == (281, FEATURES_PER_ASSET * 10)
@@ -158,14 +158,14 @@ def test_stacked_features_match_loop_reference_across_chunks(monkeypatch,
 
 
 @given(tie_heavy_windows(), st.data(), st.sampled_from(["price", "return"]),
-       st.sampled_from([1, 60, None]))
+       st.sampled_from([1, 480, None]))
 @settings(max_examples=300, deadline=None)
 def test_property_stacked_features_bit_exact_vs_loop_reference(
-        prices, data, trend, cells):
+        prices, data, trend, budget):
     # the windows of a tie-heavy price block, stacked in one pass
     window = data.draw(st.integers(2, prices.shape[0]))
-    with mock.patch.object(features, "_STACK_CELLS",
-                           cells or features._STACK_CELLS):
+    with mock.patch.object(optim, "SCRATCH_FLOATS",
+                           budget or optim.SCRATCH_FLOATS):
         rows = window_features(prices, window, trend)
     assert rows.shape[0] == prices.shape[0] - window + 1
     for i, row in enumerate(rows):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankfolio import learners
+from rankfolio import optim
 from rankfolio.features import FEATURES_PER_ASSET, scores_to_weights
 from rankfolio.learners import (KnnLearner, Learner, MlpLearner,
                                 RankForecastStrategy, knn_predict)
@@ -34,12 +34,12 @@ def test_knn_learner_averages_each_block_on_its_own():
         np.testing.assert_array_equal(learner.predict(block, q), expected)
 
 
-@pytest.mark.parametrize("cells", [1, 500, None])
-def test_knn_learner_stacks_rows_in_bounded_chunks(monkeypatch, cells):
+@pytest.mark.parametrize("budget", [1, 500, None])
+def test_knn_learner_stacks_rows_in_bounded_chunks(monkeypatch, budget):
     # 30 training rows of 6 features: chunks of one row, of 2 rows, and the
     # default budget's single chunk give the rows of one-query predictions
-    if cells is not None:
-        monkeypatch.setattr(learners, "_STACK_CELLS", cells)
+    if budget is not None:
+        monkeypatch.setattr(optim, "SCRATCH_FLOATS", budget)
     rng = np.random.default_rng(43)
     learner = KnnLearner(k=5)
     learner.fit(rng.normal(size=(1, 30, 6)), rng.normal(size=(1, 30, 3)))

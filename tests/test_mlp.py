@@ -42,7 +42,6 @@ def test_forward_hand_computed():
         layer_sizes=(2, 2, 1),
         weights=[np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([[2.0], [3.0]])],
         biases=[np.array([0.0, -1.0]), np.array([0.5])],
-        seed=0,
     )
     x = np.array([1.0, 2.0])
     hidden = np.maximum([1.0 * 1 + 0.5 * 2, -1.0 * 1 + 2.0 * 2 - 1.0], 0.0)
@@ -124,7 +123,7 @@ def test_full_batch_training_matches_reference_adam():
     x = rng.normal(size=(12, 5))
     y = rng.normal(size=(12, 3))
     trained = mlp_train(x, y, hidden=(4,), epochs=5, learning_rate=1e-3,
-                        seed=9)
+                        batch_size=0, seed=9)
     ref = adam_reference(x, y, (4,), 5, 1e-3, seed=9)
     for a, b in zip(trained.weights + trained.biases,
                     ref.weights + ref.biases):
@@ -176,7 +175,8 @@ def test_gradients_into_destination_equal_fresh_ones():
 
 def test_trained_parameters_share_one_vector():
     x = np.random.default_rng(42).normal(size=(8, 3))
-    model = mlp_train(x, x[:, :2], hidden=(4,), epochs=2, seed=1)
+    model = mlp_train(x, x[:, :2], hidden=(4,), epochs=2, learning_rate=1e-3,
+                      batch_size=0, seed=1)
     params = model.weights + model.biases
     base = params[0].base
     assert base is not None and base.ndim == 1
@@ -223,18 +223,21 @@ def test_stack_divergence_in_last_network_raises():
     # the first two blocks train normally on their own; the last one's
     # squared residual overflows on the first epoch, which stops the stack
     x, y = distinct_blocks(3, rows=4, d=2, k=1)
-    mlp_train(x[:2], y[:2], hidden=(3,), epochs=5, learning_rate=1.0, seed=0)
+    mlp_train(x[:2], y[:2], hidden=(3,), epochs=5, learning_rate=1.0,
+              batch_size=0, seed=0)
     y[2] = -1e200
     with np.errstate(over="ignore"):
         with pytest.raises(RuntimeError, match="diverged at epoch 0: loss=inf"):
-            mlp_train(x, y, hidden=(3,), epochs=5, learning_rate=1.0, seed=0)
+            mlp_train(x, y, hidden=(3,), epochs=5, learning_rate=1.0,
+                      batch_size=0, seed=0)
 
 
 def test_stacked_gradients_equal_per_network_ones():
     # one body serves a single network and a stack: each network's loss and
     # gradients in a stack are the bytes of its own call
     x, y = distinct_blocks(4, rows=9, d=5, k=2)
-    stack = mlp_train(x, y, hidden=(4, 3), epochs=3, seed=2)
+    stack = mlp_train(x, y, hidden=(4, 3), epochs=3, learning_rate=1e-3,
+                      batch_size=0, seed=2)
     loss, w_grads, b_grads = loss_and_gradients(stack, x, y)
     assert loss.shape == (4,)
     for b, network in enumerate(stack.unstack()):
@@ -246,7 +249,8 @@ def test_stacked_gradients_equal_per_network_ones():
 
 def test_unstacked_networks_are_rows_of_one_array():
     x, y = distinct_blocks(3, rows=8, d=3, k=2)
-    stack = mlp_train(x, y, hidden=(4,), epochs=2, seed=1)
+    stack = mlp_train(x, y, hidden=(4,), epochs=2, learning_rate=1e-3,
+                      batch_size=0, seed=1)
     base = stack.weights[0].base
     assert base is not None and base.shape == (3, 3 * 4 + 4 + 4 * 2 + 2)
     for b, network in enumerate(stack.unstack()):
@@ -266,7 +270,7 @@ def test_training_reduces_loss_on_learnable_data():
     true_w = rng.normal(size=(6, 2))
     y = x @ true_w
     model = mlp_train(x, y, hidden=(16,), epochs=300, learning_rate=3e-3,
-                      seed=1)
+                      batch_size=0, seed=1)
     assert len(model.loss_curve) == 300
     assert model.loss_curve[-1] < 0.2 * model.loss_curve[0]
 
@@ -275,8 +279,10 @@ def test_training_deterministic_for_fixed_seed():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(20, 4))
     y = rng.normal(size=(20, 2))
-    a = mlp_train(x, y, hidden=(5,), epochs=10, seed=3)
-    b = mlp_train(x, y, hidden=(5,), epochs=10, seed=3)
+    a = mlp_train(x, y, hidden=(5,), epochs=10, learning_rate=1e-3,
+                  batch_size=0, seed=3)
+    b = mlp_train(x, y, hidden=(5,), epochs=10, learning_rate=1e-3,
+                  batch_size=0, seed=3)
     for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
         np.testing.assert_array_equal(pa, pb)
     assert a.loss_curve == b.loss_curve
@@ -286,11 +292,14 @@ def test_minibatch_path_runs_and_differs_from_full_batch():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(30, 4))
     y = rng.normal(size=(30, 2))
-    full = mlp_train(x, y, hidden=(5,), epochs=8, seed=3)
-    mini = mlp_train(x, y, hidden=(5,), epochs=8, seed=3, batch_size=10)
+    full = mlp_train(x, y, hidden=(5,), epochs=8, learning_rate=1e-3,
+                     batch_size=0, seed=3)
+    mini = mlp_train(x, y, hidden=(5,), epochs=8, learning_rate=1e-3,
+                     batch_size=10, seed=3)
     assert not np.array_equal(full.weights[0], mini.weights[0])
     # minibatching is itself deterministic under the same seed
-    mini2 = mlp_train(x, y, hidden=(5,), epochs=8, seed=3, batch_size=10)
+    mini2 = mlp_train(x, y, hidden=(5,), epochs=8, learning_rate=1e-3,
+                      batch_size=10, seed=3)
     np.testing.assert_array_equal(mini.weights[0], mini2.weights[0])
 
 
@@ -301,7 +310,8 @@ def test_training_divergence_raises():
     y = np.full((4, 1), -1e200)
     with np.errstate(over="ignore"):
         with pytest.raises(RuntimeError, match="diverged at epoch"):
-            mlp_train(x, y, hidden=(3,), epochs=5, learning_rate=1.0, seed=0)
+            mlp_train(x, y, hidden=(3,), epochs=5, learning_rate=1.0,
+                      batch_size=0, seed=0)
 
 
 def test_predict_takes_rows_as_given():
@@ -322,7 +332,8 @@ def test_pass_into_workspace_makes_no_batch_sized_array():
     # made and freed every step let the C heap's top be handed back and
     # faulted in again, in spells that slowed training by up to 1.5x
     x, y = distinct_blocks(8, rows=400, d=40, k=10)
-    model = mlp_train(x, y, hidden=(20, 20), epochs=2, seed=1)
+    model = mlp_train(x, y, hidden=(20, 20), epochs=2, learning_rate=1e-3,
+                      batch_size=0, seed=1)
     fresh = loss_and_gradients(model, x, y)
     work = _Workspace(model, x)
     grads = ([np.empty_like(w) for w in model.weights],

@@ -209,12 +209,12 @@ def test_up_rescale_keeps_weights_invariant():
 
 
 @pytest.mark.parametrize("n", [1, 3, 50])
-@pytest.mark.parametrize("samples", [1, strategies._DIRICHLET_CHUNK - 1,
-                                     strategies._DIRICHLET_CHUNK,
-                                     strategies._DIRICHLET_CHUNK + 1, 10_000])
-def test_up_chunked_samples_equal_one_draw(n, samples):
-    # UP draws its samples in chunks straight into an asset-major array;
+@pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 10_000])
+def test_up_chunked_samples_equal_one_draw(monkeypatch, n, samples):
+    # UP draws its samples in chunks of one budget's rows of n floats,
+    # here 1,024 rows at every width, straight into an asset-major array;
     # they are the bytes of one full draw, transposed
+    monkeypatch.setattr(optim, "SCRATCH_FLOATS", 1024 * n)
     got = strategies._dirichlet_columns(7, n, samples)
     want = np.random.default_rng(7).dirichlet(np.ones(n), size=samples).T
     assert got.shape == (n, samples) and got.flags.c_contiguous
@@ -223,7 +223,7 @@ def test_up_chunked_samples_equal_one_draw(n, samples):
 
 def test_up_matches_oracle_wide_with_a_partial_chunk():
     # 50 assets and a sample count that leaves a partial last chunk
-    samples = 2 * strategies._DIRICHLET_CHUNK + 37
+    samples = 2 * (optim.SCRATCH_FLOATS // 50) + 37
     prices = make_prices(12, 50, seed=8).prices
     w = last_day(UniversalSampler(samples, seed=3), prices)
     np.testing.assert_allclose(w, oracles.up_oracle(prices, samples, 3),
@@ -313,11 +313,13 @@ def test_up_memory_is_one_block_above_samples_and_outputs(monkeypatch):
 
 def test_pamr_memory_is_its_output_and_one_block_of_windows():
     # a 1309-day, 50-asset run holds its output and at most three
-    # (_MEDIAN_BLOCK, n) arrays: one block's targets and deviations, or its
-    # targets and the division's temporary; the previous block's are gone
-    # before the next block's targets exist. The 64 KB allow for Python's
-    # own objects
+    # (block, n) arrays: one block's targets and deviations, or its targets
+    # and the division's temporary; the previous block's are gone before
+    # the next block's targets exist. A block's two-day windows take half
+    # the scratch budget (655 windows). The 64 KB allow for Python's own
+    # objects
     days, n = 1309, 50
+    block = optim.SCRATCH_FLOATS // 2 // (2 * n)
     prices = make_prices(days, n, seed=112).prices
     tracemalloc.start()
     try:
@@ -325,7 +327,7 @@ def test_pamr_memory_is_its_output_and_one_block_of_windows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (days * n + 3 * strategies._MEDIAN_BLOCK * n) + 65_536
+    assert peak <= 8 * (days * n + 3 * block * n) + 65_536
 
 
 def test_up_seed_changes_output(walk):
@@ -397,14 +399,15 @@ def neighbor_windows(draw):
 @given(neighbor_windows(), st.sampled_from([1, 64, 16_384]),
        st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_bnn_neighbors_match_a_full_scan(drawn, budget, random):
+def test_bnn_neighbors_match_a_full_scan(drawn, floats, random):
     # the Gram-form filter only narrows the windows the exact distances are
     # computed for, so every day picks the full scan's windows in its order,
-    # whatever the Gram block size and the order the days are asked in
+    # whatever the Gram block size (an eighth of the scratch budget) and
+    # the order the days are asked in
     windows, k = drawn
     days = list(range(k, len(windows)))
     random.shuffle(days)
-    with mock.patch.object(strategies, "_STACK_FLOATS", budget):
+    with mock.patch.object(optim, "SCRATCH_FLOATS", 8 * floats):
         nearest = Bnn(k, 1)._matcher(windows)
     for c in days:
         assert nearest(c).tolist() == full_scan_neighbors(windows, c, k), c
@@ -620,8 +623,9 @@ def test_run_equals_step_loop_widths(name, assets):
 @pytest.mark.parametrize("name", ["bnn", "corn"])
 def test_run_equals_step_loop_across_solve_blocks(long_walk, name, budget,
                                                   monkeypatch):
-    # BNN and CORN solve their days in blocks of at most _BLOCK_FLOATS
-    # floats of relatives, which holds most of a 300-day run or all of it;
+    # BNN and CORN solve their days in blocks of at most the scratch
+    # budget's floats of relatives, which holds most of a 300-day run or
+    # all of it;
     # smaller budgets put block edges inside the run, and at 500 floats
     # some of CORN's days fill a block alone. The days on either side of
     # each edge match the per-day references.
@@ -633,7 +637,7 @@ def test_run_equals_step_loop_across_solve_blocks(long_walk, name, budget,
             blocks.append((rows, sum(s.size for s in sets) * width))
             yield rows, sets
 
-    monkeypatch.setattr(strategies, "_BLOCK_FLOATS", budget)
+    monkeypatch.setattr(optim, "SCRATCH_FLOATS", budget)
     monkeypatch.setattr(strategies, "_blocks", recording)
     config = BacktestConfig()
     got = make_strategy(name, config).run(long_walk, 1, 299)
@@ -648,14 +652,16 @@ def test_run_equals_step_loop_across_solve_blocks(long_walk, name, budget,
         assert got[t - 1].tobytes() == want.tobytes(), (name, budget, t)
 
 
-@pytest.mark.parametrize("budget", [1, 4_096])
+@pytest.mark.parametrize("floats", [1, 4_096])
 def test_bnn_neighbors_run_equals_day_rows_across_gram_blocks(
-        long_walk, budget, monkeypatch):
-    # BNN computes its Gram-form distances in blocks of days of at most
-    # _STACK_FLOATS floats: the 294 windows of a 300-day run in blocks of
-    # 55 days, of 13 at 4,096 floats and of one at 1 float. Every day's
-    # row matches the per-day reference, which scans every window.
-    monkeypatch.setattr(strategies, "_STACK_FLOATS", budget)
+        long_walk, floats, monkeypatch):
+    # BNN computes its Gram-form distances in blocks of days of at most an
+    # eighth of the scratch budget: the 294 windows of a 300-day run in
+    # blocks of 55 days at the default budget, of 13 at 4,096 floats and of
+    # one at 1 float, whose budget of 8 floats also leaves one-day solve
+    # blocks. Every day's row matches the per-day reference, which scans
+    # every window.
+    monkeypatch.setattr(optim, "SCRATCH_FLOATS", 8 * floats)
     config = BacktestConfig()
     got = make_strategy("bnn", config).run(long_walk, 1, 299)
     want = day_rows("bnn", config, long_walk, 1, 299)
@@ -673,7 +679,7 @@ def test_corn_one_day_blocks_solve_as_stacks_of_one(long_walk, monkeypatch):
         stacked.append(isinstance(relatives, np.ndarray))
         return real(relatives)
 
-    monkeypatch.setattr(strategies, "_BLOCK_FLOATS", 1)
+    monkeypatch.setattr(optim, "SCRATCH_FLOATS", 1)
     monkeypatch.setattr(optim, "_Block", recording)
     config = BacktestConfig()
     got = make_strategy("corn", config).run(long_walk, 1, 299)
