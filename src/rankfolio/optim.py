@@ -26,19 +26,38 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     (returned unchanged). The threshold comes from Python floats: their
     sequential running sum and the last passing ``k`` give the bytes of the
     numpy form (``np.cumsum`` also adds in order) at a fraction of its
-    dispatch cost on a short vector. When no ``k`` passes (NaN or inf
-    input, or |v| so large that c - 1 == c) the result is NaN.
+    dispatch cost on a short vector.
+
+    The scan stops early, with the same threshold. Over the descending sort
+    u the exact margin ``css_k - 1 - k*u_k`` never decreases as k grows, and
+    each step's test is off it by at most ``gamma_(n+1) * (2n max|u| + 1)``,
+    with ``gamma_m = (m eps/2) / (1 - m eps/2)``. So once a computed margin
+    exceeds twice that bound, no later k passes. The exit runs only on
+    finite entries whose sum cannot overflow: at that scale the bound is
+    inf. Any NaN or inf entry gives NaN weights, as does a vector for which
+    no k passes (|v| so large that c - 1 == c).
     """
     v = np.asarray(v, dtype=np.float64)
+    vals = v.tolist()
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        return np.full(v.shape, math.nan)
+    u = sorted(vals, reverse=True)
+    n = len(u)
+    half = (n + 1) * 2.0 ** -53  # (n + 1) eps / 2: gamma_(n+1) below
+    slack = 2.0 * half / (1.0 - half) * (2.0 * n * max(u[0], -u[-1]) + 1.0)
     theta = math.nan
     css = 0.0
     k = 0
-    for u_k in sorted(v.tolist(), reverse=True):
+    for u_k in u:
         css += u_k
         k += 1
-        if u_k * k > css - 1.0:  # the last k that passes sets theta
-            theta = (css - 1.0) / k
-    return np.maximum(v - theta, 0.0)
+        lead, rest = u_k * k, css - 1.0
+        if lead > rest:  # the last k that passes sets theta
+            theta = rest / k
+        elif rest - lead > slack:  # no later k can pass
+            break
+    out = v - theta
+    return np.maximum(out, 0.0, out=out)
 
 
 def _project_rows(v: np.ndarray) -> np.ndarray:
@@ -48,7 +67,11 @@ def _project_rows(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=1)
     hits = u * np.arange(1, n + 1) > (css - 1.0)
     rho = n - 1 - np.argmax(hits[:, ::-1], axis=1)  # each row's last hit
-    theta = (css[np.arange(len(v)), rho] - 1.0) / (rho + 1.0)
+    rows = np.arange(len(v))
+    theta = (css[rows, rho] - 1.0) / (rho + 1.0)
+    # NaN, as in project_to_simplex, where no k passes (so for any NaN or
+    # +inf entry) or where an entry is -inf (np.sort puts it last here)
+    theta[~hits[rows, rho] | (u[:, -1] == -np.inf)] = np.nan
     return np.maximum(v - theta[:, None], 0.0)
 
 

@@ -350,7 +350,7 @@ class Olmar(Strategy):
         arrays die with this generator, before the next block's exist."""
         x_hats = self._targets(windows)
         devs = x_hats - x_hats.mean(axis=1, keepdims=True)
-        sqs = row_dots(devs, devs)
+        sqs = row_dots(devs, devs).tolist()
         for x_hat, dev, sq in zip(x_hats, devs, sqs):
             gap = self.eps - float(w @ x_hat)
             # a NaN gap or norm fails both tests and reaches the projection

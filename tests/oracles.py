@@ -44,15 +44,19 @@ def project_simplex_bisect(v):
 def project_to_simplex_sorted(v):
     """Sort-and-threshold simplex projection in numpy calls: the last k with
     u_k * (k + 1) > css_k - 1 over the descending sort u and its running
-    sums css. Byte-for-byte reference for ``project_to_simplex``."""
+    sums css, scanned in full; NaN when an entry is not finite or no k
+    passes. Byte-for-byte reference for ``project_to_simplex``."""
     v = np.asarray(v, dtype=np.float64)
     n = v.size
     u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, n + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        css = np.cumsum(u)
+        passes = np.nonzero(u * np.arange(1, n + 1) > (css - 1.0))[0]
+        if not np.isfinite(v).all() or not passes.size:
+            return np.full(n, np.nan)
+        rho = passes[-1]
+        theta = (css[rho] - 1.0) / (rho + 1.0)
+        return np.maximum(v - theta, 0.0)
 
 
 def log_wealth(relatives, w):

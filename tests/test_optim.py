@@ -108,42 +108,61 @@ def test_property_projection_translation_invariant(v, c):
 @st.composite
 def projection_input(draw, n):
     """A length-n vector of one kind the strategies project: scaled values,
-    repeated values with signed zeros, a point on the simplex, or an
-    OLMAR-style step ``w + lam * dev`` from one."""
-    kind = draw(st.sampled_from(["scaled", "repeated", "simplex", "step"]))
+    repeated values with signed zeros, a point on the simplex, an
+    OLMAR-style step ``w + lam * dev`` from one (with ``lam`` up to 1e9,
+    where one asset takes all), ties that put the exact margin at 0 right
+    after the last passing k, values near the float64 limit (the rounding
+    bound overflows there), or scaled values with NaN and inf among them."""
+    kind = draw(st.sampled_from(["scaled", "repeated", "simplex", "step",
+                                 "ties", "huge", "non-finite"]))
     scale = 10.0 ** draw(st.integers(-3, 6))
-    if kind == "scaled":
-        return scale * np.array(draw(st.lists(
+    if kind == "huge":
+        scale = 10.0 ** draw(st.integers(295, 308))
+    if kind in ("scaled", "huge", "non-finite"):
+        v = scale * np.array(draw(st.lists(
             st.floats(-1.0, 1.0, width=64), min_size=n, max_size=n)))
+        if kind == "non-finite":
+            bad = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+            v[bad] = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                   min_size=len(bad), max_size=len(bad)))
+        return v
     if kind == "repeated":
         return scale * np.array(draw(st.lists(
             st.sampled_from([0.0, -0.0, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0]),
             min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        # j copies of a, then a - 1/j: css_j - 1 - j*u_j is -1 and every
+        # later margin is 0 in exact arithmetic
+        a, j = scale * draw(st.floats(-1.0, 1.0, width=64)), draw(st.integers(1, n))
+        return rng.permutation(np.r_[np.full(j, a), np.full(n - j, a - 1.0 / j)])
     w = draw(st.sampled_from([
         rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n),
         np.eye(n)[rng.integers(n)]]))
     if kind == "simplex":
         return w
     x_hat = np.exp(rng.normal(0.0, 0.05, n))
-    lam = draw(st.floats(0.0, scale, width=64))
+    lam = draw(st.floats(0.0, max(scale, 10.0 ** draw(st.integers(0, 9))),
+                         width=64))
     return w + lam * (x_hat - x_hat.mean())
 
 
 @given(st.integers(1, 60).flatmap(projection_input))
-@settings(max_examples=300)
+@settings(max_examples=1500)
 def test_property_projection_has_the_bytes_of_the_numpy_form(v):
-    assert project_to_simplex(v).tobytes() == \
-        project_to_simplex_sorted(v).tobytes()
+    with np.errstate(over="ignore"):  # v - theta near the float64 limit
+        assert project_to_simplex(v).tobytes() == \
+            project_to_simplex_sorted(v).tobytes()
 
 
 @given(st.integers(1, 60).flatmap(
     lambda n: st.lists(projection_input(n), min_size=1, max_size=8)))
-@settings(max_examples=100)
+@settings(max_examples=200)
 def test_property_project_rows_has_each_rows_bytes(rows):
-    stacked = optim._project_rows(np.array(rows))
-    for row, v in zip(stacked, rows):
-        assert row.tobytes() == project_to_simplex(v).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the oracle
+        stacked = optim._project_rows(np.array(rows))
+        for row, v in zip(stacked, rows):
+            assert row.tobytes() == project_to_simplex(v).tobytes()
 
 
 @pytest.mark.parametrize("v", [[np.nan, np.nan], [np.inf, 1.0],
@@ -152,6 +171,28 @@ def test_projection_without_a_passing_threshold_is_nan(v):
     # no k passes (NaN, inf, or c - 1 == c at this scale): a NaN vector,
     # which the run's finite check reports with its day
     assert np.isnan(project_to_simplex(np.array(v))).all()
+
+
+@pytest.mark.parametrize("v", [[0.7, np.nan, 0.5], [0.7, 0.5, np.nan],
+                               [np.inf, 0.2, 0.1], [0.7, 0.5, -np.inf],
+                               [-np.inf, 0.4, np.inf]])
+def test_any_non_finite_entry_projects_to_nan_in_both_forms(v):
+    # wherever the NaN or inf sits, and whichever form projects it
+    assert np.isnan(project_to_simplex(np.array(v))).all()
+    with np.errstate(invalid="ignore"):  # inf - inf in the running sums
+        assert np.isnan(optim._project_rows(np.array([v]))).all()
+
+
+def test_projection_exit_keeps_the_threshold_of_the_full_scan():
+    # the rounding bound overflows near the float64 limit, so the scan runs
+    # in full there: finite entries whose running sum overflows to -inf
+    # still project to the first two
+    v = np.array([0.5, 0.3, -1e308, -1e308])
+    w = project_to_simplex(v)
+    np.testing.assert_allclose(w, [0.6, 0.4, 0.0, 0.0], atol=1e-15)
+    assert w.tobytes() == project_to_simplex_sorted(v).tobytes()
+    with np.errstate(over="ignore"):
+        assert optim._project_rows(v[None]).tobytes() == w.tobytes()
 
 
 # --- log-optimal portfolio ----------------------------------------------------
