@@ -32,8 +32,10 @@ class Learner:
 
 class MlpLearner(Learner):
     """Fresh fully connected network per block, seeded for reproducibility;
-    the blocks of one fit train in lockstep as one stack. ``predict`` runs
-    one forward pass per row: a batched pass differs in the last bits."""
+    the blocks of one fit train in lockstep as one stack. ``predict`` scores
+    its rows as a stack of one-row passes: each (1, d) slice is its own BLAS
+    call, so a row's scores do not depend on how many rows share the call
+    (an (r, d) batch would differ in the last bits)."""
 
     def __init__(self, hidden: tuple[int, ...], epochs: int,
                  learning_rate: float, batch_size: int, seed: int):
@@ -51,8 +53,7 @@ class MlpLearner(Learner):
         ).unstack()
 
     def predict(self, block, rows):
-        model = self.models[block]
-        return np.array([model.forward(row) for row in rows])
+        return self.models[block].forward(rows[:, None, :])[:, 0]
 
 
 def knn_predict(train_features: np.ndarray, train_targets: np.ndarray,

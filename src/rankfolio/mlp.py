@@ -4,7 +4,8 @@ gradients can be verified against finite differences.
 
 ``mlp_train`` trains a stack of networks in lockstep, one per training block;
 the rank-forecast strategy trains its refits in blocks of 8 consecutive
-refits this way. ``loss_and_gradients`` serves one network and a stack alike.
+refits this way. ``loss_and_gradients`` serves one network and a stack alike,
+and ``MlpModel.forward`` a batch of rows and a stack of batches alike.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .optim import column_sums
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -44,7 +47,10 @@ class MlpModel:
         return cls(layer_sizes=sizes, weights=weights, biases=biases)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Batch forward pass; accepts (m, d) or a single length-d vector."""
+        """Batch forward pass on (m, d) rows, a single length-d vector or a
+        stack (..., m, d) of row batches, which gives (..., m, k): each
+        (m, d) slice of a stack is its own BLAS call, so it has the bytes of
+        its own pass."""
         x = np.asarray(inputs, dtype=np.float64)
         single = x.ndim == 1
         if single:
@@ -125,14 +131,16 @@ def loss_and_gradients(model: MlpModel, features: np.ndarray,
     acts = _activations(model, x, work.outputs)
     delta = np.subtract(acts[-1], y, out=work.deltas[-1])  # the residual
     sq = np.multiply(delta, delta, out=work.squares)
-    # each network's mean runs along one contiguous axis, as a flat mean does
-    loss = sq.reshape(*sq.shape[:-2], -1).mean(axis=-1)
+    # each network's mean runs along one contiguous axis, as a flat mean
+    # does; numpy's mean is this sum over the count
+    flat = sq.reshape(*sq.shape[:-2], -1)
+    loss = np.add.reduce(flat, axis=-1) / flat.shape[-1]
     delta *= 2.0 / (delta.shape[-2] * delta.shape[-1])
     w_grads, b_grads = out or ([np.empty_like(w) for w in model.weights],
                                [np.empty_like(b) for b in model.biases])
     for i in reversed(range(len(model.weights))):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=w_grads[i])
-        delta.sum(axis=-2, out=b_grads[i])
+        column_sums(delta, out=b_grads[i])
         if i > 0:
             active = np.greater(acts[i], 0.0, out=work.masks[i - 1])
             delta = np.matmul(delta, model.weights[i].swapaxes(-1, -2),
@@ -210,6 +218,6 @@ def mlp_train(features: np.ndarray, targets: np.ndarray, *,
             np.sqrt(np.divide(v, bias2, out=scale), out=scale)
             scale += ADAM_EPS
             theta -= np.divide(step, scale, out=step)
-        curves[epoch] = epoch_losses.mean(axis=-1)
+        curves[epoch] = np.add.reduce(epoch_losses, axis=-1) / len(starts)
     model.loss_curve = np.moveaxis(curves, 0, -1).tolist()
     return model

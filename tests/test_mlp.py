@@ -201,22 +201,25 @@ def assert_same_network(got, want):
 
 
 @pytest.mark.parametrize("stack", [1, 3, 9])
-@pytest.mark.parametrize("hidden", [(), (4,), (20, 20)])
+@pytest.mark.parametrize("hidden", [(), (4,), (20, 20), (1,), (4, 1)])
 @pytest.mark.parametrize("batch_size", [0, 4, 16, 37])
 def test_stack_training_byte_equal_to_per_network_loop(stack, hidden, batch_size):
     # 37 rows: batches of 16 leave a ragged last batch of 5 rows, batches of
     # 4 make each epoch's loss a mean over 10 batches (numpy sums 8 or more
-    # along a contiguous axis pairwise), and 37 is the full batch again
-    x, y = distinct_blocks(stack)
-    kwargs = dict(hidden=hidden, epochs=12, learning_rate=3e-3,
-                  batch_size=batch_size, seed=5)
-    trained = mlp_train(x, y, **kwargs)
-    assert [w.shape for w in trained.weights] == [
-        (stack, a, b) for a, b in zip((6, *hidden), (*hidden, 3))]
-    networks = trained.unstack()
-    assert len(networks) == stack
-    for b, network in enumerate(networks):
-        assert_same_network(network, mlp_train_loop(x[b], y[b], **kwargs))
+    # along a contiguous axis pairwise), and 37 is the full batch again. A
+    # one-unit layer or a one-column target sums one column for its bias
+    # gradient, which column_sums leaves to numpy's sum
+    for k in (3, 1):
+        x, y = distinct_blocks(stack, k=k)
+        kwargs = dict(hidden=hidden, epochs=12, learning_rate=3e-3,
+                      batch_size=batch_size, seed=5)
+        trained = mlp_train(x, y, **kwargs)
+        assert [w.shape for w in trained.weights] == [
+            (stack, a, b) for a, b in zip((6, *hidden), (*hidden, k))]
+        networks = trained.unstack()
+        assert len(networks) == stack
+        for b, network in enumerate(networks):
+            assert_same_network(network, mlp_train_loop(x[b], y[b], **kwargs))
 
 
 def test_stack_divergence_in_last_network_raises():
@@ -315,16 +318,19 @@ def test_training_divergence_raises():
 
 
 def test_predict_takes_rows_as_given():
-    # the strategy standardizes; the learner scores the rows it is given
+    # the strategy standardizes; the learner scores the rows it is given,
+    # each with the bytes of its own one-row pass, however many share a call
     rng = np.random.default_rng(30)
     feats = rng.normal(5.0, 2.0, size=(1, 50, 3))
     learner = MlpLearner(hidden=(4,), epochs=2, learning_rate=1e-3,
                          batch_size=0, seed=2)
     learner.fit(feats, rng.normal(size=(1, 50, 2)))
-    rows = feats[0, 7:9]
-    np.testing.assert_array_equal(
-        learner.predict(0, rows),
-        [learner.models[0].forward(row) for row in rows])
+    for count in (1, 2, 13):
+        rows = feats[0, 7: 7 + count]
+        got = learner.predict(0, rows)
+        assert got.shape == (count, 2)
+        want = np.array([learner.models[0].forward(row) for row in rows])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pass_into_workspace_makes_no_batch_sized_array():

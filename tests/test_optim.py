@@ -195,6 +195,61 @@ def test_projection_exit_keeps_the_threshold_of_the_full_scan():
         assert optim._project_rows(v[None]).tobytes() == w.tobytes()
 
 
+# --- column sums ----------------------------------------------------------------
+
+@st.composite
+def column_sum_input(draw):
+    """An array of 2-4 dimensions, 0-300 rows and 1-60 columns, as drawn:
+    C-contiguous, a slice or a transposed view, with its values drawn from
+    normals of every scale and a few special values (signed zeros,
+    infinities, NaN, subnormals, values near the float64 limit)."""
+    lead = draw(st.lists(st.integers(1, 4), max_size=2))
+    # one column, where numpy's order differs from einsum's, drawn often
+    rows, cols = draw(st.integers(0, 300)), draw(st.just(1) | st.integers(1, 60))
+    view = draw(st.sampled_from(["contiguous", "rows sliced", "lead sliced",
+                                 "columns sliced", "transposed"]))
+    shape = {"rows sliced": (*lead, 2 * rows, cols),
+             "lead sliced": (2, *lead, rows, cols),
+             "columns sliced": (*lead, rows, cols + 1),
+             "transposed": (*lead, cols, rows)}.get(view, (*lead, rows, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    specials = draw(st.lists(st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.7e308,
+         -1.7e308]), max_size=4))
+    if specials and a.size:
+        where = rng.random(shape) < draw(st.sampled_from([0.01, 0.5, 1.0]))
+        a[where] = rng.choice(specials, size=int(where.sum()))
+    return {"rows sliced": lambda: a[..., ::2, :],
+            "lead sliced": lambda: a[1],
+            "columns sliced": lambda: a[..., 1:],
+            "transposed": lambda: a.swapaxes(-1, -2)}.get(view, lambda: a)()
+
+
+def nan_as_one(x):
+    """``x`` with every NaN spelled as ``np.nan``."""
+    return np.where(np.isnan(x), np.nan, x)
+
+
+@given(column_sum_input(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_property_column_sums_have_the_bytes_of_numpy_sum(a, into_view):
+    # the bias gradients of mlp write into (B, fan_out) slices of a (B, P)
+    # array: out= takes such a strided view
+    out = None
+    if into_view:
+        out = np.empty((*a.shape[:-2], a.shape[-1] + 3))[..., 2:-1]
+    with np.errstate(all="ignore"):
+        want = a.sum(axis=-2)
+        got = optim.column_sums(a, out=out)
+    assert got.shape == want.shape
+    # where a column meets two NaNs, which one survives depends on operand
+    # order inside the add: both sides are NaN there, and that is all
+    assert nan_as_one(got).tobytes() == nan_as_one(want).tobytes()
+    if into_view:
+        assert got is out
+
+
 # --- log-optimal portfolio ----------------------------------------------------
 
 def random_relatives(rng, m, n):
@@ -255,6 +310,20 @@ def test_log_optimal_floor_warning_on_nonpositive_rows():
     rel = np.array([[0.0, 0.0], [0.0, 0.0]])
     with pytest.warns(RuntimeWarning, match="floor"):
         log_optimal_portfolio(rel)
+
+
+@pytest.mark.parametrize("low, warns", [(5e-12, False), (0.0, True)])
+def test_log_optimal_floor_sits_between_tiny_and_zero_relatives(low, warns):
+    # one day on which every asset keeps 5e-12 of its price stays above
+    # RELATIVE_FLOOR (1e-12) for every weight; a day on which every asset
+    # goes to 0 sits on it, whatever the weights
+    rel = random_relatives(np.random.default_rng(8), 30, 4)
+    rel[11] = low
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        w = log_optimal_portfolio(rel)
+    assert any("floor" in str(c.message) for c in caught) == warns
+    assert np.isfinite(w).all() and abs(w.sum() - 1.0) < 1e-12
 
 
 def test_log_optimal_deterministic():
